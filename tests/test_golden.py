@@ -1,0 +1,55 @@
+"""Golden CLI outputs: stdout bytes and exit code of the fast README commands.
+
+Each case in ``CASES`` has a file ``golden/<name>.out`` whose first line is
+``exit <code>`` and whose remainder is the exact stdout of the command.
+Refactors must leave these bytes unchanged.  After a deliberate output
+change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import pathlib
+
+import pytest
+
+from gft.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+CASES = {
+    "radius_k_starlike": ["radius", "--problem", "k-starlike", "--k", "1"],
+    "radius_convex": ["radius", "--problem", "convex", "--alpha", "0.25"],
+    "radius_inclusion": ["radius", "--problem", "inclusion"],
+    "bound_h3_star": ["bound", "--class", "sl", "--alpha", "0", "--which", "h3"],
+    "bound_fekete": ["bound", "--class", "sl", "--alpha", "0.5", "--which", "fekete", "--t", "1.0"],
+    "bound_symmetric": ["bound", "--class", "symmetric-starlike", "--which", "h2",
+                        "--b1", "2", "--b2", "2", "--b3", "2"],
+    "extremal_json": ["extremal", "--phi", "psi", "--n", "1", "--order", "8"],
+    "extremal_text": ["--format", "text", "extremal", "--phi", "psi", "--n", "3", "--order", "4"],
+    "curves_csv": ["curves", "--id", "tau", "--samples", "512"],
+    "curves_json": ["--format", "json", "curves", "--id", "tau4", "--samples", "256"],
+    "verify_hankel": ["verify", "--suite", "hankel", "--density", "64"],
+    "verify_lemmas": ["verify", "--suite", "lemmas", "--density", "64"],
+    "verify_bloch": ["verify", "--suite", "bloch"],
+    "verify_conjecture": ["verify", "--suite", "conjecture"],
+    "classify": ["classify", "--phi", "cos_sqrt_z", "--grid", "256"],
+}
+
+
+def render(argv) -> str:
+    stream = io.StringIO()
+    code = main(argv, stream=stream)
+    return f"exit {code}\n{stream.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+    assert render(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.out").write_text(render(argv), encoding="utf-8", newline="")
