@@ -42,6 +42,8 @@ __all__ = [
     "caratheodory_to_coeffs",
     "q_params_a4",
     "q_params_a2a3_a4",
+    "polar_grid",
+    "grid_then_polish",
     "schwarz_functional_H",
     "a4_bound",
     "a2a3_a4_bound",
@@ -411,16 +413,51 @@ class SchwarzMax:
     zeta: complex
 
 
-def _schwarz_cubic_objective(q1: float, q2: float, xi, eta):
-    """|c3 + q1 c1 c2 + q2 c1^3| maximized analytically over the free last slot.
+def _schwarz_inner(q1: float, q2: float, xi, eta):
+    """The zeta-free part q2 xi^3 + q1 xi (1-xi^2) eta - xi (1-xi^2) eta^2.
 
     Uses c1 = xi (rotated real), c2 = (1-xi^2) eta,
-    c3 = (1-xi^2)((1-|eta|^2) zeta - xi eta^2); the zeta-aligned value is
-    (1-xi^2)(1-|eta|^2) + |q2 xi^3 + q1 xi (1-xi^2) eta - xi (1-xi^2) eta^2|.
+    c3 = (1-xi^2)((1-|eta|^2) zeta - xi eta^2) in c3 + q1 c1 c2 + q2 c1^3.
     """
     one_m_xi2 = 1 - xi**2
-    inner = q2 * xi**3 + q1 * xi * one_m_xi2 * eta - xi * one_m_xi2 * eta**2
-    return one_m_xi2 * (1 - np.abs(eta) ** 2) + np.abs(inner)
+    return q2 * xi**3 + q1 * xi * one_m_xi2 * eta - xi * one_m_xi2 * eta**2
+
+
+def _schwarz_cubic_objective(q1: float, q2: float, xi, eta):
+    """|c3 + q1 c1 c2 + q2 c1^3| with zeta aligned to the zeta-free part."""
+    return (1 - xi**2) * (1 - np.abs(eta) ** 2) + np.abs(_schwarz_inner(q1, q2, xi, eta))
+
+
+def polar_grid(top: float, density: int):
+    """Grid t in [0, top] x rho in [0, 1] x phi in [0, 2 pi) as broadcastable axes.
+
+    Returns (t, rho, phi, x) with shapes (d,1,1), (1,d,1), (1,1,d) and the
+    disk points x = rho e^(i phi) of shape (1,d,d).
+    """
+    t = np.linspace(0.0, top, density)[:, None, None]
+    rho = np.linspace(0.0, 1.0, density)[None, :, None]
+    phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
+    return t, rho, phi, rho * np.exp(1j * phi)
+
+
+def grid_then_polish(on_grid, neg, top: float, density: int, xatol: float, fatol: float):
+    """Maximum of a function of (t, x) by polar-grid argmax and a simplex polish.
+
+    ``on_grid(t, x)`` evaluates the function on :func:`polar_grid` arrays;
+    ``neg((t, rho, phi))`` is its negation at one point, clamping the point
+    into the region itself.  Returns (value, point) of the better of the grid
+    argmax and the Nelder-Mead polish started from it.
+    """
+    t, rho, phi, x = polar_grid(top, density)
+    vals = on_grid(t, x)
+    i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    start = (float(t[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k]))
+    best = float(vals[i, j, k])
+    res = minimize(neg, np.array(start), method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": fatol, "maxiter": 2000})
+    if -res.fun > best:
+        return -res.fun, res.x
+    return best, start
 
 
 def schwarz_functional_H(q1: float, q2: float, grid_density: int = 64) -> SchwarzMax:
@@ -436,15 +473,6 @@ def schwarz_functional_H(q1: float, q2: float, grid_density: int = 64) -> Schwar
         raise ValueError("grid_density must be at least 32")
     q1 = float(q1)
     q2 = float(q2)
-    xi = np.linspace(0.0, 1.0, grid_density)[:, None, None]
-    rho = np.linspace(0.0, 1.0, grid_density)[None, :, None]
-    phi = np.linspace(0.0, 2 * np.pi, grid_density, endpoint=False)[None, None, :]
-    eta = rho * np.exp(1j * phi)
-    vals = _schwarz_cubic_objective(q1, q2, xi, eta)
-    flat = int(np.argmax(vals))
-    i, j, k = np.unravel_index(flat, vals.shape)
-    best = (float(xi[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k]))
-    best_val = float(vals[i, j, k])
 
     def neg(x):
         xi_c = min(max(x[0], 0.0), 1.0)
@@ -452,40 +480,35 @@ def schwarz_functional_H(q1: float, q2: float, grid_density: int = 64) -> Schwar
         e = rho_c * np.exp(1j * x[2])
         return -float(_schwarz_cubic_objective(q1, q2, xi_c, e))
 
-    res = minimize(neg, np.array(best), method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000})
-    if -res.fun > best_val:
-        best_val = -res.fun
-        best = (min(max(res.x[0], 0.0), 1.0), min(max(res.x[1], 0.0), 1.0), res.x[2])
-    xi_b, rho_b, phi_b = best
+    best_val, (xi_b, rho_b, phi_b) = grid_then_polish(
+        lambda xi, eta: _schwarz_cubic_objective(q1, q2, xi, eta), neg,
+        1.0, grid_density, 1e-9, 1e-12)
+    xi_b, rho_b = min(max(xi_b, 0.0), 1.0), min(max(rho_b, 0.0), 1.0)
     eta_b = rho_b * np.exp(1j * phi_b)
-    inner = q2 * xi_b**3 + q1 * xi_b * (1 - xi_b**2) * eta_b - xi_b * (1 - xi_b**2) * eta_b**2
+    inner = _schwarz_inner(q1, q2, xi_b, eta_b)
     zeta_b = inner / abs(inner) if abs(inner) > 0 else 1.0
     return SchwarzMax(best_val, xi_b, complex(eta_b), complex(zeta_b))
 
 
-def a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundReport:
-    """|a4| <= |B1|/(g4-h4) * H(q1, q2), H evaluated by the maximization oracle."""
-    q1, q2 = q_params_a4(params, coeffs)
+def _cubic_bound(q_params, params: ClassParams, coeffs, grid_density: int) -> BoundReport:
+    """|B1|/(g4-h4) * H(q1, q2) for the (q1, q2) that ``q_params`` assigns."""
+    q1, q2 = q_params(params, coeffs)
     h = schwarz_functional_H(float(q1), float(q2), grid_density)
-    b1 = coeffs[0]
     return BoundReport(
-        abs(b1) / params.w * h.value,
+        abs(coeffs[0]) / params.w * h.value,
         "schwarz_cubic",
         {"q1": q1, "q2": q2, "xi": h.xi},
     )
+
+
+def a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundReport:
+    """|a4| <= |B1|/(g4-h4) * H(q1, q2), H evaluated by the maximization oracle."""
+    return _cubic_bound(q_params_a4, params, coeffs, grid_density)
 
 
 def a2a3_a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundReport:
     """|a2 a3 - a4| <= |B1|/(g4-h4) * H(q1, q2) with the shifted q-parameters."""
-    q1, q2 = q_params_a2a3_a4(params, coeffs)
-    h = schwarz_functional_H(float(q1), float(q2), grid_density)
-    b1 = coeffs[0]
-    return BoundReport(
-        abs(b1) / params.w * h.value,
-        "schwarz_cubic",
-        {"q1": q1, "q2": q2, "xi": h.xi},
-    )
+    return _cubic_bound(q_params_a2a3_a4, params, coeffs, grid_density)
 
 
 # -- closed-form table for the logarithmic family -------------------------------------

@@ -38,16 +38,10 @@ EXIT_USAGE = 2
 
 @dataclass
 class Config:
-    truncation_order: int = 32
-    tolerance: float = 1e-9
     seed: int = 42
     output_format: str = "json"
 
     def validate(self) -> "Config":
-        if self.truncation_order < 8:
-            raise ValueError("truncation order must be at least 8")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.seed < 0:
@@ -55,29 +49,33 @@ class Config:
         return self
 
 
+_CONFIG_KEYS = {"seed": int, "output_format": str}
+
+
 def load_config(env: dict | None = None) -> Config:
-    """Defaults, overlaid with the key=value file named by $GFT_CONFIG."""
+    """Defaults, overlaid with the key=value file named by $GFT_CONFIG.
+
+    Blank lines and ``#`` comments are skipped; any other line must set one
+    of the known keys, so a misspelt or retired key is an error.
+    """
     env = os.environ if env is None else env
     cfg = Config()
     path = env.get("GFT_CONFIG")
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
+                for n, line in enumerate(fh, start=1):
                     line = line.strip()
-                    if not line or line.startswith("#") or "=" not in line:
+                    if not line or line.startswith("#"):
                         continue
-                    key, _, value = line.partition("=")
+                    key, eq, value = line.partition("=")
                     key = key.strip()
-                    value = value.strip()
-                    if key == "truncation_order":
-                        cfg.truncation_order = int(value)
-                    elif key == "tolerance":
-                        cfg.tolerance = float(value)
-                    elif key == "seed":
-                        cfg.seed = int(value)
-                    elif key == "output_format":
-                        cfg.output_format = value
+                    if not eq or key not in _CONFIG_KEYS:
+                        raise ValueError(
+                            f"GFT_CONFIG line {n}: expected one of "
+                            f"{', '.join(_CONFIG_KEYS)} as key=value, got {line!r}"
+                        )
+                    setattr(cfg, key, _CONFIG_KEYS[key](value.strip()))
         except OSError as exc:
             raise ValueError(f"cannot read GFT_CONFIG file {path!r}: {exc}") from exc
     return cfg
@@ -319,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default json)")
-    parser.add_argument("--truncation-order", dest="truncation_order", type=int,
-                        default=None, help="series truncation order")
-    parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -365,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "conjecture", "counterexamples"))
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--density", type=int, default=64)
-    p.add_argument("--json", action="store_true", help="force JSON output (default)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("classify", help="grid classification of a generator")
@@ -389,10 +383,6 @@ def main(argv: list[str] | None = None, stream=None) -> int:
             cfg.output_format = args.format
         elif args.command == "curves":
             cfg.output_format = "csv"
-        if args.truncation_order is not None:
-            cfg.truncation_order = args.truncation_order
-        if args.tolerance is not None:
-            cfg.tolerance = args.tolerance
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()

@@ -55,27 +55,30 @@ class ExtremalFunction:
         return self.series(z)
 
 
-def _phi_power_integral(spec, n: int, order: int, exact: bool) -> TruncatedSeries:
-    """integral_0^z (Phi(t^n) - 1)/t dt as a series: sum_k C_k z^(n k)/(n k)."""
+def _structural_exp(spec, n: int, order: int, exact: bool) -> TruncatedSeries:
+    """exp(integral_0^z (Phi(t^n) - 1)/t dt) to order - 1: t_n(z)/z and d_n'(z).
+
+    The integral is sum_k C_k z^(n k)/(n k) over the generator coefficients C_k.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    top = max(order - 1, 0)
     coeff = spec.coeff_exact if exact else spec.coeff
-    out: list = [0] * (order + 1)
+    out: list = [0] * (top + 1)
     k = 1
-    while n * k <= order:
+    while n * k <= top:
         c = coeff(k)
         if isinstance(c, (int, Fraction)):
             out[n * k] = Fraction(c, n * k)
         else:
             out[n * k] = c / (n * k)
         k += 1
-    return TruncatedSeries(out)
+    return TruncatedSeries(out).exp(top)
 
 
 def t_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:
     """The starlike structural function z * exp(integral (Phi(t^n)-1)/t)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    integral = _phi_power_integral(spec, n, max(order - 1, 0), exact)
-    u = integral.exp(max(order - 1, 0))
+    u = _structural_exp(spec, n, order, exact)
     name = getattr(spec, "name", "custom")
     return ExtremalFunction(u.shifted(1).padded(order), name, n, "starlike_t")
 
@@ -85,10 +88,7 @@ def d_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:
 
     The derivative of the returned series is d', with z d'(z) = t_n(z).
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    integral = _phi_power_integral(spec, n, max(order - 1, 0), exact)
-    u = integral.exp(max(order - 1, 0))
+    u = _structural_exp(spec, n, order, exact)
     name = getattr(spec, "name", "custom")
     return ExtremalFunction(u.antiderivative().padded(order), name, n, "convex_d")
 

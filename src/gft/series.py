@@ -22,7 +22,7 @@ from typing import Iterable
 
 Number = complex | float | int | Fraction
 
-__all__ = ["TruncatedSeries", "ZERO", "ONE", "Z"]
+__all__ = ["TruncatedSeries", "Z"]
 
 
 def _is_finite(c: Number) -> bool:
@@ -85,9 +85,6 @@ class TruncatedSeries:
         if order < self.order:
             return TruncatedSeries(self.coeffs[: order + 1])
         return TruncatedSeries(self.coeffs + (0,) * (order - self.order))
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        return self.padded(order)
 
     # -- ring operations ---------------------------------------------------
 
@@ -250,15 +247,5 @@ class TruncatedSeries:
             acc = acc * z + c
         return acc
 
-    def coeffs_complex(self) -> list[complex]:
-        return [complex(c) for c in self.coeffs]
 
-
-def from_coefficient_fn(fn, order: int) -> TruncatedSeries:
-    """Build a series from an index -> coefficient function."""
-    return TruncatedSeries(fn(k) for k in range(order + 1))
-
-
-ZERO = TruncatedSeries([0])
-ONE = TruncatedSeries([1])
 Z = TruncatedSeries([0, 1])

@@ -17,13 +17,14 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import (
     ClassParams,
     PhiCoeffs,
     alpha_class_params,
     caratheodory_to_coeffs,
+    grid_then_polish,
+    polar_grid,
     second_hankel,
     sl_bound_table,
 )
@@ -203,20 +204,26 @@ class CaratheodoryPoint:
     p3: complex
 
 
+def _p2_p3(p1, x):
+    """Libera-Zlotkiewicz (p2, p3 at y = 0, dp3/dy); p3 is affine in y.
+
+    Array-friendly: p3 = base + bump * y for the free parameter |y| <= 1.
+    """
+    s = 4 - p1**2
+    p2 = (p1**2 + x * s) / 2
+    base = (p1**3 + 2 * p1 * s * x - p1 * s * x**2) / 4
+    bump = 2 * s * (1 - np.abs(x) ** 2) / 4
+    return p2, base, bump
+
+
 def caratheodory_point(p1: float, x: complex, y: complex) -> CaratheodoryPoint:
     """Derived (p2, p3) for admissible parameters p1 in [0,2], |x|,|y| <= 1."""
     if not 0 <= p1 <= 2:
         raise ValueError(f"p1 must lie in [0, 2], got {p1}")
     if abs(x) > 1 + 1e-12 or abs(y) > 1 + 1e-12:
         raise ValueError("x and y must lie in the closed unit disk")
-    p2 = (p1**2 + x * (4 - p1**2)) / 2
-    p3 = (
-        p1**3
-        + 2 * p1 * (4 - p1**2) * x
-        - p1 * (4 - p1**2) * x**2
-        + 2 * (4 - p1**2) * (1 - abs(x) ** 2) * y
-    ) / 4
-    return CaratheodoryPoint(p1, complex(x), complex(y), complex(p2), complex(p3))
+    p2, base, bump = _p2_p3(p1, x)
+    return CaratheodoryPoint(p1, complex(x), complex(y), complex(p2), complex(base + bump * y))
 
 
 def schur_parameters(p1: complex, p2: complex, p3: complex) -> tuple[complex, complex, complex]:
@@ -250,9 +257,7 @@ def _float_params(params: ClassParams) -> ClassParams:
 
 def _hankel_halves(params: ClassParams, coeffs, p1, x):
     """|a2 a4 - a3^2| split as E0 + E1*y (affine in the free parameter y)."""
-    p2 = (p1**2 + x * (4 - p1**2)) / 2
-    base = (p1**3 + 2 * p1 * (4 - p1**2) * x - p1 * (4 - p1**2) * x**2) / 4
-    bump = 2 * (4 - p1**2) * (1 - np.abs(x) ** 2) / 4
+    p2, base, bump = _p2_p3(p1, x)
     a2, a3, a4_0 = caratheodory_to_coeffs(params, coeffs, p1, p2, base)
     _, _, a4_1 = caratheodory_to_coeffs(params, coeffs, p1, p2, base + bump)
     e0 = a2 * a4_0 - a3**2
@@ -273,16 +278,10 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     if isinstance(b, PhiCoeffs):
         b = (b.b1, b.b2, b.b3)
     coeffs = tuple(float(c) for c in b)
-    p1 = np.linspace(0.0, 2.0, density)[:, None, None]
-    rho = np.linspace(0.0, 1.0, density)[None, :, None]
-    phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
-    x = rho * np.exp(1j * phi)
-    e0, e1 = _hankel_halves(fp, coeffs, p1 + 0j, x)
-    vals = np.abs(e0) + np.abs(e1)
-    flat = int(np.argmax(vals))
-    i, j, k = np.unravel_index(flat, vals.shape)
-    start = np.array([float(p1[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k])])
-    best = float(vals[i, j, k])
+
+    def on_grid(p1, x):
+        e0, e1 = _hankel_halves(fp, coeffs, p1 + 0j, x)
+        return np.abs(e0) + np.abs(e1)
 
     def neg(v):
         p = min(max(v[0], 0.0), 2.0)
@@ -290,9 +289,7 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
         e0_, e1_ = _hankel_halves(fp, coeffs, complex(p), r * cmath.exp(1j * v[2]))
         return -(abs(e0_) + abs(e1_))
 
-    res = minimize(neg, start, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
-    return max(best, -float(res.fun))
+    return float(grid_then_polish(on_grid, neg, 2.0, density, 1e-10, 1e-13)[0])
 
 
 # -- class-membership sampling -------------------------------------------------------
@@ -455,12 +452,8 @@ def verify_class_membership_bounds(
 
 
 def _caratheodory_grid(density: int):
-    p1 = np.linspace(0.0, 2.0, density)[:, None, None]
-    rho = np.linspace(0.0, 1.0, density)[None, :, None]
-    phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
-    x = rho * np.exp(1j * phi)
-    p2 = (p1**2 + x * (4 - p1**2)) / 2
-    return p1, x, p2
+    p1, _, _, x = polar_grid(2.0, density)
+    return p1, x, _p2_p3(p1, x)[0]
 
 
 def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
@@ -497,20 +490,11 @@ def eq_p31_check(grid_density: int = 64) -> dict:
     it is checked on power-map samples w(z) = lam z^m where all p_k are
     available in closed form (p_k = 2 lam^(k/m) when m | k, else 0).
     """
-    density = grid_density
-    p1 = np.linspace(0.0, 2.0, density)[:, None, None, None]
-    rho = np.linspace(0.0, 1.0, density)[None, :, None, None]
-    phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :, None]
-    psi_y = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)[None, None, None, :]
-    x = rho * np.exp(1j * phi)
-    y = np.exp(1j * psi_y)
-    p2 = (p1**2 + x * (4 - p1**2)) / 2
-    p3 = (
-        p1**3
-        + 2 * p1 * (4 - p1**2) * x
-        - p1 * (4 - p1**2) * x**2
-        + 2 * (4 - p1**2) * (1 - np.abs(x) ** 2) * y
-    ) / 4
+    p1, _, _, x = polar_grid(2.0, grid_density)
+    p1, x = p1[..., None], x[..., None]
+    y = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    p2, base, bump = _p2_p3(p1, x)
+    p3 = base + bump * y
     cubic = np.abs(p3 - 2 * p1 * p2 + p1**3)
     report = {
         "max_cubic": float(cubic.max()),
@@ -685,7 +669,7 @@ def lambda_combination_check(
         k += 1
     alpha_series = TruncatedSeries(coeffs)
     u = alpha_series.exp(order)
-    g = u.truncated(order - 1).shifted(1)
+    g = u.padded(order - 1).shifted(1)
 
     # series identity: z g'/g = (u + z u') / u for g = z u
     ratio = (u + u.derivative().shifted(1).padded(order)).divide(u, order)

@@ -171,10 +171,11 @@ class TestClassifyCommand:
 
 class TestContracts:
     def test_idempotence(self):
-        args = ["verify", "--suite", "lemmas", "--density", "32", "--seed", "42"]
-        _, first = run_cli(args)
-        _, second = run_cli(args)
-        assert first == second
+        args = ["--seed", "42", "verify", "--suite", "lemmas", "--density", "32"]
+        code1, first = run_cli(args)
+        code2, second = run_cli(args)
+        assert code1 == code2 == EXIT_OK
+        assert first and first == second
 
     def test_unknown_subcommand_usage_error(self):
         code, _ = run_cli(["frobnicate"])
@@ -186,11 +187,10 @@ class TestContracts:
 
     def test_config_file_and_flag_precedence(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("seed=7\ntolerance=1e-6\noutput_format=json\n")
+        cfg_file.write_text("seed=7\noutput_format=json\n")
         monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
         cfg = load_config()
         assert cfg.seed == 7
-        assert cfg.tolerance == 1e-6
         # file value reaches the suite when no flag is given
         code, out = run_cli(["verify", "--suite", "membership", "--samples", "15"])
         assert code == EXIT_OK
@@ -204,7 +204,31 @@ class TestContracts:
 
     def test_config_validation(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("truncation_order=4\n")
+        cfg_file.write_text("seed=-1\n")
         monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
         code, _ = run_cli(["radius", "--problem", "majorization"])
         assert code == EXIT_REJECTED
+
+    @pytest.mark.parametrize(
+        "text", ["tolerance=1e-6\n", "truncation_order=16\n", "seed=7\nverbose\n"]
+    )
+    def test_config_unknown_key_or_bare_line_rejected(self, tmp_path, monkeypatch, text):
+        cfg_file = tmp_path / "gft.cfg"
+        cfg_file.write_text("# comment\n\n" + text)
+        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
+        code, out = run_cli(["radius", "--problem", "majorization"])
+        assert code == EXIT_REJECTED
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tolerance", "1e-6", "radius", "--problem", "majorization"],
+            ["--truncation-order", "16", "radius", "--problem", "majorization"],
+            ["verify", "--suite", "bloch", "--json"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv):
+        code, out = run_cli(argv)
+        assert code == EXIT_USAGE
+        assert out == ""
