@@ -10,7 +10,9 @@ Subcommands map one-to-one onto the library modules:
     classify  grid classification of a catalog generator
 
 Output is JSON by default (sorted keys, so identical invocations are
-byte-identical); ``curves`` also speaks RFC-4180 CSV.  Configuration
+byte-identical); ``curves`` speaks RFC-4180 CSV by default, and ``radius``,
+``bound`` and ``extremal`` have a text form.  A ``--format`` the subcommand
+does not render (see ``FORMATS``) is a usage error.  Configuration
 precedence: command-line flags > key=value file named by $GFT_CONFIG >
 built-in defaults.  Exit codes: 0 success, 1 computation rejected,
 2 usage error.
@@ -34,6 +36,16 @@ __all__ = ["Config", "load_config", "main"]
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
+
+# --format values each subcommand renders; any other is a usage error
+FORMATS = {
+    "radius": ("json", "text"),
+    "bound": ("json", "text"),
+    "extremal": ("json", "text"),
+    "curves": ("json", "csv"),
+    "verify": ("json",),
+    "classify": ("json",),
+}
 
 
 @dataclass
@@ -82,8 +94,9 @@ def load_config(env: dict | None = None) -> Config:
 
 
 def _emit_json(payload, stream) -> None:
-    json.dump(payload, stream, sort_keys=True, allow_nan=False)
-    stream.write("\n")
+    # serialised in full before writing, so a non-finite value rejects the
+    # whole payload instead of leaving half of it on the stream
+    stream.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _finite(x: float) -> float:
@@ -316,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,  # keeps subcommand flags like --t out of top-level prefix matching
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None,
-                        help="output format (default json)")
+                        help="json or text for radius, bound and extremal; csv (default) "
+                             "or json for curves; json for verify and classify")
     parser.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -375,6 +389,11 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format is not None and args.format not in FORMATS[args.command]:
+            parser.error(
+                f"--format {args.format} is not rendered by {args.command} "
+                f"(choose from {', '.join(FORMATS[args.command])})"
+            )
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -20,9 +20,16 @@ import warnings
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 Number = complex | float | int | Fraction
 
 __all__ = ["TruncatedSeries", "Z"]
+
+_OUTSIDE_DISK = (
+    "evaluating a truncated Maclaurin series outside the closed "
+    "unit disk; the truncation error is uncontrolled"
+)
 
 
 def _is_finite(c: Number) -> bool:
@@ -234,14 +241,19 @@ class TruncatedSeries:
 
     # -- evaluation ----------------------------------------------------------
 
-    def __call__(self, z: Number) -> complex:
-        """Horner evaluation of the truncated polynomial at z."""
+    def __call__(self, z: Number | np.ndarray) -> complex | np.ndarray:
+        """Horner evaluation of the truncated polynomial at z.
+
+        An ``np.ndarray`` of points is evaluated elementwise in one pass
+        (``np.polyval`` over the complex-cast coefficients) and gives a
+        complex array of the same shape.
+        """
+        if isinstance(z, np.ndarray):
+            if z.size and np.abs(z).max() > 1 + 1e-12:
+                warnings.warn(_OUTSIDE_DISK, stacklevel=2)
+            return np.polyval(np.array(self.coeffs[::-1], dtype=complex), z)
         if abs(complex(z)) > 1 + 1e-12:
-            warnings.warn(
-                "evaluating a truncated Maclaurin series outside the closed "
-                "unit disk; the truncation error is uncontrolled",
-                stacklevel=2,
-            )
+            warnings.warn(_OUTSIDE_DISK, stacklevel=2)
         acc: Number = 0
         for c in reversed(self.coeffs):
             acc = acc * z + c

@@ -11,6 +11,7 @@ seeded; identical seeds give identical reports.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +60,16 @@ BOUNDARY_GRID = 512
 SCHWARZ_SAFETY = 1.001  # random polynomials are shrunk by this factor
 
 
+def _circle(grid: int) -> np.ndarray:
+    """The ``grid`` points exp(2 pi i j / grid), j = 0..grid-1, of the unit circle."""
+    return np.exp(2j * np.pi * np.arange(grid) / grid)
+
+
+def _like(z, values: np.ndarray):
+    """``values`` as a Python complex when the input point ``z`` was a scalar."""
+    return complex(values) if np.ndim(z) == 0 else values
+
+
 # -- Schwarz samples -------------------------------------------------------------
 
 
@@ -70,14 +81,11 @@ class SchwarzSample:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
         return self.series(z)
 
     def boundary_sup(self, grid: int = BOUNDARY_GRID, radius: float = 0.999) -> float:
-        return max(
-            abs(self.series(radius * cmath.exp(2j * math.pi * j / grid)))
-            for j in range(grid)
-        )
+        return float(np.abs(self.series(radius * _circle(grid))).max())
 
 
 def _mobius_series(eta: float, order: int) -> TruncatedSeries:
@@ -131,10 +139,7 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0, order: 
         degree = int(params.get("degree", 8))
         raw = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
         poly = TruncatedSeries([0] + list(raw))
-        sup = max(
-            abs(poly(cmath.exp(2j * math.pi * j / BOUNDARY_GRID)))
-            for j in range(BOUNDARY_GRID)
-        )
+        sup = float(np.abs(poly(_circle(BOUNDARY_GRID))).max())
         series = (poly * (1.0 / (SCHWARZ_SAFETY * sup))).padded(max(order, degree))
         params = dict(params, degree=degree)
     else:
@@ -144,6 +149,8 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0, order: 
 
 def sample_suite(count: int, seed: int = 42, order: int = 32) -> list[SchwarzSample]:
     """A deterministic mix of sample kinds, extremal witnesses first."""
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     samples: list[SchwarzSample] = []
     for m in (1, 2, 3, 4):
         samples.append(sample_schwarz("monomial", {"m": m}, order=order))
@@ -157,39 +164,46 @@ def sample_suite(count: int, seed: int = 42, order: int = 32) -> list[SchwarzSam
     return samples[:count]
 
 
-# -- pointwise structural evaluation ----------------------------------------------
+# -- structural evaluation ----------------------------------------------------------
+#
+# Each function takes one point or an array of points. A scalar gives a Python
+# complex; an array gives a complex array of its shape.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_S = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1]: t = s z, dt = z ds
 
 
-def _log_ratio_integral(omega: SchwarzSample, z: complex) -> complex:
-    """integral_0^z -log(1 + w(t))/t dt by 64-point Gauss-Legendre quadrature."""
-    if z == 0:
-        return 0.0
-    total = 0.0 + 0.0j
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        s = 0.5 * (node + 1.0)  # t = s z, dt = z ds; integrand dt = -log(1+w(sz))/s ds
-        w = omega(s * z)
-        total += weight * (-cmath.log(1 + w) / s)
-    return 0.5 * total
+def _log_ratio_integral(omega: SchwarzSample, z: np.ndarray) -> np.ndarray:
+    """integral_0^z -log(1 + w(t))/t dt by 64-point Gauss-Legendre quadrature.
+
+    In s the integrand is -log(1 + w(s z))/s; all (point, node) pairs are
+    evaluated at once and summed by one product with the weights.
+    """
+    w = omega(z[..., None] * _GL_S)
+    return 0.5 * ((-np.log(1 + w) / _GL_S) @ _GL_WEIGHTS)
 
 
-def structural_eval(omega: SchwarzSample, z: complex) -> complex:
+def structural_eval(omega: SchwarzSample, z):
     """f(z) = z exp(integral (q-1)/t dt) with q = 1 - log(1 + omega)."""
-    return z * cmath.exp(_log_ratio_integral(omega, z))
+    za = np.asarray(z, dtype=complex)
+    return _like(z, za * np.exp(_log_ratio_integral(omega, za)))
 
 
-def structural_deriv(omega: SchwarzSample, z: complex) -> complex:
-    """f'(z) = f(z) q(z) / z, exact in terms of the structural formula."""
-    q = 1 - cmath.log(1 + omega(z))
-    if z == 0:
-        return 1.0 + 0.0j
-    return structural_eval(omega, z) * q / z
+def structural_deriv(omega: SchwarzSample, z):
+    """f'(z) = f(z) q(z) / z, computed as exp(integral (q-1)/t dt) q(z).
+
+    Exact in terms of the structural formula; the form without the division
+    by z also holds at z = 0 and does not overflow for a subnormal z.
+    """
+    za = np.asarray(z, dtype=complex)
+    q = 1 - np.log(1 + omega(za))
+    return _like(z, structural_deriv_convex(omega, za) * q)
 
 
-def structural_deriv_convex(omega: SchwarzSample, z: complex) -> complex:
+def structural_deriv_convex(omega: SchwarzSample, z):
     """f'(z) = exp(integral (q-1)/t dt): derivative of the convex-side member."""
-    return cmath.exp(_log_ratio_integral(omega, z))
+    za = np.asarray(z, dtype=complex)
+    return _like(z, np.exp(_log_ratio_integral(omega, za)))
 
 
 # -- Caratheodory parameterization -------------------------------------------------
@@ -340,6 +354,17 @@ class MembershipReport:
 
 _MEMBERSHIP_RADII = (0.3, 0.6, 0.9)
 _MEMBERSHIP_ANGLES = 64
+_GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
+
+
+@functools.cache
+def _growth_reference() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """|t(r)| and |t(-r)| per membership radius, t the order-200 structural function."""
+    t_ref = t_series(make_spec("psi"), 1, 200)  # order controls the r=0.9 tail
+    return (
+        tuple(abs(t_ref(r)) for r in _MEMBERSHIP_RADII),
+        tuple(abs(t_ref(-r)) for r in _MEMBERSHIP_RADII),
+    )
 
 
 def verify_class_membership_bounds(
@@ -356,11 +381,17 @@ def verify_class_membership_bounds(
     each alpha against the closed-form table, with the second Hankel
     functional compared against the general three-case bound.
     """
-    t_ref = t_series(make_spec("psi"), 1, 200)  # order controls the r=0.9 tail
-    growth_lo = {r: abs(t_ref(r)) for r in _MEMBERSHIP_RADII}
-    growth_hi = {r: abs(t_ref(-r)) for r in _MEMBERSHIP_RADII}
-
     samples = sample_suite(sample_count, seed=seed)
+    # one row per radius: envelope points, growth points and their bounds
+    radii = np.array(_MEMBERSHIP_RADII)[:, None]
+    z_env = radii * _circle(_MEMBERSHIP_ANGLES)
+    z_growth = z_env[:, ::_GROWTH_STRIDE]
+    re_lo_env = np.array([1 - math.log(1 + r) for r in _MEMBERSHIP_RADII])[:, None]
+    re_hi_env = np.array([1 - math.log(1 - r) for r in _MEMBERSHIP_RADII])[:, None]
+    im_env = np.array([math.atan(r / math.sqrt(1 - r * r)) for r in _MEMBERSHIP_RADII])[:, None]
+    growth_lo, growth_hi = (np.array(g)[:, None] for g in _growth_reference())
+    # a2..a5 read only q1..q4, so psi(omega) is composed at order 4
+    psi4 = make_spec("psi").series(4, exact=False)
     worst = {
         "re_lo": math.inf,
         "re_hi": math.inf,
@@ -384,35 +415,27 @@ def verify_class_membership_bounds(
     violations = []
 
     for idx, omega in enumerate(samples):
-        for r in _MEMBERSHIP_RADII:
-            for j in range(_MEMBERSHIP_ANGLES):
-                z = r * cmath.exp(2j * math.pi * j / _MEMBERSHIP_ANGLES)
-                ratio = 1 - cmath.log(1 + omega(z))
-                re_lo = ratio.real - (1 - math.log(1 + r))
-                re_hi = (1 - math.log(1 - r)) - ratio.real
-                im = math.atan(r / math.sqrt(1 - r * r)) - abs(ratio.imag)
-                worst["re_lo"] = min(worst["re_lo"], re_lo)
-                worst["re_hi"] = min(worst["re_hi"], re_hi)
-                worst["im"] = min(worst["im"], im)
-                if min(re_lo, re_hi, im) < -tol:
-                    violations.append(
-                        {"sample": idx, "kind": omega.kind, "where": f"envelope r={r}"}
-                    )
-            for j in range(0, _MEMBERSHIP_ANGLES, 8):
-                z = r * cmath.exp(2j * math.pi * j / _MEMBERSHIP_ANGLES)
-                fv = abs(structural_eval(omega, z))
-                g_lo = fv - growth_lo[r]
-                g_hi = growth_hi[r] - fv
-                worst["g_lo"] = min(worst["g_lo"], g_lo)
-                worst["g_hi"] = min(worst["g_hi"], g_hi)
-                if min(g_lo, g_hi) < -tol:
-                    violations.append(
-                        {"sample": idx, "kind": omega.kind, "where": f"growth r={r}"}
-                    )
+        ratio = 1 - np.log(1 + omega(z_env))
+        re_lo = ratio.real - re_lo_env
+        re_hi = re_hi_env - ratio.real
+        im = im_env - np.abs(ratio.imag)
+        fv = np.abs(structural_eval(omega, z_growth))
+        g_lo = fv - growth_lo
+        g_hi = growth_hi - fv
+        for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
+                            ("g_lo", g_lo), ("g_hi", g_hi)):
+            worst[key] = min(worst[key], float(margin.min()))
+        # one violation entry per failing point, in scan order: per radius,
+        # the envelope points, then the growth points
+        env_bad = (np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=1)
+        growth_bad = (np.minimum(g_lo, g_hi) < -tol).sum(axis=1)
+        for r, n_env, n_growth in zip(_MEMBERSHIP_RADII, env_bad, growth_bad):
+            for where, n in ((f"envelope r={r}", n_env), (f"growth r={r}", n_growth)):
+                violations.extend(
+                    {"sample": idx, "kind": omega.kind, "where": where} for _ in range(n)
+                )
 
-        psi_omega = make_spec("psi").series(omega.series.order, exact=False).compose(
-            omega.series, max(omega.series.order, 6)
-        )
+        psi_omega = psi4.compose(omega.series.padded(4), 4)
         for alpha in alphas:
             a = _class_coefficients(psi_omega, alpha)
             a2, a3, a4, a5 = a[1], a[2], a[3], a[4]
@@ -522,7 +545,8 @@ def bloch_norm_estimate(f, grid_size: int = 256, r_max: float = 0.999, radial_co
     ``f`` is either an object with a ``series`` attribute of order >= 40
     (derivative taken termwise), a bare series, or a :class:`SchwarzSample`,
     in which case the class member it induces is differentiated through the
-    structural formula (exact pointwise, no truncation).
+    structural formula (exact pointwise, no truncation).  Each radius circle
+    is evaluated as one array, so memory stays at one circle's worth.
     """
     if isinstance(f, SchwarzSample):
         deriv = lambda z: structural_deriv(f, z)
@@ -531,14 +555,10 @@ def bloch_norm_estimate(f, grid_size: int = 256, r_max: float = 0.999, radial_co
         if series.order < 40:
             raise ValueError("series order must be at least 40 for a stable estimate")
         deriv = series.derivative()
+    circle = _circle(grid_size)
     best = 0.0
     for r in np.linspace(0.0, r_max, radial_count):
-        damp = 1 - r * r
-        for j in range(grid_size):
-            z = r * cmath.exp(2j * math.pi * j / grid_size)
-            val = damp * abs(deriv(z))
-            if val > best:
-                best = val
+        best = max(best, float(((1 - r * r) * np.abs(deriv(r * circle))).max()))
     return best
 
 
@@ -589,12 +609,11 @@ def bloch_seminorm_bound() -> dict:
 # -- further counterexamples and identities ----------------------------------------------
 
 
-def _dilog_series(z: complex, terms: int = 800) -> complex:
-    return sum((-z) ** k / k**2 for k in range(1, terms))
-
-
-def _even_dilog_series(z: complex, terms: int = 800) -> complex:
-    return sum((-1) ** k * z ** (2 * k) / (2 * k**2) for k in range(1, terms))
+# np.polyval coefficients (highest power first) of the 800-term sums
+#   sum_k (-z)^k / k^2             (dilog part, in z)
+#   sum_k (-1)^k z^(2k) / (2 k^2)  (even part, in z^2)
+_DILOG = np.array([(-1) ** k / k**2 for k in range(799, 0, -1)] + [0.0])
+_EVEN_DILOG = _DILOG / 2
 
 
 def vector_space_counterexample(scan_density: int = 360) -> dict:
@@ -610,35 +629,31 @@ def vector_space_counterexample(scan_density: int = 360) -> dict:
     z0 = -(0.5 + 2j / 3)
 
     def parts(z):
-        e_a = cmath.exp(_dilog_series(z))
-        e_b = cmath.exp(_even_dilog_series(z))
-        num = cmath.log(1 + z) * e_a + cmath.log(1 + z * z) * e_b
+        z = np.asarray(z, dtype=complex)
+        e_a = np.exp(np.polyval(_DILOG, z))
+        e_b = np.exp(np.polyval(_EVEN_DILOG, z * z))
+        num = np.log(1 + z) * e_a + np.log(1 + z * z) * e_b
         return num, e_a + e_b
 
     def omega_normalized(z):
-        if z == 0:
-            return 0.0 + 0.0j
         num, den = parts(z)
-        return cmath.exp(num / den) - 1
+        return np.exp(num / den) - 1
 
     def omega_flattened(z):
         num, den = parts(z)
-        return cmath.exp(num) / den - 1
+        return np.exp(num) / den - 1
 
-    max_abs, argmax = 0.0, 0j
-    for r in (0.7, 0.85, 0.95, 0.985):
-        for j in range(scan_density):
-            z = r * cmath.exp(2j * math.pi * j / scan_density)
-            a = abs(omega_normalized(z))
-            if a > max_abs:
-                max_abs, argmax = a, z
+    scan = np.array([[0.7], [0.85], [0.95], [0.985]]) * _circle(scan_density)
+    scan_abs = np.abs(omega_normalized(scan))
+    i = int(np.argmax(scan_abs))  # first maximum in (radius, angle) scan order
+    max_abs = float(scan_abs.flat[i])
     return {
         "z0": z0,
-        "omega_abs_at_z0": abs(omega_flattened(z0)),
-        "normalized_abs_at_z0": abs(omega_normalized(z0)),
-        "omega_at_0": omega_normalized(0),
+        "omega_abs_at_z0": float(abs(omega_flattened(z0))),
+        "normalized_abs_at_z0": float(abs(omega_normalized(z0))),
+        "omega_at_0": complex(omega_normalized(0)),
         "normalized_max_abs": max_abs,
-        "normalized_argmax": argmax,
+        "normalized_argmax": complex(scan.flat[i]),
         "exceeds_unit_disk": max_abs > 1,
     }
 

@@ -232,3 +232,42 @@ class TestContracts:
         code, out = run_cli(argv)
         assert code == EXIT_USAGE
         assert out == ""
+
+
+class TestOutputContracts:
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_membership_sample_count_below_one_rejected(self, samples):
+        code, out = run_cli(["verify", "--suite", "membership", "--samples", samples])
+        assert code == EXIT_REJECTED
+        assert out == ""
+
+    def test_non_finite_payload_leaves_stdout_empty(self, monkeypatch):
+        from gft import verify
+
+        # sorted keys put "value" last, so a streaming encoder would already
+        # have written the keys before it
+        monkeypatch.setattr(
+            verify, "bloch_class_envelope",
+            lambda: {"r0": 0.45, "value": math.inf, "grid_argmax": 0.45},
+        )
+        code, out = run_cli(["verify", "--suite", "bloch"])
+        assert code == EXIT_REJECTED
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "csv", "radius", "--problem", "inclusion"],
+            ["--format", "csv", "bound", "--class", "sl", "--which", "h2"],
+            ["--format", "csv", "extremal", "--phi", "psi"],
+            ["--format", "text", "curves", "--id", "tau", "--samples", "32"],
+            ["--format", "text", "verify", "--suite", "bloch"],
+            ["--format", "csv", "verify", "--suite", "bloch"],
+            ["--format", "text", "classify", "--phi", "psi", "--grid", "64"],
+            ["--format", "csv", "classify", "--phi", "psi", "--grid", "64"],
+        ],
+    )
+    def test_unrendered_format_is_usage_error(self, argv):
+        code, out = run_cli(argv)
+        assert code == EXIT_USAGE
+        assert out == ""

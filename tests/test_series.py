@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,16 @@ class TestEval:
     def test_warns_outside_disk(self):
         with pytest.warns(UserWarning):
             PSI_HEAD(2.0)
+        with pytest.warns(UserWarning):
+            PSI_HEAD(np.array([0.5, 2.0j]))
+
+    def test_array_matches_pointwise(self):
+        # exact (Fraction) coefficients are cast to complex for the array path
+        zs = np.array([[0.0, 0.5], [-0.3 + 0.4j, 0.9j]])
+        values = PSI_HEAD(zs)
+        assert values.shape == zs.shape and values.dtype == complex
+        for z, v in zip(zs.flat, values.flat):
+            assert abs(v - complex(PSI_HEAD(complex(z)))) <= 1e-15
 
 
 coeff_lists = st.lists(

@@ -1,11 +1,15 @@
 """Brute-force oracles: parameter sweeps, sampling suites, counterexamples."""
 
 import cmath
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gft.bounds import PhiCoeffs, alpha_class_params, h2_bound_sl, second_hankel
 from gft.catalog import make_spec
@@ -25,6 +29,7 @@ from gft.verify import (
     sample_suite,
     schur_parameters,
     structural_deriv,
+    structural_deriv_convex,
     structural_eval,
     vector_space_counterexample,
     verify_class_membership_bounds,
@@ -147,6 +152,205 @@ class TestStructuralEval:
         for z in (0.4, -0.3 + 0.2j):
             fd = (structural_eval(omega, z + h) - structural_eval(omega, z - h)) / (2 * h)
             assert abs(structural_deriv(omega, z) - fd) < 1e-7
+
+
+# -- scalar references for the array evaluation path -------------------------------
+# One point and one Gauss-Legendre node at a time, Horner in plain Python and
+# cmath throughout: the formulas the array path replaced.
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _horner(series, z):
+    acc = 0
+    for c in reversed(series.coeffs):
+        acc = acc * z + c
+    return complex(acc)
+
+
+def _ref_log_ratio(omega, z):
+    if z == 0:
+        return 0j
+    total = 0j
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        s = 0.5 * (node + 1.0)
+        total += weight * (-cmath.log(1 + _horner(omega.series, s * z)) / s)
+    return 0.5 * total
+
+
+def _ref_eval(omega, z):
+    return z * cmath.exp(_ref_log_ratio(omega, z))
+
+
+def _ref_deriv(omega, z):
+    if z == 0:
+        return 1 + 0j
+    return _ref_eval(omega, z) * (1 - cmath.log(1 + _horner(omega.series, z))) / z
+
+
+def _ref_deriv_convex(omega, z):
+    return cmath.exp(_ref_log_ratio(omega, z))
+
+
+def _ref_bloch(deriv, grid_size, r_max, radial_count):
+    best = 0.0
+    for r in np.linspace(0.0, r_max, radial_count):
+        for j in range(grid_size):
+            z = r * cmath.exp(2j * math.pi * j / grid_size)
+            best = max(best, (1 - r * r) * abs(deriv(z)))
+    return best
+
+
+def _ref_omega_normalized(z):
+    if z == 0:
+        return 0j
+    e_a = cmath.exp(sum((-z) ** k / k**2 for k in range(1, 800)))
+    e_b = cmath.exp(sum((-1) ** k * z ** (2 * k) / (2 * k**2) for k in range(1, 800)))
+    num = cmath.log(1 + z) * e_a + cmath.log(1 + z * z) * e_b
+    return cmath.exp(num / (e_a + e_b)) - 1
+
+
+_KINDS = ("monomial", "mobius_eta", "scaled_blaschke", "random_poly_normalized")
+
+
+def _drawn_sample(kind, seed):
+    params = {"monomial": {"m": 1 + seed % 4}, "mobius_eta": {"eta": (seed % 101) / 100}}
+    return sample_schwarz(kind, params.get(kind), seed=seed)
+
+
+def _rel_close(a, b, rel):
+    return abs(a - b) <= rel * abs(b)
+
+
+class TestArrayPath:
+    @given(
+        st.sampled_from(_KINDS),
+        st.integers(0, 10_000),
+        st.lists(
+            st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=6
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_structural_functions_match_scalar_reference(self, kind, seed, polar):
+        omega = _drawn_sample(kind, seed)
+        zs = np.array([r * cmath.exp(1j * t) for r, t in polar])
+        for fn, ref in (
+            (structural_eval, _ref_eval),
+            (structural_deriv, _ref_deriv),
+            (structural_deriv_convex, _ref_deriv_convex),
+        ):
+            values = fn(omega, zs)
+            assert values.shape == zs.shape
+            for z, v in zip(zs, values):
+                assert _rel_close(v, ref(omega, complex(z)), 1e-13), (fn.__name__, z)
+
+    def test_scalar_in_gives_python_complex(self):
+        omega = sample_schwarz("mobius_eta", {"eta": 0.5})
+        for fn in (structural_eval, structural_deriv, structural_deriv_convex):
+            assert type(fn(omega, 0.3 - 0.2j)) is complex
+            assert type(fn(omega, 0.0)) is complex
+        assert structural_deriv(omega, 0.0) == 1
+        assert structural_eval(omega, 0.0) == 0
+
+    def test_bloch_estimate_matches_scalar_loop(self):
+        for omega in sample_suite(12, seed=5):
+            est = bloch_norm_estimate(omega, grid_size=10, radial_count=6)
+            ref = _ref_bloch(lambda z: _ref_deriv(omega, z), 10, 0.999, 6)
+            assert _rel_close(est, ref, 1e-13)
+        series = make_spec("psi").series(48)
+        deriv = series.derivative()
+        est = bloch_norm_estimate(series, grid_size=10, radial_count=6)
+        assert _rel_close(est, _ref_bloch(lambda z: _horner(deriv, z), 10, 0.999, 6), 1e-13)
+
+    def test_counterexample_matches_scalar_sums(self):
+        rep = vector_space_counterexample(scan_density=12)
+        scan = [
+            r * cmath.exp(2j * math.pi * j / 12) for r in (0.7, 0.85, 0.95, 0.985) for j in range(12)
+        ]
+        values = [abs(_ref_omega_normalized(z)) for z in scan]
+        ref_max = max(values)
+        assert _rel_close(rep["normalized_max_abs"], ref_max, 1e-13)
+        # |omega| is symmetric under conjugation, so a last-digit change may
+        # pick the mirror image of the scalar loop's argmax
+        ref_arg = scan[values.index(ref_max)]
+        arg = rep["normalized_argmax"]
+        assert min(abs(arg - ref_arg), abs(arg - ref_arg.conjugate())) < 1e-12
+        z0 = rep["z0"]
+        assert _rel_close(rep["normalized_abs_at_z0"], abs(_ref_omega_normalized(z0)), 1e-13)
+
+    def test_boundary_sup_matches_scalar_loop(self):
+        for omega in sample_suite(12, seed=8):
+            ref = max(
+                abs(_horner(omega.series, 0.999 * cmath.exp(2j * math.pi * j / 512)))
+                for j in range(512)
+            )
+            assert _rel_close(omega.boundary_sup(), ref, 1e-13)
+
+
+# margins of verify_class_membership_bounds(24, seed=1000) as computed by the
+# scalar point loop (one point and one quadrature node at a time)
+_MEMBERSHIP_1000 = {
+    "worstReLoMargin": 0.0,
+    "worstReHiMargin": 0.0,
+    "worstImMargin": 1.6206178881705835e-05,
+    "worstGrowthLoMargin": 0.0,
+    "worstGrowthHiMargin": -7.971401316808624e-13,
+}
+_COEFF_MARGINS_1000 = {
+    "a2@alpha=0.0": 0.0,
+    "a3@alpha=0.0": 0.0,
+    "fekete_t1@alpha=0.0": 0.0,
+    "a4@alpha=0.0": 0.0,
+    "a2a3_a4@alpha=0.0": 0.0,
+    "a5@alpha=0.0": 0.0,
+    "h2_general@alpha=0.0": 0.0,
+    "h3@alpha=0.0": 0.43807870370370366,
+    "a2@alpha=0.5": 0.0,
+    "a3@alpha=0.5": 0.0,
+    "fekete_t1@alpha=0.5": 0.0,
+    "a4@alpha=0.5": 0.0,
+    "a2a3_a4@alpha=0.5": 0.0,
+    "a5@alpha=0.5": -1.3877787807814457e-17,
+    "h2_general@alpha=0.5": 0.0,
+    "h3@alpha=0.5": 0.06476851851851852,
+    "a2@alpha=1.0": 0.0,
+    "a3@alpha=1.0": 0.0,
+    "fekete_t1@alpha=1.0": 0.0,
+    "a4@alpha=1.0": 0.0,
+    "a2a3_a4@alpha=1.0": 0.0,
+    "a5@alpha=1.0": 0.0,
+    "h2_general@alpha=1.0": 0.00010097173996913289,
+    "h3@alpha=1.0": 0.022511574074074073,
+}
+
+
+def test_membership_matches_scalar_loop_margins():
+    rep = verify_class_membership_bounds(24, seed=1000).as_dict()
+    assert rep["violations"] == []
+    for key, margin in _MEMBERSHIP_1000.items():
+        assert rep[key] == pytest.approx(margin, abs=1e-12), key
+    assert rep["coeffMargins"].keys() == _COEFF_MARGINS_1000.keys()
+    for key, margin in _COEFF_MARGINS_1000.items():
+        assert rep["coeffMargins"][key] == pytest.approx(margin, abs=1e-12), key
+
+
+def test_membership_violation_order_matches_scalar_loop():
+    # with the tolerance moved inside the margins many points fail; the list
+    # (one entry per failing point, in scan order) is pinned by its digest
+    violations = verify_class_membership_bounds(12, seed=1000, tol=-0.05).violations
+    text = json.dumps(violations, sort_keys=True).encode()
+    assert len(violations) == 370
+    assert hashlib.sha256(text).hexdigest() == (
+        "762bb83f32b4aef1bee7505a7535000bfe70f57541351162e732c71f0ae13970"
+    )
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_membership_sample_count_below_one_rejected(count):
+    with pytest.raises(ValueError):
+        sample_suite(count)
+    with pytest.raises(ValueError):
+        verify_class_membership_bounds(count)
 
 
 class TestHankelOracle:
