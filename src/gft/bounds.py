@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-from scipy.optimize import minimize
-
 __all__ = [
     "ClassParams",
     "PhiCoeffs",
@@ -425,7 +422,20 @@ def _schwarz_inner(q1: float, q2: float, xi, eta):
 
 def _schwarz_cubic_objective(q1: float, q2: float, xi, eta):
     """|c3 + q1 c1 c2 + q2 c1^3| with zeta aligned to the zeta-free part."""
+    import numpy as np
+
     return (1 - xi**2) * (1 - np.abs(eta) ** 2) + np.abs(_schwarz_inner(q1, q2, xi, eta))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    scipy.optimize costs most of a cold start, and only the oracle polish
+    needs it; :func:`grid_then_polish` looks this name up at call time.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def polar_grid(top: float, density: int):
@@ -434,6 +444,8 @@ def polar_grid(top: float, density: int):
     Returns (t, rho, phi, x) with shapes (d,1,1), (1,d,1), (1,1,d) and the
     disk points x = rho e^(i phi) of shape (1,d,d).
     """
+    import numpy as np
+
     t = np.linspace(0.0, top, density)[:, None, None]
     rho = np.linspace(0.0, 1.0, density)[None, :, None]
     phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
@@ -448,6 +460,8 @@ def grid_then_polish(on_grid, neg, top: float, density: int, xatol: float, fatol
     into the region itself.  Returns (value, point) of the better of the grid
     argmax and the Nelder-Mead polish started from it.
     """
+    import numpy as np
+
     t, rho, phi, x = polar_grid(top, density)
     vals = on_grid(t, x)
     i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
@@ -471,6 +485,8 @@ def schwarz_functional_H(q1: float, q2: float, grid_density: int = 64) -> Schwar
     """
     if grid_density < 32:
         raise ValueError("grid_density must be at least 32")
+    import numpy as np
+
     q1 = float(q1)
     q2 = float(q2)
 

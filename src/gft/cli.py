@@ -12,10 +12,16 @@ Subcommands map one-to-one onto the library modules:
 Output is JSON by default (sorted keys, so identical invocations are
 byte-identical); ``curves`` speaks RFC-4180 CSV by default, and ``radius``,
 ``bound`` and ``extremal`` have a text form.  A ``--format`` the subcommand
-does not render (see ``FORMATS``) is a usage error.  Configuration
-precedence: command-line flags > key=value file named by $GFT_CONFIG >
-built-in defaults.  Exit codes: 0 success, 1 computation rejected,
-2 usage error.
+does not render (see ``FORMATS``) is a usage error, and so is a ``--seed``
+anywhere but ``verify --suite membership``, the one seeded run.
+Configuration precedence: command-line flags > key=value file named by
+$GFT_CONFIG > built-in defaults; a file ``output_format`` the subcommand does
+not render is rejected, while a file ``seed`` is a default that unseeded runs
+ignore.  Exit codes: 0 success, 1 computation rejected, 2 usage error.
+
+Only ``verify`` imports numpy (through :mod:`gft.verify`), and only its
+``hankel`` suite imports scipy.optimize, so the closed-form subcommands start
+without either.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bounds, catalog, extremal, radius, verify
+from . import bounds, catalog, extremal, radius
 
 __all__ = ["Config", "load_config", "main"]
 
@@ -37,24 +43,29 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
-# --format values each subcommand renders; any other is a usage error
+# output formats each subcommand renders, its default first; an explicit
+# --format outside the tuple is a usage error, a config-file one is rejected
 FORMATS = {
     "radius": ("json", "text"),
     "bound": ("json", "text"),
     "extremal": ("json", "text"),
-    "curves": ("json", "csv"),
+    "curves": ("csv", "json"),
     "verify": ("json",),
     "classify": ("json",),
 }
+
+# (command, suite) of the only run that draws random samples, so the only one
+# an explicit --seed may be given to
+SEEDED_RUN = ("verify", "membership")
 
 
 @dataclass
 class Config:
     seed: int = 42
-    output_format: str = "json"
+    output_format: str | None = None  # None: the subcommand's default
 
     def validate(self) -> "Config":
-        if self.output_format not in ("json", "csv", "text"):
+        if self.output_format not in (None, "json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -236,6 +247,8 @@ def _cmd_curves(args, cfg: Config, out) -> int:
 
 
 def _cmd_verify(args, cfg: Config, out) -> int:
+    from . import verify
+
     suite = args.suite
     failed = False
     if suite == "membership":
@@ -331,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="json or text for radius, bound and extremal; csv (default) "
                              "or json for curves; json for verify and classify")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="sample seed of verify --suite membership (default 42)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radius", help="radius constants")
@@ -394,17 +408,25 @@ def main(argv: list[str] | None = None, stream=None) -> int:
                 f"--format {args.format} is not rendered by {args.command} "
                 f"(choose from {', '.join(FORMATS[args.command])})"
             )
+        if args.seed is not None and (args.command, getattr(args, "suite", None)) != SEEDED_RUN:
+            parser.error(f"--seed is read only by {' --suite '.join(SEEDED_RUN)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = load_config()
         if args.format is not None:
             cfg.output_format = args.format
-        elif args.command == "curves":
-            cfg.output_format = "csv"
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
+        rendered = FORMATS[args.command]
+        if cfg.output_format is None:
+            cfg.output_format = rendered[0]
+        elif cfg.output_format not in rendered:  # only a GFT_CONFIG value gets here
+            raise ValueError(
+                f"GFT_CONFIG output_format={cfg.output_format} is not rendered by "
+                f"{args.command} (choose from {', '.join(rendered)})"
+            )
         return args.handler(args, cfg, out)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

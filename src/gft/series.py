@@ -16,11 +16,13 @@ is a pure function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import cmath
+import sys
 import warnings
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Number = complex | float | int | Fraction
 
@@ -248,7 +250,9 @@ class TruncatedSeries:
         (``np.polyval`` over the complex-cast coefficients) and gives a
         complex array of the same shape.
         """
-        if isinstance(z, np.ndarray):
+        # numpy is not imported here: a caller holding an ndarray has loaded it
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(z, np.ndarray):
             if z.size and np.abs(z).max() > 1 + 1e-12:
                 warnings.warn(_OUTSIDE_DISK, stacklevel=2)
             return np.polyval(np.array(self.coeffs[::-1], dtype=complex), z)

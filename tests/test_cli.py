@@ -171,7 +171,7 @@ class TestClassifyCommand:
 
 class TestContracts:
     def test_idempotence(self):
-        args = ["--seed", "42", "verify", "--suite", "lemmas", "--density", "32"]
+        args = ["--seed", "42", "verify", "--suite", "membership", "--samples", "15"]
         code1, first = run_cli(args)
         code2, second = run_cli(args)
         assert code1 == code2 == EXIT_OK
@@ -232,6 +232,74 @@ class TestContracts:
         code, out = run_cli(argv)
         assert code == EXIT_USAGE
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radius", "--problem", "majorization"],
+            ["bound", "--class", "sl", "--which", "h2"],
+            ["extremal", "--phi", "psi"],
+            ["curves", "--id", "tau", "--samples", "32"],
+            ["classify", "--phi", "psi", "--grid", "64"],
+            ["verify", "--suite", "lemmas", "--density", "32"],
+            ["verify", "--suite", "hankel", "--density", "32"],
+            ["verify", "--suite", "bloch"],
+            ["verify", "--suite", "conjecture"],
+            ["verify", "--suite", "counterexamples"],
+        ],
+    )
+    def test_seed_on_unseeded_run_is_usage_error(self, argv):
+        code, out = run_cli(["--seed", "5", *argv])
+        assert code == EXIT_USAGE
+        assert out == ""
+        # the same command without --seed runs
+        assert run_cli(argv)[0] == EXIT_OK
+
+    def test_config_seed_is_a_default_for_unseeded_runs(self, tmp_path, monkeypatch):
+        argv = ["radius", "--problem", "inclusion"]
+        plain = run_cli(argv)
+        cfg_file = tmp_path / "gft.cfg"
+        cfg_file.write_text("seed=5\n")
+        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
+        assert run_cli(argv) == plain
+
+    @pytest.mark.parametrize(
+        "fmt, argv",
+        [
+            ("csv", ["radius", "--problem", "inclusion"]),
+            ("text", ["verify", "--suite", "bloch"]),
+            ("csv", ["classify", "--phi", "psi", "--grid", "64"]),
+            ("text", ["curves", "--id", "tau", "--samples", "32"]),
+        ],
+    )
+    def test_config_format_not_rendered_rejected(self, tmp_path, monkeypatch, fmt, argv):
+        cfg_file = tmp_path / "gft.cfg"
+        cfg_file.write_text(f"output_format={fmt}\n")
+        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
+        code, out = run_cli(argv)
+        assert code == EXIT_REJECTED
+        assert out == ""
+
+    def test_config_format_reaches_curves(self, tmp_path, monkeypatch):
+        argv = ["curves", "--id", "tau", "--samples", "32"]
+        cfg_file = tmp_path / "gft.cfg"
+        cfg_file.write_text("output_format=json\n")
+        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
+        code, out = run_cli(argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["samples"] == 32
+        # the explicit flag beats the file
+        code, out = run_cli(["--format", "csv", *argv])
+        assert code == EXIT_OK
+        assert out.startswith("re,im\r\n")
+
+    def test_config_format_reaches_text_renderers(self, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "gft.cfg"
+        cfg_file.write_text("output_format=text\n")
+        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
+        code, out = run_cli(["bound", "--class", "sl", "--alpha", "0", "--which", "h3"])
+        assert code == EXIT_OK
+        assert out == "value: 0.1111111111111111\ncase: sl-star\n"
 
 
 class TestOutputContracts:
