@@ -56,11 +56,8 @@ class MaMindaSpec:
 
 
 def _half_binomial(k: int) -> Fraction:
-    """Coefficient of z^k in (1+z)**(1/2), as an exact rational."""
-    c = Fraction(1)
-    for j in range(k):
-        c = c * (Fraction(1, 2) - j) / (j + 1)
-    return c
+    """Coefficient of z^k in (1+z)**(1/2): (-1)^(k+1) C(2k, k) / (4^k (2k-1))."""
+    return Fraction((-1) ** (k + 1) * math.comb(2 * k, k), 4**k * (2 * k - 1))
 
 
 def _psi_coeff(k: int) -> Fraction:
@@ -176,6 +173,8 @@ def classify(spec: MaMindaSpec, grid_size: int = 256, coeff_count: int = 40) -> 
     """
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
+    if coeff_count < 1:
+        raise ValueError("coeff_count must be at least 1")
     min_re = math.inf
     for r in _CLASSIFY_RADII:
         for j in range(grid_size):

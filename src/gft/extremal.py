@@ -55,6 +55,12 @@ class ExtremalFunction:
         return self.series(z)
 
 
+def _check_order(order: int) -> None:
+    # order 0 would cut f = z + ... to its constant term, which is not normalized
+    if order < 1:
+        raise ValueError("order must be at least 1")
+
+
 def _structural_exp(spec, n: int, order: int, exact: bool) -> TruncatedSeries:
     """exp(integral_0^z (Phi(t^n) - 1)/t dt) to order - 1: t_n(z)/z and d_n'(z).
 
@@ -62,7 +68,8 @@ def _structural_exp(spec, n: int, order: int, exact: bool) -> TruncatedSeries:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    top = max(order - 1, 0)
+    _check_order(order)
+    top = order - 1
     coeff = spec.coeff_exact if exact else spec.coeff
     out: list = [0] * (top + 1)
     k = 1
@@ -95,8 +102,9 @@ def d_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:
 
 def f_from_q(q: TruncatedSeries, order: int) -> ExtremalFunction:
     """z * exp(integral (q(t)-1)/t dt) for a series q with q(0) = 1."""
-    integral = q.integrate_over_t().padded(max(order - 1, 0))
-    u = integral.exp(max(order - 1, 0))
+    _check_order(order)
+    integral = q.integrate_over_t().padded(order - 1)
+    u = integral.exp(order - 1)
     return ExtremalFunction(u.shifted(1).padded(order), "from_q", 1, "from_q")
 
 

@@ -9,16 +9,21 @@ Coefficients may be ``int``, ``float``, ``complex`` or
 :class:`fractions.Fraction`.  The ring operations and the exp/log/compose
 recurrences only ever divide by small integers, so feeding exact rationals in
 gives exact rationals out; that is the "exact path" used for the fixed
-rational fixtures in the tests.  Instances are immutable and every operation
-is a pure function, so values can be shared freely across threads.
+rational fixtures in the tests.  On that path the Cauchy product (and so
+``compose``, ``divide`` and ``log1p``) runs on integer numerators over a
+common denominator and builds one ``Fraction`` per output coefficient.
+Instances are immutable and every operation is a pure function, so values
+can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -50,6 +55,18 @@ def _div_int(value: Number, k: int) -> Number:
     if isinstance(value, (int, Fraction)):
         return Fraction(value, k)
     return value / k
+
+
+def _integer_numerators(coeffs: tuple) -> tuple[list[int], int, list[int]]:
+    """Exact coefficients as integer numerators over their common denominator.
+
+    Returns ``(numerators, d, fractions)`` with ``coeffs[k] == numerators[k] / d``
+    and ``fractions[k]`` the number of ``Fraction`` coefficients before index k.
+    """
+    d = math.lcm(*(c.denominator for c in coeffs))
+    numerators = [c.numerator * (d // c.denominator) for c in coeffs]
+    fractions = list(accumulate((isinstance(c, Fraction) for c in coeffs), initial=0))
+    return numerators, d, fractions
 
 
 class TruncatedSeries:
@@ -119,16 +136,34 @@ class TruncatedSeries:
         return (-self) + other
 
     def mul(self, other: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
-        """Cauchy product truncated at ``order`` (default: max of the inputs)."""
+        """Cauchy product truncated at ``order`` (default: max of the inputs).
+
+        Coefficient n is the sum over j = lo..hi of ``self[j] * other[n-j]``,
+        in that order.  When every coefficient of both inputs is an ``int`` or
+        a ``Fraction`` the sum runs on integer numerators over the product of
+        the two common denominators and is divided once at the end; it is an
+        ``int`` when no ``Fraction`` enters its terms, a ``Fraction``
+        otherwise, exactly as summing the terms one by one would give.
+        """
         if order is None:
             order = max(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        exact = all(isinstance(c, (int, Fraction)) for c in a + b)
+        if exact:
+            a, da, fa = _integer_numerators(a)
+            b, db, fb = _integer_numerators(b)
+            d = da * db
+        top_a, top_b = len(a) - 1, len(b) - 1
         out = []
         for n in range(order + 1):
-            lo = max(0, n - other.order)
-            hi = min(n, self.order)
+            lo = max(0, n - top_b)
+            hi = min(n, top_a)
             acc = 0
             for j in range(lo, hi + 1):
-                acc = acc + self.coeffs[j] * other.coeffs[n - j]
+                acc = acc + a[j] * b[n - j]
+            if exact:
+                has_fraction = lo <= hi and (fa[hi + 1] > fa[lo] or fb[n - lo + 1] > fb[n - hi])
+                acc = Fraction(acc, d) if has_fraction else acc // d
             out.append(acc)
         return TruncatedSeries(out)
 

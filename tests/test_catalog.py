@@ -11,6 +11,7 @@ import pytest
 from gft.catalog import (
     CATALOG_NAMES,
     MaMindaSpec,
+    _half_binomial,
     classify,
     counterpart,
     in_psi_image,
@@ -43,6 +44,18 @@ class TestMakeSpec:
         oracle = fft_coefficients(spec.eval, 6)
         for k in range(6):
             assert abs(spec.coeff(k) - oracle[k]) < 1e-10
+
+    def test_half_binomial_matches_product_recurrence(self):
+        c = Fraction(1)  # binom(1/2, k), built term by term
+        for k in range(301):
+            assert type(_half_binomial(k)) is Fraction
+            assert _half_binomial(k) == c, k
+            c = c * (Fraction(1, 2) - k) / (k + 1)
+
+    @pytest.mark.parametrize("name, slope", [("sqrt_1_plus_z", 1), ("sqrt_1_minus_z", -1)])
+    def test_square_root_squares_to_linear(self, name, slope):
+        s = make_spec(name).series(60, exact=True)
+        assert s.mul(s, 60).coeffs == (1, slope) + (0,) * 59
 
     def test_cos_sqrt_z(self):
         spec = make_spec("cos_sqrt_z")
@@ -120,6 +133,11 @@ class TestClassify:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             classify(make_spec("psi"), grid_size=32)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_coeff_count_validated(self, count):
+        with pytest.raises(ValueError, match="coeff_count must be at least 1"):
+            classify(make_spec("psi"), coeff_count=count)
 
 
 class TestPsiImage:

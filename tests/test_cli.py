@@ -95,6 +95,14 @@ class TestExtremalCommand:
         assert code == EXIT_OK
         assert "a_4" in out and "-1/3" in out
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    @pytest.mark.parametrize("kind", ["t", "d"])
+    def test_order_below_one_rejected(self, kind, order, capsys):
+        code, out = run_cli(["extremal", "--phi", "psi", "--kind", kind, "--order", order])
+        assert code == EXIT_REJECTED
+        assert out == ""
+        assert "order must be at least 1" in capsys.readouterr().err
+
 
 class TestCurvesCommand:
     def test_row_count_contract(self):

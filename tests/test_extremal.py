@@ -78,6 +78,21 @@ class TestTSeries:
                     assert abs(complex(ratio[k]) - complex(target[k])) < 1e-10
 
 
+@pytest.mark.parametrize("order", [0, -3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: t_series(PSI, 1, order, exact=True),
+        lambda order: d_series(PSI, 2, order),
+        lambda order: f_from_q(TruncatedSeries([1, Fraction(-1, 6)]), order),
+    ],
+    ids=["t_series", "d_series", "f_from_q"],
+)
+def test_rejects_order_below_one(build, order):
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        build(order)
+
+
 class TestDSeries:
     def test_z_dprime_equals_t(self):
         d = d_series(PSI, 1, 12, exact=True)

@@ -249,6 +249,90 @@ class TestInvariants:
             assert abs(complex(lhs[k]) - complex(rhs[k])) < 1e-10 * scale
 
 
+def schoolbook_mul(a, b, order):
+    """The term-by-term Cauchy product: the reference for TruncatedSeries.mul."""
+    out = []
+    for n in range(order + 1):
+        acc = 0
+        for j in range(max(0, n - b.order), min(n, a.order) + 1):
+            acc = acc + a.coeffs[j] * b.coeffs[n - j]
+        out.append(acc)
+    return out
+
+
+def schoolbook_compose(f, g, order):
+    g = g.padded(order)
+    result = TruncatedSeries([f.coeffs[-1]]).padded(order)
+    for c in reversed(f.coeffs[:-1]):
+        result = TruncatedSeries(schoolbook_mul(result, g, order)) + c
+    return list(result.coeffs)
+
+
+def same_bits(got, expected):
+    """Equal values, equal per-coefficient types, and for floats equal bits."""
+    assert [type(c) for c in got] == [type(c) for c in expected]
+    assert [repr(c) for c in got] == [repr(c) for c in expected]
+
+
+exact_lists = st.lists(
+    st.one_of(
+        st.integers(min_value=-40, max_value=40),
+        st.fractions(min_value=-5, max_value=5, max_denominator=24),
+    ),
+    min_size=1,
+    max_size=8,
+)
+complex_lists = st.lists(
+    st.one_of(
+        st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-3, max_value=3),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+order_offsets = st.integers(min_value=-3, max_value=3)  # below, at and above the inputs'
+
+
+class TestProductAgainstSchoolbook:
+    @given(exact_lists, exact_lists, order_offsets)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_mul(self, u, v, offset):
+        a, b = TruncatedSeries(u), TruncatedSeries(v)
+        order = max(0, max(a.order, b.order) + offset)
+        same_bits(a.mul(b, order).coeffs, schoolbook_mul(a, b, order))
+
+    @given(exact_lists, exact_lists, order_offsets)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_compose(self, u, v, offset):
+        f, g = TruncatedSeries(u), TruncatedSeries([0] + v[:5])
+        order = max(0, max(f.order, g.order) + offset)
+        same_bits(f.compose(g, order).coeffs, schoolbook_compose(f, g, order))
+
+    @given(exact_lists, exact_lists, order_offsets)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_divide(self, u, v, offset):
+        a, b = TruncatedSeries(u), TruncatedSeries([v[0] or 1] + v[1:])
+        order = max(0, max(a.order, b.order) + offset)
+        expected = schoolbook_mul(a, b.reciprocal(order), order)
+        same_bits(a.divide(b, order).coeffs, expected)
+
+    @given(complex_lists, complex_lists, order_offsets)
+    @settings(max_examples=150, deadline=None)
+    def test_complex_mul_bit_identical(self, u, v, offset):
+        a, b = TruncatedSeries(u), TruncatedSeries(v)
+        order = max(0, max(a.order, b.order) + offset)
+        same_bits(a.mul(b, order).coeffs, schoolbook_mul(a, b, order))
+
+    def test_int_only_where_no_fraction_term(self):
+        a = TruncatedSeries([1, Fraction(1, 2), 2])
+        b = TruncatedSeries([3, 4])
+        # z^1 and z^2 have a term with 1/2; z^0 and z^3 are int*int, z^4 is empty
+        got = a.mul(b, 4).coeffs
+        assert [type(c) for c in got] == [int, Fraction, Fraction, int, int]
+        assert got == (3, Fraction(11, 2), 8, 8, 0)
+
+
 class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
