@@ -31,8 +31,10 @@ CASES = {
     "curves_json": ["--format", "json", "curves", "--id", "tau4", "--samples", "256"],
     "verify_hankel": ["verify", "--suite", "hankel", "--density", "64"],
     "verify_lemmas": ["verify", "--suite", "lemmas", "--density", "64"],
+    "verify_lemmas_48": ["verify", "--suite", "lemmas", "--density", "48"],
     "verify_bloch": ["verify", "--suite", "bloch"],
     "verify_conjecture": ["verify", "--suite", "conjecture"],
+    "verify_counterexamples": ["verify", "--suite", "counterexamples"],
     "classify": ["classify", "--phi", "cos_sqrt_z", "--grid", "256"],
 }
 
