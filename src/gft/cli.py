@@ -19,9 +19,9 @@ $GFT_CONFIG > built-in defaults; a file ``output_format`` the subcommand does
 not render is rejected, while a file ``seed`` is a default that unseeded runs
 ignore.  Exit codes: 0 success, 1 computation rejected, 2 usage error.
 
-Only ``verify`` imports numpy (through :mod:`gft.verify`), and only its
-``hankel`` suite imports scipy.optimize, so the closed-form subcommands start
-without either.
+Only the numeric ``verify`` suites import numpy (through :mod:`gft.verify`),
+and only the ``hankel`` suite imports scipy.optimize, so the closed-form
+subcommands and the exact ``verify --suite conjecture`` start without either.
 """
 
 from __future__ import annotations
@@ -247,9 +247,10 @@ def _cmd_curves(args, cfg: Config, out) -> int:
 
 
 def _cmd_verify(args, cfg: Config, out) -> int:
-    from . import verify
-
     suite = args.suite
+    if suite != "conjecture":  # the exact conjecture report runs without numpy
+        from . import verify
+
     failed = False
     if suite == "membership":
         report = verify.verify_class_membership_bounds(args.samples, seed=cfg.seed)
@@ -299,7 +300,7 @@ def _cmd_verify(args, cfg: Config, out) -> int:
         }
         failed = payload["failed"]
     elif suite == "conjecture":
-        report = verify.conjecture_check(5, 10)
+        report = extremal.conjecture_check(5, 10)
         payload = {"suite": suite, **report, "failed": bool(report["violations"])}
         failed = payload["failed"]
     elif suite == "counterexamples":

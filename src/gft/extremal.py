@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import MaMindaSpec
+from .catalog import MaMindaSpec, make_spec
 from .series import TruncatedSeries
 
 __all__ = [
     "ExtremalFunction",
     "t_series",
+    "conjecture_check",
     "d_series",
     "f_from_q",
     "distortion_envelope_convex",
@@ -88,6 +89,32 @@ def t_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:
     u = _structural_exp(spec, n, order, exact)
     name = getattr(spec, "name", "custom")
     return ExtremalFunction(u.shifted(1).padded(order), name, n, "starlike_t")
+
+
+def conjecture_check(n_max: int = 5, m_max: int = 10) -> dict:
+    """Coefficient comparison table for the power-substituted structural family.
+
+    Exact rational coefficients of t_n for n = 1..n_max up to order m_max;
+    any |a_{m,n}| > |a_{m,1}| lands in ``violations``.
+    """
+    if n_max < 2 or m_max < 5:
+        raise ValueError("need n_max >= 2 and m_max >= 5")
+    psi = make_spec("psi")
+    table: dict[int, list[Fraction]] = {}
+    for n in range(1, n_max + 1):
+        series = t_series(psi, n, m_max, exact=True).series
+        table[n] = [Fraction(series[m]) for m in range(2, m_max + 1)]
+    violations = []
+    for n in range(2, n_max + 1):
+        for i, m in enumerate(range(2, m_max + 1)):
+            if abs(table[n][i]) > abs(table[1][i]):
+                violations.append({"m": m, "n": n, "value": str(table[n][i]), "reference": str(table[1][i])})
+    return {
+        "n_max": n_max,
+        "m_max": m_max,
+        "table": {n: [str(c) for c in cs] for n, cs in table.items()},
+        "violations": violations,
+    }
 
 
 def d_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:

@@ -30,7 +30,7 @@ from .bounds import (
     sl_bound_table,
 )
 from .catalog import in_psi_image, make_spec
-from .extremal import t_series
+from .extremal import conjecture_check, t_series  # conjecture_check is re-exported
 from .radius import bisect_root
 from .series import TruncatedSeries
 
@@ -506,8 +506,18 @@ def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
     return report
 
 
+_P31_SLACK = 1e-9
+
+
 def eq_p31_check(grid_density: int = 64) -> dict:
     """Sweep the cubic Caratheodory combination |p3 - 2 p1 p2 + p1^3| <= 2.
+
+    The sweep covers the polar (p1, x) grid times 16 unimodular y. With
+    p3 = base + bump y, the combination is A + bump y for the y-free
+    A = base - 2 p1 p2 + p1^3, so |A| + bump bounds it over all y. The pass at
+    the first y gives an attained value L, and only grid points with
+    |A| + bump >= L - 1e-9 are evaluated at all 16 y, by the same expression
+    as the full sweep, so the maximum is the full sweep's to the bit.
 
     The quartic combination involving p4 has no three-parameter formula, so
     it is checked on power-map samples w(z) = lam z^m where all p_k are
@@ -515,18 +525,29 @@ def eq_p31_check(grid_density: int = 64) -> dict:
     """
     p1, _, _, x = polar_grid(2.0, grid_density)
     p1, x = p1[..., None], x[..., None]
-    y = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    ys = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
     p2, base, bump = _p2_p3(p1, x)
-    p3 = base + bump * y
-    cubic = np.abs(p3 - 2 * p1 * p2 + p1**3)
+    two_p1_p2 = 2 * p1 * p2
+    p1_cubed = np.broadcast_to(p1**3, p2.shape)
+
+    def cubic(at, y):
+        return np.abs(base[at] + bump[at] * y - two_p1_p2[at] + p1_cubed[at])
+
+    lower = cubic(..., ys[0]).max()
+    # The few operations behind |A| + bump and behind each computed
+    # |A + bump y| act on magnitudes of at most 40, so each rounds off by less
+    # than 1e-13: a point whose bound falls short of L by the slack holds no
+    # value as large as L, let alone the maximum.
+    keep = np.abs(base - two_p1_p2 + p1_cubed) + bump >= lower - _P31_SLACK
+    values = cubic(tuple(i[:, None] for i in keep.nonzero()), ys)  # (survivor, y)
     report = {
-        "max_cubic": float(cubic.max()),
-        "max_violation_cubic": float((cubic - 2).max()),
+        "max_cubic": float(values.max()),
+        "max_violation_cubic": float((values - 2).max()),
     }
     worst_quartic = 0.0
     for m in (1, 2, 3, 4):
-        for lam_abs in np.linspace(0.1, 1.0, 10):
-            for lam_arg in np.linspace(0, 2 * math.pi, 12, endpoint=False):
+        for lam_abs in np.linspace(0.1, 1.0, 10).tolist():
+            for lam_arg in np.linspace(0, 2 * math.pi, 12, endpoint=False).tolist():
                 lam = lam_abs * cmath.exp(1j * lam_arg)
                 p = [2 * lam ** (k // m) if k % m == 0 else 0.0 for k in range(1, 5)]
                 q = p[0] ** 4 - 3 * p[0] ** 2 * p[1] + p[1] ** 2 + 2 * p[0] * p[2] - p[3]
@@ -609,11 +630,10 @@ def bloch_seminorm_bound() -> dict:
 # -- further counterexamples and identities ----------------------------------------------
 
 
-# np.polyval coefficients (highest power first) of the 800-term sums
-#   sum_k (-z)^k / k^2             (dilog part, in z)
-#   sum_k (-1)^k z^(2k) / (2 k^2)  (even part, in z^2)
+# np.polyval coefficients (highest power first) of the 800-term dilog sum
+# sum_k (-z)^k / k^2; the even part sum_k (-1)^k z^(2k) / (2 k^2) is half of
+# it at z^2
 _DILOG = np.array([(-1) ** k / k**2 for k in range(799, 0, -1)] + [0.0])
-_EVEN_DILOG = _DILOG / 2
 
 
 def vector_space_counterexample(scan_density: int = 360) -> dict:
@@ -623,35 +643,34 @@ def vector_space_counterexample(scan_density: int = 360) -> dict:
     Schwarz datum w = exp(-z(A'e^A + B'e^B)/(e^A + e^B)) - 1.  Both that
     normalized transform (which satisfies w(0) = 0) and the flattened
     variant exp(-z(A'e^A + B'e^B))/(e^A + e^B) - 1 (which attains the
-    reference witness modulus at z0 = -(1/2 + 2i/3)) are evaluated; the normalized transform exceeds modulus 1 elsewhere in the
-    disk, which is what refutes closedness under addition.
+    reference witness modulus at z0 = -(1/2 + 2i/3)) are evaluated; the
+    normalized transform exceeds modulus 1 elsewhere in the disk, which is
+    what refutes closedness under addition.
+
+    The scan, z0 and 0 share one Horner pass of the dilog sum over z and
+    z^2; halving its value at z^2 is exact, so the even part carries the bits
+    of a pass with halved coefficients.
     """
     z0 = -(0.5 + 2j / 3)
-
-    def parts(z):
-        z = np.asarray(z, dtype=complex)
-        e_a = np.exp(np.polyval(_DILOG, z))
-        e_b = np.exp(np.polyval(_EVEN_DILOG, z * z))
-        num = np.log(1 + z) * e_a + np.log(1 + z * z) * e_b
-        return num, e_a + e_b
-
-    def omega_normalized(z):
-        num, den = parts(z)
-        return np.exp(num / den) - 1
-
-    def omega_flattened(z):
-        num, den = parts(z)
-        return np.exp(num) / den - 1
-
     scan = np.array([[0.7], [0.85], [0.95], [0.985]]) * _circle(scan_density)
-    scan_abs = np.abs(omega_normalized(scan))
+    z = np.concatenate([scan.ravel(), [z0, 0]])
+    z2 = z * z
+    dilog = np.polyval(_DILOG, np.concatenate([z, z2]))
+    e_a = np.exp(dilog[: z.size])
+    e_b = np.exp(dilog[z.size :] / 2)
+    num = np.log(1 + z) * e_a + np.log(1 + z2) * e_b
+    den = e_a + e_b
+    normalized = np.exp(num / den) - 1
+    flattened_z0 = np.exp(num[-2]) / den[-2] - 1
+
+    scan_abs = np.abs(normalized[: scan.size])
     i = int(np.argmax(scan_abs))  # first maximum in (radius, angle) scan order
-    max_abs = float(scan_abs.flat[i])
+    max_abs = float(scan_abs[i])
     return {
         "z0": z0,
-        "omega_abs_at_z0": float(abs(omega_flattened(z0))),
-        "normalized_abs_at_z0": float(abs(omega_normalized(z0))),
-        "omega_at_0": complex(omega_normalized(0)),
+        "omega_abs_at_z0": float(abs(flattened_z0)),
+        "normalized_abs_at_z0": float(abs(normalized[-2])),
+        "omega_at_0": complex(normalized[-1]),
         "normalized_max_abs": max_abs,
         "normalized_argmax": complex(scan.flat[i]),
         "exceeds_unit_disk": max_abs > 1,
@@ -721,28 +740,3 @@ def lambda_combination_check(
         "g_series": g,
     }
 
-
-def conjecture_check(n_max: int = 5, m_max: int = 10) -> dict:
-    """Coefficient comparison table for the power-substituted structural family.
-
-    Exact rational coefficients of t_n for n = 1..n_max up to order m_max;
-    any |a_{m,n}| > |a_{m,1}| lands in ``violations``.
-    """
-    if n_max < 2 or m_max < 5:
-        raise ValueError("need n_max >= 2 and m_max >= 5")
-    psi = make_spec("psi")
-    table: dict[int, list[Fraction]] = {}
-    for n in range(1, n_max + 1):
-        series = t_series(psi, n, m_max, exact=True).series
-        table[n] = [Fraction(series[m]) for m in range(2, m_max + 1)]
-    violations = []
-    for n in range(2, n_max + 1):
-        for i, m in enumerate(range(2, m_max + 1)):
-            if abs(table[n][i]) > abs(table[1][i]):
-                violations.append({"m": m, "n": n, "value": str(table[n][i]), "reference": str(table[1][i])})
-    return {
-        "n_max": n_max,
-        "m_max": m_max,
-        "table": {n: [str(c) for c in cs] for n, cs in table.items()},
-        "violations": violations,
-    }

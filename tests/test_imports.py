@@ -1,8 +1,9 @@
 """Import boundaries: each subcommand loads only the heavy modules it runs.
 
 numpy, scipy and :mod:`gft.verify` are imported on first use, so the
-closed-form subcommands start without them.  Every check runs in a fresh
-interpreter, because the test process itself has long since loaded them all.
+closed-form subcommands and the exact conjecture suite start without them.
+Every check runs in a fresh interpreter, because the test process itself has
+long since loaded them all.
 """
 
 import json
@@ -46,6 +47,7 @@ CASES = [
     (["curves", "--id", "tau3", "--samples", "64"], []),
     (["--format", "json", "curves", "--id", "tau", "--samples", "64"], []),
     (["classify", "--phi", "sqrt_1_plus_z", "--grid", "64"], []),
+    (["verify", "--suite", "conjecture"], []),
     (["verify", "--suite", "lemmas", "--density", "32"], ["numpy", "gft.verify"]),
     (["verify", "--suite", "bloch"], ["numpy", "gft.verify"]),
     (["verify", "--suite", "hankel", "--density", "32"],

@@ -444,6 +444,21 @@ class TestMembership:
         assert -1e-6 <= report.coeff_margins["h2_general@alpha=1.0"] <= 1e-3
 
 
+def _full_p31_tensor(density):
+    """|p3 - 2 p1 p2 + p1^3| over the whole (d, d, d, 16) sweep, unpruned."""
+    t = np.linspace(0.0, 2.0, density)[:, None, None, None]
+    rho = np.linspace(0.0, 1.0, density)[None, :, None, None]
+    phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :, None]
+    p1, x = t, rho * np.exp(1j * phi)
+    y = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    s = 4 - p1**2
+    p2 = (p1**2 + x * s) / 2
+    base = (p1**3 + 2 * p1 * s * x - p1 * s * x**2) / 4
+    bump = 2 * s * (1 - np.abs(x) ** 2) / 4
+    p3 = base + bump * y
+    return np.abs(p3 - 2 * p1 * p2 + p1**3)
+
+
 class TestLemmaSweeps:
     def test_v_zero(self):
         rep = lemma_p1p2_check(0.0)
@@ -475,6 +490,19 @@ class TestLemmaSweeps:
         assert rep["max_cubic"] == pytest.approx(2.0, abs=1e-12)
         assert rep["max_violation_cubic"] <= 1e-9
         assert rep["max_violation_quartic"] <= 1e-9
+
+    @pytest.mark.parametrize("density", [32, 33, 37, 48])
+    def test_pruned_cubic_sweep_equals_full_tensor(self, density):
+        rep = eq_p31_check(density)
+        full = _full_p31_tensor(density)
+        assert rep["max_cubic"] == float(full.max())
+        assert rep["max_violation_cubic"] == float((full - 2).max())
+
+    def test_p31_report_fields_are_plain_floats(self):
+        rep = eq_p31_check(32)
+        assert set(rep) == {"max_cubic", "max_violation_cubic",
+                            "max_quartic_on_power_maps", "max_violation_quartic"}
+        assert all(type(v) is float for v in rep.values())
 
     def test_cubic_boundary_points(self):
         # w = z and w = z^3 attain the cubic bound, w = z^2 annihilates it
@@ -539,6 +567,55 @@ class TestVectorSpaceCounterexample:
         assert report["exceeds_unit_disk"] is True
 
 
+_REF_DILOG = np.array([(-1) ** k / k**2 for k in range(799, 0, -1)] + [0.0])
+
+
+def _counterexample_by_parts(scan_density):
+    """The counterexample report with one pair of Horner passes per evaluation."""
+
+    def parts(z):
+        z = np.asarray(z, dtype=complex)
+        e_a = np.exp(np.polyval(_REF_DILOG, z))
+        e_b = np.exp(np.polyval(_REF_DILOG / 2, z * z))
+        num = np.log(1 + z) * e_a + np.log(1 + z * z) * e_b
+        return num, e_a + e_b
+
+    def omega_normalized(z):
+        num, den = parts(z)
+        return np.exp(num / den) - 1
+
+    def omega_flattened(z):
+        num, den = parts(z)
+        return np.exp(num) / den - 1
+
+    z0 = -(0.5 + 2j / 3)
+    scan = np.array([[0.7], [0.85], [0.95], [0.985]]) * np.exp(
+        2j * np.pi * np.arange(scan_density) / scan_density
+    )
+    scan_abs = np.abs(omega_normalized(scan))
+    i = int(np.argmax(scan_abs))
+    max_abs = float(scan_abs.flat[i])
+    return {
+        "z0": z0,
+        "omega_abs_at_z0": float(abs(omega_flattened(z0))),
+        "normalized_abs_at_z0": float(abs(omega_normalized(z0))),
+        "omega_at_0": complex(omega_normalized(0)),
+        "normalized_max_abs": max_abs,
+        "normalized_argmax": complex(scan.flat[i]),
+        "exceeds_unit_disk": max_abs > 1,
+    }
+
+
+@pytest.mark.parametrize("scan_density", [12, 36, 90])
+def test_counterexample_single_pass_equals_per_call_parts(scan_density):
+    rep = vector_space_counterexample(scan_density)
+    ref = _counterexample_by_parts(scan_density)
+    assert set(rep) == set(ref)
+    for key, value in ref.items():
+        assert type(rep[key]) is type(value), key
+        assert rep[key] == value, key
+
+
 class TestLambdaCombination:
     def test_collapse_to_structural_function(self):
         rep = lambda_combination_check(1.0, 1, 1, order=12)
@@ -583,3 +660,8 @@ class TestConjecture:
     def test_validation(self):
         with pytest.raises(ValueError):
             conjecture_check(1, 10)
+
+    def test_reexported_from_extremal(self):
+        from gft import extremal
+
+        assert conjecture_check is extremal.conjecture_check
