@@ -506,9 +506,6 @@ def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
     return report
 
 
-_P31_SLACK = 1e-9
-
-
 def eq_p31_check(grid_density: int = 64) -> dict:
     """Sweep the cubic Caratheodory combination |p3 - 2 p1 p2 + p1^3| <= 2.
 
@@ -536,9 +533,9 @@ def eq_p31_check(grid_density: int = 64) -> dict:
     lower = cubic(..., ys[0]).max()
     # The few operations behind |A| + bump and behind each computed
     # |A + bump y| act on magnitudes of at most 40, so each rounds off by less
-    # than 1e-13: a point whose bound falls short of L by the slack holds no
-    # value as large as L, let alone the maximum.
-    keep = np.abs(base - two_p1_p2 + p1_cubed) + bump >= lower - _P31_SLACK
+    # than 1e-13: a point whose bound falls short of L by the 1e-9 slack holds
+    # no value as large as L, let alone the maximum.
+    keep = np.abs(base - two_p1_p2 + p1_cubed) + bump >= lower - 1e-9
     values = cubic(tuple(i[:, None] for i in keep.nonzero()), ys)  # (survivor, y)
     report = {
         "max_cubic": float(values.max()),
