@@ -21,12 +21,23 @@ CASES = {
     "radius_k_starlike": ["radius", "--problem", "k-starlike", "--k", "1"],
     "radius_convex": ["radius", "--problem", "convex", "--alpha", "0.25"],
     "radius_inclusion": ["radius", "--problem", "inclusion"],
+    "radius_inclusion_text": ["--format", "text", "radius", "--problem", "inclusion"],
+    "radius_starlike_order": ["radius", "--problem", "starlike-order", "--alpha", "0.5"],
+    "radius_m_beta": ["radius", "--problem", "m-beta", "--beta", "2"],
+    "radius_strongly_starlike": ["radius", "--problem", "strongly-starlike", "--gamma", "0.25"],
+    "radius_majorization": ["radius", "--problem", "majorization"],
     "bound_h3_star": ["bound", "--class", "sl", "--alpha", "0", "--which", "h3"],
     "bound_fekete": ["bound", "--class", "sl", "--alpha", "0.5", "--which", "fekete", "--t", "1.0"],
     "bound_symmetric": ["bound", "--class", "symmetric-starlike", "--which", "h2",
                         "--b1", "2", "--b2", "2", "--b3", "2"],
+    "bound_symmetric_convex": ["bound", "--class", "symmetric-convex", "--which", "h2"],
+    **{f"bound_sl_{which}": ["bound", "--class", "sl", "--alpha", "0.75", "--which", which]
+       for which in ("h2", "a4", "a2a3a4", "a5", "h3")},
+    "bound_h3_text": ["--format", "text", "bound", "--class", "sl", "--alpha", "0.5",
+                      "--which", "h3"],
     "extremal_json": ["extremal", "--phi", "psi", "--n", "1", "--order", "8"],
     "extremal_text": ["--format", "text", "extremal", "--phi", "psi", "--n", "3", "--order", "4"],
+    "extremal_d": ["extremal", "--phi", "psi", "--n", "2", "--order", "12", "--kind", "d"],
     "curves_csv": ["curves", "--id", "tau", "--samples", "512"],
     "curves_json": ["--format", "json", "curves", "--id", "tau4", "--samples", "256"],
     "verify_hankel": ["verify", "--suite", "hankel", "--density", "64"],
@@ -35,6 +46,7 @@ CASES = {
     "verify_bloch": ["verify", "--suite", "bloch"],
     "verify_conjecture": ["verify", "--suite", "conjecture"],
     "verify_counterexamples": ["verify", "--suite", "counterexamples"],
+    "verify_membership": ["--seed", "42", "verify", "--suite", "membership", "--samples", "24"],
     "classify": ["classify", "--phi", "cos_sqrt_z", "--grid", "256"],
 }
 
