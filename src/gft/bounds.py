@@ -258,6 +258,18 @@ def _hankel_MT(params: ClassParams, b: PhiCoeffs):
     return M, T
 
 
+def _hankel_SD(params: ClassParams, b: PhiCoeffs):
+    """M, T and the case quantities S = |T| + B1 v^2 u - 2 B1 u^2 w and
+    D = |M| - B1|T|u^2 - B1^2 v^2 u^3 + B1^2 u^4 w."""
+    u, v, w = params.u, params.v, params.w
+    b1 = b.b1
+    M, T = _hankel_MT(params, b)
+    absM, absT = abs(M), abs(T)
+    S = absT + b1 * v * v * u - 2 * b1 * u * u * w
+    D = absM - b1 * absT * u * u - b1 * b1 * v * v * u**3 + b1 * b1 * u**4 * w
+    return M, T, S, D
+
+
 def second_hankel(params: ClassParams, b: PhiCoeffs) -> BoundReport:
     """|a2 a4 - a3^2| bound via the three-case quadratic maximization.
 
@@ -278,9 +290,8 @@ def second_hankel(params: ClassParams, b: PhiCoeffs) -> BoundReport:
         raise ValueError(
             f"admissibility violated: v^2 = {v * v} exceeds 2 u w = {2 * L}"
         )
-    M, T = _hankel_MT(params, b)
+    M, T, S, D = _hankel_SD(params, b)
     absM, absT = abs(M), abs(T)
-    S = absT + b1 * v * v * u - 2 * b1 * u * u * w
     mixed = 2 * absM - b1 * absT * u * u - b1 * b1 * v * v * u**3
     inputs = {"M": M, "T": T, "S": S, "B": (b.b1, b.b2, b.b3)}
     if absM - b1 * b1 * u**4 * w <= 0 and S <= 0:
@@ -293,7 +304,6 @@ def second_hankel(params: ClassParams, b: PhiCoeffs) -> BoundReport:
     if (S >= 0 and mixed >= 0) or (S <= 0 and absM - b1 * b1 * u**4 * w >= 0):
         return BoundReport(absM / (u**4 * v * v * w), "case2", inputs)
     if S > 0 and mixed <= 0:
-        D = absM - b1 * absT * u * u - b1 * b1 * v * v * u**3 + b1 * b1 * u**4 * w
         value = b1 * b1 / (v * v) - b1 * b1 * S * S / (4 * v * v * w * D)
         return BoundReport(value, "case3", inputs)
     raise ValueError(
@@ -306,12 +316,8 @@ def hankel_quadratic_coefficients(params: ClassParams, b: PhiCoeffs):
     """(A, B, C, scale) with the bound = max(A t^2 + B t + C) / scale on [0,4]."""
     u, v, w = params.u, params.v, params.w
     b1 = b.b1
-    M, T = _hankel_MT(params, b)
-    absM, absT = abs(M), abs(T)
-    A = absM - b1 * absT * u * u - b1 * b1 * v * v * u**3 + b1 * b1 * u**4 * w
-    B = 4 * b1 * u * u * (absT + b1 * v * v * u - 2 * b1 * u * u * w)
-    C = 16 * b1 * b1 * u**4 * w
-    return A, B, C, 16 * u**4 * v * v * w
+    _, _, S, D = _hankel_SD(params, b)
+    return D, 4 * b1 * u * u * S, 16 * b1 * b1 * u**4 * w, 16 * u**4 * v * v * w
 
 
 _SYM_LABEL = {"case1": "A", "case2": "B", "case3": "C"}

@@ -4,7 +4,7 @@ Each entry is an analytic function Phi with Phi(0) = 1, real coefficients and
 Phi(D) symmetric about the real axis, together with its Maclaurin coefficient
 generator and a pointwise evaluator.  Entries come in sign-mirrored pairs
 (Phi(z) and Phi(-z) share the same image with opposite boundary orientation);
-:func:`counterpart` maps between them.
+:func:`counterpart` maps between them and builds the mirror of each base entry.
 
 The logarithmic entry ``psi(z) = 1 - log(1+z)`` is the distinguished one: its
 image region has the invertible boundary ``|exp(1-w) - 1| = 1``, which gives
@@ -66,26 +66,8 @@ def _psi_coeff(k: int) -> Fraction:
     return Fraction((-1) ** k, k)
 
 
-def _one_minus_log_one_minus_z_coeff(k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1)
-    return Fraction(1, k)
-
-
-def _sqrt_1_plus_z_coeff(k: int) -> Fraction:
-    return _half_binomial(k)
-
-
-def _sqrt_1_minus_z_coeff(k: int) -> Fraction:
-    return (-1) ** k * _half_binomial(k)
-
-
 def _cos_sqrt_z_coeff(k: int) -> Fraction:
     return Fraction((-1) ** k, math.factorial(2 * k))
-
-
-def _cos_sqrt_minus_z_coeff(k: int) -> Fraction:
-    return Fraction(1, math.factorial(2 * k))
 
 
 def _cos_sqrt(z: complex) -> complex:
@@ -95,32 +77,26 @@ def _cos_sqrt(z: complex) -> complex:
 
 _CATALOG: dict[str, tuple[Callable[[int], Fraction], Callable[[complex], complex]]] = {
     "psi": (_psi_coeff, lambda z: 1 - cmath.log(1 + z)),
-    "one_minus_log_one_minus_z": (
-        _one_minus_log_one_minus_z_coeff,
-        lambda z: 1 - cmath.log(1 - z),
-    ),
-    "sqrt_1_plus_z": (_sqrt_1_plus_z_coeff, lambda z: cmath.sqrt(1 + z)),
-    "sqrt_1_minus_z": (_sqrt_1_minus_z_coeff, lambda z: cmath.sqrt(1 - z)),
+    "sqrt_1_plus_z": (_half_binomial, lambda z: cmath.sqrt(1 + z)),
     "cos_sqrt_z": (_cos_sqrt_z_coeff, _cos_sqrt),
-    "cos_sqrt_minus_z": (_cos_sqrt_minus_z_coeff, lambda z: _cos_sqrt(-z)),
 }
 
-CATALOG_NAMES = tuple(sorted(_CATALOG))
-
-_COUNTERPART_NAME = {
+# each base generator and its mirror z -> base(-z), built by counterpart()
+_MIRROR = {
     "psi": "one_minus_log_one_minus_z",
-    "one_minus_log_one_minus_z": "psi",
     "sqrt_1_plus_z": "sqrt_1_minus_z",
-    "sqrt_1_minus_z": "sqrt_1_plus_z",
     "cos_sqrt_z": "cos_sqrt_minus_z",
-    "cos_sqrt_minus_z": "cos_sqrt_z",
 }
+_BASE = {mirror: base for base, mirror in _MIRROR.items()}
+
+CATALOG_NAMES = tuple(sorted([*_CATALOG, *_BASE]))
 
 
 def make_spec(name: str) -> MaMindaSpec:
-    """Look up a catalog entry by name."""
+    """Look up a catalog entry by name; a mirror is the counterpart of its base."""
+    base = _BASE.get(name, name)
     try:
-        coeff_exact, evaluator = _CATALOG[name]
+        coeff_exact, evaluator = _CATALOG[base]
     except KeyError:
         raise ValueError(
             f"unknown generator {name!r}; available: {', '.join(CATALOG_NAMES)}"
@@ -131,12 +107,13 @@ def make_spec(name: str) -> MaMindaSpec:
         raise ValueError(f"catalog entry {name!r} broken: coeff(0) = {c0} != 1")
     if c1 == 0:
         raise ValueError(f"catalog entry {name!r} broken: coeff(1) = 0")
-    return MaMindaSpec(
-        name=name,
+    spec = MaMindaSpec(
+        name=base,
         coeff_exact=coeff_exact,
         eval=evaluator,
         first_coeff_sign=1 if c1 > 0 else -1,
     )
+    return spec if base == name else counterpart(spec)
 
 
 def counterpart(spec: MaMindaSpec) -> MaMindaSpec:
@@ -144,7 +121,7 @@ def counterpart(spec: MaMindaSpec) -> MaMindaSpec:
     base_exact = spec.coeff_exact
     base_eval = spec.eval
     return MaMindaSpec(
-        name=_COUNTERPART_NAME.get(spec.name, spec.name + "_counterpart"),
+        name=_MIRROR.get(spec.name) or _BASE.get(spec.name, spec.name + "_counterpart"),
         coeff_exact=lambda k: (-1) ** k * base_exact(k),
         eval=lambda z: base_eval(-z),
         first_coeff_sign=-spec.first_coeff_sign,

@@ -12,12 +12,18 @@ Subcommands map one-to-one onto the library modules:
 Output is JSON by default (sorted keys, so identical invocations are
 byte-identical); ``curves`` speaks RFC-4180 CSV by default, and ``radius``,
 ``bound`` and ``extremal`` have a text form.  A ``--format`` the subcommand
-does not render (see ``FORMATS``) is a usage error, and so is a ``--seed``
-anywhere but ``verify --suite membership``, the one seeded run.
-Configuration precedence: command-line flags > key=value file named by
-$GFT_CONFIG > built-in defaults; a file ``output_format`` the subcommand does
-not render is rejected, while a file ``seed`` is a default that unseeded runs
-ignore.  Exit codes: 0 success, 1 computation rejected, 2 usage error.
+does not render (see ``FORMATS``) is a usage error.
+
+``radius --problem``, ``bound --class/--which`` and ``verify --suite`` pick an
+entry of ``RADIUS_PROBLEMS``, ``SL_BOUNDS`` (or the symmetric-class ``h2``)
+and ``SUITES``.  An entry's parameters are the optional flags it reads, with
+their defaults; an explicit flag the picked entry does not read is a usage
+error, and so is ``--seed``, read only by ``verify --suite membership``,
+anywhere else.  Configuration precedence: command-line flags > key=value file
+named by $GFT_CONFIG > built-in defaults; a file ``output_format`` the
+subcommand does not render is rejected, while a file ``seed`` is a default
+that unseeded runs ignore.  Exit codes: 0 success, 1 computation rejected,
+2 usage error.
 
 Only the numeric ``verify`` suites import numpy (through :mod:`gft.verify`),
 and only the ``hankel`` suite imports scipy.optimize, so the closed-form
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import json
 import math
 import os
@@ -54,10 +62,6 @@ FORMATS = {
     "classify": ("json",),
 }
 
-# (command, suite) of the only run that draws random samples, so the only one
-# an explicit --seed may be given to
-SEEDED_RUN = ("verify", "membership")
-
 
 @dataclass
 class Config:
@@ -65,8 +69,6 @@ class Config:
     output_format: str | None = None  # None: the subcommand's default
 
     def validate(self) -> "Config":
-        if self.output_format not in (None, "json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         return self
@@ -117,52 +119,130 @@ def _finite(x: float) -> float:
     return x
 
 
+# -- selector tables -------------------------------------------------------------------
+# Each entry's parameters are the optional flags it reads, with their defaults.
+
+
+RADIUS_PROBLEMS = {
+    "starlike-order": lambda alpha: {
+        "alpha": alpha, "radius": _finite(radius.radius_starlike_order(alpha))},
+    "m-beta": lambda beta: {"beta": beta, "radius": _finite(radius.radius_M_beta(beta))},
+    "convex": lambda alpha: dict(radius.radius_convex_order(alpha).as_dict(), alpha=alpha),
+    "strongly-starlike": lambda gamma: {
+        "gamma": gamma,
+        "gammaMax": radius.strongly_starlike_gamma_max(),
+        "radius": _finite(radius.radius_strongly_starlike(gamma)),
+    },
+    "k-starlike": lambda k: dict(radius.radius_k_starlike(k).as_dict(), k=k),
+    "majorization": lambda: radius.majorization_radius().as_dict(),
+    "inclusion": lambda: radius.inclusion_constants().as_dict(),
+}
+
+SL_BOUNDS = {
+    "fekete": lambda alpha=0.0, t=1.0: bounds.fekete_szego_sl(alpha, t),
+    "h2": lambda alpha=0.0: bounds.h2_bound_sl(alpha),
+    "a4": lambda alpha=0.0: bounds.a4_bound_sl(alpha),
+    "a2a3a4": lambda alpha=0.0: bounds.a2a3_a4_bound_sl(alpha),
+    "a5": lambda alpha=0.0: bounds.a5_bound_sl(alpha),
+    "h3": lambda alpha=0.0: (
+        bounds.h3_bound_sl_star() if alpha == 0 else bounds.h3_bound_sl_alpha(alpha)),
+}
+
+
+def _symmetric_h2(kind: str, which: str, b1=1.0, b2=0.5, b3=1.0 / 3.0):
+    if which != "h2":
+        raise ValueError("symmetric classes only expose the h2 bound")
+    return bounds.second_hankel_symmetric(kind, bounds.PhiCoeffs(b1, b2, b3))
+
+
+def _select_bound(args):
+    if args.klass == "sl":
+        return SL_BOUNDS[args.which]
+    return functools.partial(_symmetric_h2, args.klass.removeprefix("symmetric-"), args.which)
+
+
+# The numeric suites import gft.verify (and so numpy) when they run.
+
+
+def _membership(seed, samples=200):  # seed: --seed, else the GFT_CONFIG value
+    from . import verify
+
+    payload = verify.verify_class_membership_bounds(samples, seed=seed).as_dict()
+    worst = min(v for k, v in payload.items() if k.startswith("worst"))
+    payload["failed"] = min(worst, *payload["coeffMargins"].values()) < -1e-6
+    return payload
+
+
+def _hankel(density=64):
+    from . import verify
+
+    rows = []
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        params = bounds.alpha_class_params(alpha)
+        b = bounds.PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
+        oracle = verify.maximize_second_hankel_oracle(params, b, density=density)
+        bound_val = float(bounds.second_hankel(params, b).value)
+        rows.append({"alpha": alpha, "oracle": oracle, "bound": bound_val,
+                     "margin": bound_val - oracle})
+    failed = any(row["oracle"] > row["bound"] + 1e-9 for row in rows)
+    return {"suite": "hankel", "rows": rows, "failed": failed}
+
+
+def _lemmas(density=64):
+    from . import verify
+
+    reports = {
+        "p1p2_v0": verify.lemma_p1p2_check(0.0, density),
+        "p1p2_v2": verify.lemma_p1p2_check(2.0, density),
+        "p1p2_v2324": verify.lemma_p1p2_check(23.0 / 24.0, density),
+        "p31": verify.eq_p31_check(density),
+    }
+    worst = max(
+        r.get("max_violation", r.get("max_violation_cubic", 0.0)) for r in reports.values()
+    )
+    return {"suite": "lemmas", "reports": reports, "failed": worst > 1e-9}
+
+
+def _bloch():
+    from . import verify
+
+    env = verify.bloch_class_envelope()
+    return {"suite": "bloch", "r0": env["r0"], "value": env["value"],
+            "gridArgmax": env["grid_argmax"],
+            "failed": abs(env["r0"] - env["grid_argmax"]) > 1e-3}
+
+
+def _conjecture():  # exact, so it runs without numpy
+    report = extremal.conjecture_check(5, 10)
+    return {"suite": "conjecture", **report, "failed": bool(report["violations"])}
+
+
+def _counterexamples():
+    from . import verify
+
+    report = verify.vector_space_counterexample()
+    return {"suite": "counterexamples", "omegaAbsAtZ0": report["omega_abs_at_z0"],
+            "normalizedMaxAbs": report["normalized_max_abs"],
+            "exceedsUnitDisk": report["exceeds_unit_disk"],
+            "failed": not report["exceeds_unit_disk"]}
+
+
+SUITES = {
+    "membership": _membership,
+    "hankel": _hankel,
+    "lemmas": _lemmas,
+    "bloch": _bloch,
+    "conjecture": _conjecture,
+    "counterexamples": _counterexamples,
+}
+
+
 # -- subcommand handlers --------------------------------------------------------------
+# radius, bound and verify call ``args.run``: the selected entry with its flags bound
 
 
 def _cmd_radius(args, cfg: Config, out) -> int:
-    problem = args.problem
-    if problem == "starlike-order":
-        if args.alpha is None:
-            raise ValueError("--alpha required for starlike-order")
-        payload = {
-            "problem": problem,
-            "alpha": args.alpha,
-            "radius": _finite(radius.radius_starlike_order(args.alpha)),
-        }
-    elif problem == "m-beta":
-        if args.beta is None:
-            raise ValueError("--beta required for m-beta")
-        payload = {
-            "problem": problem,
-            "beta": args.beta,
-            "radius": _finite(radius.radius_M_beta(args.beta)),
-        }
-    elif problem == "convex":
-        if args.alpha is None:
-            raise ValueError("--alpha required for convex")
-        res = radius.radius_convex_order(args.alpha)
-        payload = dict(res.as_dict(), problem=problem, alpha=args.alpha)
-    elif problem == "strongly-starlike":
-        if args.gamma is None:
-            raise ValueError("--gamma required for strongly-starlike")
-        payload = {
-            "problem": problem,
-            "gamma": args.gamma,
-            "gammaMax": radius.strongly_starlike_gamma_max(),
-            "radius": _finite(radius.radius_strongly_starlike(args.gamma)),
-        }
-    elif problem == "k-starlike":
-        if args.k is None:
-            raise ValueError("--k required for k-starlike")
-        res = radius.radius_k_starlike(args.k)
-        payload = dict(res.as_dict(), problem=problem, k=args.k)
-    elif problem == "majorization":
-        payload = dict(radius.majorization_radius().as_dict(), problem=problem)
-    elif problem == "inclusion":
-        payload = dict(radius.inclusion_constants().as_dict(), problem=problem)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown radius problem {problem!r}")
+    payload = dict(args.run(), problem=args.problem)
     if cfg.output_format == "text":
         for key in sorted(payload):
             out.write(f"{key}: {payload[key]}\n")
@@ -171,36 +251,8 @@ def _cmd_radius(args, cfg: Config, out) -> int:
     return EXIT_OK
 
 
-def _sl_bound(which: str, alpha: float, t: float) -> bounds.BoundReport:
-    if which == "fekete":
-        return bounds.fekete_szego_sl(alpha, t)
-    if which == "h2":
-        return bounds.h2_bound_sl(alpha)
-    if which == "a4":
-        return bounds.a4_bound_sl(alpha)
-    if which == "a2a3a4":
-        return bounds.a2a3_a4_bound_sl(alpha)
-    if which == "a5":
-        return bounds.a5_bound_sl(alpha)
-    if which == "h3":
-        if alpha == 0:
-            return bounds.h3_bound_sl_star()
-        return bounds.h3_bound_sl_alpha(alpha)
-    raise ValueError(f"unknown bound selector {which!r}")
-
-
 def _cmd_bound(args, cfg: Config, out) -> int:
-    if args.klass == "sl":
-        report = _sl_bound(args.which, args.alpha, args.t)
-    elif args.klass in ("symmetric-starlike", "symmetric-convex"):
-        if args.which != "h2":
-            raise ValueError("symmetric classes only expose the h2 bound")
-        kind = "starlike" if args.klass == "symmetric-starlike" else "convex"
-        b = bounds.PhiCoeffs(args.b1, args.b2, args.b3)
-        report = bounds.second_hankel_symmetric(kind, b)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown class {args.klass!r}")
-    payload = report.as_dict()
+    payload = args.run().as_dict()
     if cfg.output_format == "text":
         out.write(f"value: {payload['value']}\ncase: {payload['caseLabel']}\n")
     else:
@@ -247,76 +299,9 @@ def _cmd_curves(args, cfg: Config, out) -> int:
 
 
 def _cmd_verify(args, cfg: Config, out) -> int:
-    suite = args.suite
-    if suite != "conjecture":  # the exact conjecture report runs without numpy
-        from . import verify
-
-    failed = False
-    if suite == "membership":
-        report = verify.verify_class_membership_bounds(args.samples, seed=cfg.seed)
-        payload = report.as_dict()
-        worst = min(
-            payload["worstReLoMargin"],
-            payload["worstReHiMargin"],
-            payload["worstImMargin"],
-            payload["worstGrowthLoMargin"],
-            payload["worstGrowthHiMargin"],
-            min(payload["coeffMargins"].values()),
-        )
-        failed = worst < -1e-6
-        payload["failed"] = failed
-    elif suite == "hankel":
-        rows = []
-        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            params = bounds.alpha_class_params(alpha)
-            b = bounds.PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
-            oracle = verify.maximize_second_hankel_oracle(params, b, density=args.density)
-            bound_val = float(bounds.second_hankel(params, b).value)
-            rows.append({"alpha": alpha, "oracle": oracle, "bound": bound_val,
-                         "margin": bound_val - oracle})
-            failed = failed or oracle > bound_val + 1e-9
-        payload = {"suite": suite, "rows": rows, "failed": failed}
-    elif suite == "lemmas":
-        reports = {
-            "p1p2_v0": verify.lemma_p1p2_check(0.0, args.density),
-            "p1p2_v2": verify.lemma_p1p2_check(2.0, args.density),
-            "p1p2_v2324": verify.lemma_p1p2_check(23.0 / 24.0, args.density),
-            "p31": verify.eq_p31_check(args.density),
-        }
-        worst = max(
-            r.get("max_violation", r.get("max_violation_cubic", 0.0))
-            for r in reports.values()
-        )
-        failed = worst > 1e-9
-        payload = {"suite": suite, "reports": reports, "failed": failed}
-    elif suite == "bloch":
-        env = verify.bloch_class_envelope()
-        payload = {
-            "suite": suite,
-            "r0": env["r0"],
-            "value": env["value"],
-            "gridArgmax": env["grid_argmax"],
-            "failed": abs(env["r0"] - env["grid_argmax"]) > 1e-3,
-        }
-        failed = payload["failed"]
-    elif suite == "conjecture":
-        report = extremal.conjecture_check(5, 10)
-        payload = {"suite": suite, **report, "failed": bool(report["violations"])}
-        failed = payload["failed"]
-    elif suite == "counterexamples":
-        report = verify.vector_space_counterexample()
-        payload = {
-            "suite": suite,
-            "omegaAbsAtZ0": report["omega_abs_at_z0"],
-            "normalizedMaxAbs": report["normalized_max_abs"],
-            "exceedsUnitDisk": report["exceeds_unit_disk"],
-            "failed": not report["exceeds_unit_disk"],
-        }
-        failed = payload["failed"]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown suite {suite!r}")
+    payload = args.run()
     _emit_json(payload, out)
-    return EXIT_REJECTED if failed else EXIT_OK
+    return EXIT_REJECTED if payload["failed"] else EXIT_OK
 
 
 def _cmd_classify(args, cfg: Config, out) -> int:
@@ -336,6 +321,16 @@ def _cmd_classify(args, cfg: Config, out) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+def _selected_flags(p, select, **types):
+    """Add the flags whose use depends on the entry ``select(args)`` picks.
+
+    They have no default, so ``main`` can tell a given flag from an unset one.
+    """
+    for name, kind in types.items():
+        p.add_argument(f"--{name}", type=kind, default=argparse.SUPPRESS)
+    p.set_defaults(select=select, optional=tuple(types))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gft",
@@ -345,30 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="json or text for radius, bound and extremal; csv (default) "
                              "or json for curves; json for verify and classify")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="sample seed of verify --suite membership (default 42)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radius", help="radius constants")
-    p.add_argument("--problem", required=True,
-                   choices=("starlike-order", "m-beta", "convex", "strongly-starlike",
-                            "k-starlike", "majorization", "inclusion"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--k", type=float)
+    p.add_argument("--problem", required=True, choices=RADIUS_PROBLEMS)
+    _selected_flags(p, lambda a: RADIUS_PROBLEMS[a.problem],
+                    alpha=float, beta=float, gamma=float, k=float)
     p.set_defaults(handler=_cmd_radius)
 
     p = sub.add_parser("bound", help="coefficient-functional bounds")
     p.add_argument("--class", dest="klass", required=True,
                    choices=("sl", "symmetric-starlike", "symmetric-convex"))
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--which", required=True,
-                   choices=("fekete", "h2", "a4", "a2a3a4", "a5", "h3"))
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--b1", type=float, default=1.0)
-    p.add_argument("--b2", type=float, default=0.5)
-    p.add_argument("--b3", type=float, default=1.0 / 3.0)
+    p.add_argument("--which", required=True, choices=SL_BOUNDS)
+    _selected_flags(p, _select_bound, alpha=float, t=float, b1=float, b2=float, b3=float)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("extremal", help="structural-function coefficients")
@@ -384,11 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_curves)
 
     p = sub.add_parser("verify", help="brute-force verification suites")
-    p.add_argument("--suite", required=True,
-                   choices=("membership", "hankel", "lemmas", "bloch",
-                            "conjecture", "counterexamples"))
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--density", type=int, default=64)
+    p.add_argument("--suite", required=True, choices=SUITES)
+    _selected_flags(p, lambda a: SUITES[a.suite], samples=int, density=int)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("classify", help="grid classification of a generator")
@@ -409,15 +392,20 @@ def main(argv: list[str] | None = None, stream=None) -> int:
                 f"--format {args.format} is not rendered by {args.command} "
                 f"(choose from {', '.join(FORMATS[args.command])})"
             )
-        if args.seed is not None and (args.command, getattr(args, "suite", None)) != SEEDED_RUN:
-            parser.error(f"--seed is read only by {' --suite '.join(SEEDED_RUN)}")
+        run = args.select(args) if "select" in args else None
+        reads = inspect.signature(run).parameters if run else {}
+        for flag in ("seed", *getattr(args, "optional", ())):
+            if flag in args and flag not in reads:
+                known = ", ".join("--" + name for name in reads) or "no optional flag"
+                parser.error(f"--{flag} is not read by this {args.command} run"
+                             + (f" (it reads {known})" if run else ""))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = load_config()
         if args.format is not None:
             cfg.output_format = args.format
-        if args.seed is not None:
+        if "seed" in args:
             cfg.seed = args.seed
         cfg.validate()
         rendered = FORMATS[args.command]
@@ -428,6 +416,12 @@ def main(argv: list[str] | None = None, stream=None) -> int:
                 f"GFT_CONFIG output_format={cfg.output_format} is not rendered by "
                 f"{args.command} (choose from {', '.join(rendered)})"
             )
+        if run:  # an unset flag takes the GFT_CONFIG value of the same name, if any
+            kwargs = {k: v for k, v in {**vars(cfg), **vars(args)}.items() if k in reads}
+            for name, param in reads.items():
+                if param.default is param.empty and name not in kwargs:
+                    raise ValueError(f"--{name} required for this {args.command} run")
+            args.run = functools.partial(run, **kwargs)
         return args.handler(args, cfg, out)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

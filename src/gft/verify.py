@@ -30,8 +30,9 @@ from .bounds import (
     sl_bound_table,
 )
 from .catalog import in_psi_image, make_spec
-from .extremal import conjecture_check, t_series  # conjecture_check is re-exported
-from .radius import bisect_root
+# conjecture_check and t_series are re-exported
+from .extremal import conjecture_check, growth_envelope_starlike, t_series
+from .radius import bisect_root, re_im_envelope
 from .series import TruncatedSeries
 
 __all__ = [
@@ -358,13 +359,10 @@ _GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
 
 
 @functools.cache
-def _growth_reference() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """|t(r)| and |t(-r)| per membership radius, t the order-200 structural function."""
-    t_ref = t_series(make_spec("psi"), 1, 200)  # order controls the r=0.9 tail
-    return (
-        tuple(abs(t_ref(r)) for r in _MEMBERSHIP_RADII),
-        tuple(abs(t_ref(-r)) for r in _MEMBERSHIP_RADII),
-    )
+def _growth_reference() -> tuple[tuple[float, float], ...]:
+    """(t(r), -t(-r)) per membership radius, t the order-200 structural function."""
+    psi = make_spec("psi")  # order 200 controls the r=0.9 tail
+    return tuple(growth_envelope_starlike(psi, r, order=200) for r in _MEMBERSHIP_RADII)
 
 
 def verify_class_membership_bounds(
@@ -386,10 +384,11 @@ def verify_class_membership_bounds(
     radii = np.array(_MEMBERSHIP_RADII)[:, None]
     z_env = radii * _circle(_MEMBERSHIP_ANGLES)
     z_growth = z_env[:, ::_GROWTH_STRIDE]
-    re_lo_env = np.array([1 - math.log(1 + r) for r in _MEMBERSHIP_RADII])[:, None]
-    re_hi_env = np.array([1 - math.log(1 - r) for r in _MEMBERSHIP_RADII])[:, None]
-    im_env = np.array([math.atan(r / math.sqrt(1 - r * r)) for r in _MEMBERSHIP_RADII])[:, None]
-    growth_lo, growth_hi = (np.array(g)[:, None] for g in _growth_reference())
+    envs = [re_im_envelope(r) for r in _MEMBERSHIP_RADII]
+    re_lo_env, re_hi_env, im_env = (
+        np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")
+    )
+    growth_lo, growth_hi = np.array(_growth_reference()).T[:, :, None]
     # a2..a5 read only q1..q4, so psi(omega) is composed at order 4
     psi4 = make_spec("psi").series(4, exact=False)
     worst = {

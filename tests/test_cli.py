@@ -1,18 +1,75 @@
 """Command-line front end: contracts on output shape, exit codes, determinism."""
 
+import inspect
 import io
 import json
 import math
 
 import pytest
 
-from gft.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, load_config, main
+from gft.cli import (
+    EXIT_OK,
+    EXIT_REJECTED,
+    EXIT_USAGE,
+    RADIUS_PROBLEMS,
+    SL_BOUNDS,
+    SUITES,
+    build_parser,
+    load_config,
+    main,
+)
 
 
 def run_cli(argv):
     stream = io.StringIO()
     code = main(argv, stream=stream)
     return code, stream.getvalue()
+
+
+def with_flags(argv, flags):
+    """argv plus ``{flag: value}``; --seed is top-level, so it goes first."""
+    top = [a for flag, value in flags.items() if flag == "seed" for a in ("--seed", value)]
+    sub = [a for flag, value in flags.items() if flag != "seed" for a in (f"--{flag}", value)]
+    return [*top, *argv, *sub]
+
+
+# (flags the selected entry does not read, a command that runs without them)
+UNREAD_FLAGS = [
+    *(({"seed": "5"}, argv) for argv in (
+        ["radius", "--problem", "majorization"],
+        ["bound", "--class", "sl", "--which", "h2"],
+        ["extremal", "--phi", "psi"],
+        ["curves", "--id", "tau", "--samples", "32"],
+        ["classify", "--phi", "psi", "--grid", "64"],
+        ["verify", "--suite", "lemmas", "--density", "32"],
+        ["verify", "--suite", "hankel", "--density", "32"],
+        ["verify", "--suite", "bloch"],
+        ["verify", "--suite", "conjecture"],
+        ["verify", "--suite", "counterexamples"],
+    )),
+    ({"alpha": "0.3"}, ["radius", "--problem", "majorization"]),
+    ({"k": "2"}, ["radius", "--problem", "inclusion"]),
+    ({"t": "2"}, ["bound", "--class", "sl", "--which", "h2"]),
+    ({"b1": "2"}, ["bound", "--class", "sl", "--which", "a4"]),
+    ({"alpha": "0.5"}, ["bound", "--class", "symmetric-convex", "--which", "h2"]),
+    ({"density": "200"}, ["verify", "--suite", "bloch"]),
+    ({"samples": "5"}, ["verify", "--suite", "conjecture"]),
+    ({"samples": "3"}, ["verify", "--suite", "hankel", "--density", "32"]),
+]
+
+# every entry of the three selector tables, and two valid values of each flag
+SELECTIONS = [
+    *(["radius", "--problem", key] for key in RADIUS_PROBLEMS),
+    *(["bound", "--class", "sl", "--which", key] for key in SL_BOUNDS),
+    *(["bound", "--class", klass, "--which", "h2"]
+      for klass in ("symmetric-starlike", "symmetric-convex")),
+    *(["verify", "--suite", key] for key in SUITES),
+]
+FLAG_VALUES = {
+    "alpha": ("0.4", "0.5"), "beta": ("1.5", "2"), "gamma": ("0.25", "0.4"), "k": ("1", "2"),
+    "t": ("0.5", "2"), "b1": ("1", "2"), "b2": ("0.5", "2"), "b3": ("0.5", "2"),
+    "samples": ("2", "3"), "density": ("32", "48"), "seed": ("1", "2"),
+}
 
 
 class TestRadiusCommand:
@@ -241,27 +298,28 @@ class TestContracts:
         assert code == EXIT_USAGE
         assert out == ""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["radius", "--problem", "majorization"],
-            ["bound", "--class", "sl", "--which", "h2"],
-            ["extremal", "--phi", "psi"],
-            ["curves", "--id", "tau", "--samples", "32"],
-            ["classify", "--phi", "psi", "--grid", "64"],
-            ["verify", "--suite", "lemmas", "--density", "32"],
-            ["verify", "--suite", "hankel", "--density", "32"],
-            ["verify", "--suite", "bloch"],
-            ["verify", "--suite", "conjecture"],
-            ["verify", "--suite", "counterexamples"],
-        ],
-    )
-    def test_seed_on_unseeded_run_is_usage_error(self, argv):
-        code, out = run_cli(["--seed", "5", *argv])
+    # positional ids: argv0-argv9 are the --seed cases
+    @pytest.mark.parametrize("extra, argv", UNREAD_FLAGS,
+                             ids=[f"argv{i}" for i in range(len(UNREAD_FLAGS))])
+    def test_seed_on_unseeded_run_is_usage_error(self, extra, argv):
+        code, out = run_cli(with_flags(argv, extra))
         assert code == EXIT_USAGE
         assert out == ""
-        # the same command without --seed runs
+        # the same command without the unread flag runs
         assert run_cli(argv)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("argv", SELECTIONS, ids=" ".join)
+    def test_every_flag_an_entry_reads_changes_its_output(self, argv):
+        args = build_parser().parse_args(argv)
+        reads = inspect.signature(args.select(args)).parameters
+        base = {name: FLAG_VALUES[name][0] for name in reads}
+        for flag in reads:
+            outputs = []
+            for value in FLAG_VALUES[flag]:
+                code, out = run_cli(with_flags(argv, {**base, flag: value}))
+                assert code == EXIT_OK, (flag, value)
+                outputs.append(out)
+            assert outputs[0] != outputs[1], flag
 
     def test_config_seed_is_a_default_for_unseeded_runs(self, tmp_path, monkeypatch):
         argv = ["radius", "--problem", "inclusion"]
