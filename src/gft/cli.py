@@ -149,16 +149,16 @@ SL_BOUNDS = {
 }
 
 
-def _symmetric_h2(kind: str, which: str, b1=1.0, b2=0.5, b3=1.0 / 3.0):
-    if which != "h2":
-        raise ValueError("symmetric classes only expose the h2 bound")
+def _symmetric_h2(kind: str, b1=1.0, b2=0.5, b3=1.0 / 3.0):
     return bounds.second_hankel_symmetric(kind, bounds.PhiCoeffs(b1, b2, b3))
 
 
 def _select_bound(args):
     if args.klass == "sl":
         return SL_BOUNDS[args.which]
-    return functools.partial(_symmetric_h2, args.klass.removeprefix("symmetric-"), args.which)
+    if args.which != "h2":
+        raise LookupError(f"--class {args.klass} only has --which h2")
+    return functools.partial(_symmetric_h2, args.klass.removeprefix("symmetric-"))
 
 
 # The numeric suites import gft.verify (and so numpy) when they run.
@@ -392,7 +392,10 @@ def main(argv: list[str] | None = None, stream=None) -> int:
                 f"--format {args.format} is not rendered by {args.command} "
                 f"(choose from {', '.join(FORMATS[args.command])})"
             )
-        run = args.select(args) if "select" in args else None
+        try:
+            run = args.select(args) if "select" in args else None
+        except LookupError as exc:  # a selector combination without an entry
+            parser.error(str(exc))
         reads = inspect.signature(run).parameters if run else {}
         for flag in ("seed", *getattr(args, "optional", ())):
             if flag in args and flag not in reads:

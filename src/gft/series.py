@@ -10,8 +10,10 @@ Coefficients may be ``int``, ``float``, ``complex`` or
 recurrences only ever divide by small integers, so feeding exact rationals in
 gives exact rationals out; that is the "exact path" used for the fixed
 rational fixtures in the tests.  On that path the Cauchy product (and so
-``compose``, ``divide`` and ``log1p``) runs on integer numerators over a
-common denominator and builds one ``Fraction`` per output coefficient.
+``divide`` and ``log1p``), the ``exp`` and ``reciprocal`` recurrences and
+``compose`` run on integer numerators over a common denominator and build one
+``Fraction`` per output coefficient, with the values and per-coefficient types
+(``int`` or ``Fraction``) that the term-by-term rational arithmetic gives.
 Instances are immutable and every operation is a pure function, so values
 can be shared freely across threads.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 import warnings
 from fractions import Fraction
@@ -40,6 +43,14 @@ _OUTSIDE_DISK = (
 
 
 def _is_finite(c: Number) -> bool:
+    # exact types first: an isinstance test against Fraction goes through ABCMeta
+    kind = type(c)
+    if kind is int or kind is Fraction:
+        return True
+    if kind is float:
+        return math.isfinite(c)
+    if kind is complex:
+        return cmath.isfinite(c)
     if isinstance(c, (int, Fraction)):
         return True
     if isinstance(c, complex):
@@ -57,16 +68,36 @@ def _div_int(value: Number, k: int) -> Number:
     return value / k
 
 
-def _integer_numerators(coeffs: tuple) -> tuple[list[int], int, list[int]]:
-    """Exact coefficients as integer numerators over their common denominator.
+def _all_exact(coeffs: tuple) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in coeffs)
 
-    Returns ``(numerators, d, fractions)`` with ``coeffs[k] == numerators[k] / d``
-    and ``fractions[k]`` the number of ``Fraction`` coefficients before index k.
-    """
+
+def _integer_numerators(coeffs: tuple) -> tuple[list[int], int]:
+    """Exact coefficients as integer numerators ``n`` over their common denominator
+    ``d``: ``coeffs[k] == n[k] / d``."""
     d = math.lcm(*(c.denominator for c in coeffs))
-    numerators = [c.numerator * (d // c.denominator) for c in coeffs]
-    fractions = list(accumulate((isinstance(c, Fraction) for c in coeffs), initial=0))
-    return numerators, d, fractions
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _exact_recurrence(first: int | Fraction, weights: list[int], divisor, order: int) -> list:
+    """``b_0 = first`` and ``b_m = sum_{j=1..m} weights[j] * b_{m-j} / divisor(m)``.
+
+    ``weights`` are ints and ``divisor(m)`` is a nonzero int.  The earlier
+    ``b_i`` are kept as integer numerators over the running lcm ``L`` of their
+    denominators, rescaled only when ``L`` grows, so each ``b_m`` is one integer
+    sum and one ``Fraction``.
+    """
+    out = [first]
+    numerators, den = [first.numerator], first.denominator
+    for m in range(1, order + 1):
+        b = Fraction(sum(map(operator.mul, weights[m:0:-1], numerators)), divisor(m) * den)
+        out.append(b)
+        grow = b.denominator // math.gcd(den, b.denominator)
+        if grow > 1:
+            numerators = [x * grow for x in numerators]
+            den *= grow
+        numerators.append(b.numerator * (den // b.denominator))
+    return out
 
 
 class TruncatedSeries:
@@ -148,10 +179,13 @@ class TruncatedSeries:
         if order is None:
             order = max(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        exact = all(isinstance(c, (int, Fraction)) for c in a + b)
+        exact = _all_exact(a + b)
         if exact:
-            a, da, fa = _integer_numerators(a)
-            b, db, fb = _integer_numerators(b)
+            # fa[k], fb[k]: how many Fraction coefficients precede index k
+            fa, fb = (list(accumulate((isinstance(c, Fraction) for c in x), initial=0))
+                      for x in (a, b))
+            a, da = _integer_numerators(a)
+            b, db = _integer_numerators(b)
             d = da * db
         top_a, top_b = len(a) - 1, len(b) - 1
         out = []
@@ -199,17 +233,24 @@ class TruncatedSeries:
 
         Uses the recurrence (exp a)' = a' * exp a, i.e.
         b_m = (1/m) * sum_{j=1..m} j * a_j * b_{m-j},  b_0 = 1.
+        When every a_j is an ``int`` or a ``Fraction`` the sums run on integer
+        numerators (``_exact_recurrence``) and give ``1`` then ``Fraction``
+        coefficients; otherwise they run term by term, left to right.
         """
         if self.coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
         if order is None:
             order = self.order
-        a = self.padded(order)
+        a = self.padded(order).coeffs
+        weights = [j * c for j, c in enumerate(a)]
+        if _all_exact(a):
+            weights, d = _integer_numerators(weights)
+            return TruncatedSeries(_exact_recurrence(1, weights, lambda m: d * m, order))
         b: list[Number] = [1]
         for m in range(1, order + 1):
             acc = 0
-            for j in range(1, m + 1):
-                acc = acc + j * a.coeffs[j] * b[m - j]
+            for j in range(1, m + 1):  # no sum(): it rounds floats differently from 3.12 on
+                acc = acc + weights[j] * b[m - j]
             b.append(_div_int(acc, m))
         return TruncatedSeries(b)
 
@@ -228,12 +269,22 @@ class TruncatedSeries:
         return integrand.antiderivative().padded(order)
 
     def reciprocal(self, order: int | None = None) -> "TruncatedSeries":
-        """1 / a for a with nonzero constant term."""
+        """1 / a for a with nonzero constant term.
+
+        r_m = -(1/a_0) * sum_{j=1..m} a_j * r_{m-j}.  When every a_j is an ``int``
+        or a ``Fraction`` the sums run on integer numerators
+        (``_exact_recurrence``) and every r_m is a ``Fraction``.
+        """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
         if order is None:
             order = self.order
         a = self.padded(order)
+        if _all_exact(a.coeffs):
+            numerators, d = _integer_numerators(a.coeffs)
+            a0 = numerators[0]
+            first = Fraction(d, a0)
+            return TruncatedSeries(_exact_recurrence(first, numerators, lambda m: -a0, order))
         c0 = a.coeffs[0]
         if isinstance(c0, (int, Fraction)):
             r: list[Number] = [Fraction(1) / c0]
@@ -253,16 +304,50 @@ class TruncatedSeries:
         return self.mul(other.reciprocal(order), order)
 
     def compose(self, inner: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
-        """self(inner(z)) truncated at ``order``; inner must vanish at 0."""
+        """self(inner(z)) truncated at ``order``; inner must vanish at 0.
+
+        Horner's scheme: result = result * inner + c_k from the top coefficient
+        down.  When every coefficient of both series is an ``int`` or a
+        ``Fraction``, ``inner`` is turned into integer numerators once and the
+        running result is kept as integer numerators over one denominator,
+        reduced by their gcd at each step.  A coefficient is then a ``Fraction``
+        exactly where the steps through ``mul`` would make it one.
+        """
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         if order is None:
             order = max(self.order, inner.order)
         inner = inner.padded(order)
-        result = TruncatedSeries([self.coeffs[self.order]]).padded(order)
-        for k in range(self.order - 1, -1, -1):
-            result = result.mul(inner, order) + self.coeffs[k]
-        return result
+        outer = self.coeffs
+        if self.order == 0 or not _all_exact(outer + inner.coeffs):
+            result = TruncatedSeries([outer[-1]]).padded(order)
+            for k in range(self.order - 1, -1, -1):
+                result = result.mul(inner, order) + outer[k]
+            return result
+        g, dg = _integer_numerators(inner.coeffs)
+        num, den = [outer[-1].numerator] + [0] * order, outer[-1].denominator
+        for c in reversed(outer[:-1]):
+            # g[0] == 0, so coefficient n of num * g is sum_{j<n} num[j] * g[n-j]
+            num = [sum(map(operator.mul, num[:n], g[n:0:-1])) for n in range(order + 1)]
+            new_den = math.lcm(den * dg, c.denominator)
+            scale = new_den // (den * dg)
+            num = [x * scale for x in num]
+            num[0] += c.numerator * (new_den // c.denominator)
+            common = math.gcd(new_den, *num)
+            num, den = [x // common for x in num], new_den // common
+        # mul makes coefficient n a Fraction once a Fraction sits at or below n in
+        # either factor: all of them after a Fraction c_k with k >= 1, else those
+        # from the first Fraction of inner on; a Fraction c_0 adds z^0
+        if any(isinstance(c, Fraction) for c in outer[1:]):
+            fraction_from = 0
+        else:
+            fraction_from = next(
+                (n for n, c in enumerate(inner.coeffs) if isinstance(c, Fraction)), order + 1)
+        return TruncatedSeries(
+            Fraction(x, den) if n >= fraction_from or n == 0 and isinstance(outer[0], Fraction)
+            else x // den
+            for n, x in enumerate(num)
+        )
 
     def integrate_over_t(self) -> "TruncatedSeries":
         """For q with q(0) = 1: the integral of (q(t) - 1)/t from 0 to z.

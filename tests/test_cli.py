@@ -405,3 +405,10 @@ class TestOutputContracts:
         code, out = run_cli(argv)
         assert code == EXIT_USAGE
         assert out == ""
+
+    @pytest.mark.parametrize("klass", ["symmetric-starlike", "symmetric-convex"])
+    @pytest.mark.parametrize("which", [key for key in SL_BOUNDS if key != "h2"])
+    def test_symmetric_class_without_the_bound_is_usage_error(self, klass, which):
+        code, out = run_cli(["bound", "--class", klass, "--which", which])
+        assert code == EXIT_USAGE
+        assert out == ""

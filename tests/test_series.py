@@ -1,5 +1,6 @@
 """Truncated-series arithmetic: worked examples, invariants, error paths."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gft import extremal
+from gft.catalog import make_spec
 from gft.series import TruncatedSeries, Z
 
 
@@ -268,6 +271,31 @@ def schoolbook_compose(f, g, order):
     return list(result.coeffs)
 
 
+def schoolbook_exp(a, order):
+    """The term-by-term exp recurrence: the reference for TruncatedSeries.exp."""
+    a = a.padded(order)
+    b = [1]
+    for m in range(1, order + 1):
+        acc = 0
+        for j in range(1, m + 1):
+            acc = acc + j * a.coeffs[j] * b[m - j]
+        b.append(Fraction(acc, m) if isinstance(acc, (int, Fraction)) else acc / m)
+    return b
+
+
+def schoolbook_reciprocal(a, order):
+    """The term-by-term 1/a recurrence: the reference for TruncatedSeries.reciprocal."""
+    a = a.padded(order)
+    c0 = a.coeffs[0]
+    r = [Fraction(1) / c0 if isinstance(c0, (int, Fraction)) else 1 / c0]
+    for m in range(1, order + 1):
+        acc = 0
+        for j in range(1, m + 1):
+            acc = acc + a.coeffs[j] * r[m - j]
+        r.append(-acc / c0)
+    return r
+
+
 def same_bits(got, expected):
     """Equal values, equal per-coefficient types, and for floats equal bits."""
     assert [type(c) for c in got] == [type(c) for c in expected]
@@ -317,6 +345,27 @@ class TestProductAgainstSchoolbook:
         expected = schoolbook_mul(a, b.reciprocal(order), order)
         same_bits(a.divide(b, order).coeffs, expected)
 
+    @given(exact_lists, order_offsets)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_exp(self, u, offset):
+        a = TruncatedSeries([0] + u)
+        order = max(0, a.order + offset)
+        same_bits(a.exp(order).coeffs, schoolbook_exp(a, order))
+
+    @given(complex_lists, order_offsets)
+    @settings(max_examples=150, deadline=None)
+    def test_complex_exp_bit_identical(self, u, offset):
+        a = TruncatedSeries([0] + u)
+        order = max(0, a.order + offset)
+        same_bits(a.exp(order).coeffs, schoolbook_exp(a, order))
+
+    @given(exact_lists, order_offsets)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_reciprocal(self, u, offset):
+        a = TruncatedSeries([u[0] or 1] + u[1:])
+        order = max(0, a.order + offset)
+        same_bits(a.reciprocal(order).coeffs, schoolbook_reciprocal(a, order))
+
     @given(complex_lists, complex_lists, order_offsets)
     @settings(max_examples=150, deadline=None)
     def test_complex_mul_bit_identical(self, u, v, offset):
@@ -332,6 +381,28 @@ class TestProductAgainstSchoolbook:
         assert [type(c) for c in got] == [int, Fraction, Fraction, int, int]
         assert got == (3, Fraction(11, 2), 8, 8, 0)
 
+    def test_compose_fraction_only_where_a_term_has_one(self):
+        # a Fraction constant of the outer series makes only z^0 a Fraction
+        got = TruncatedSeries([Fraction(1, 2), 1]).compose(TruncatedSeries([0, 2, 3]), 3).coeffs
+        assert [type(c) for c in got] == [Fraction, int, int, int]
+        assert got == (Fraction(1, 2), 2, 3, 0)
+        # a Fraction zero at z^0 of the inner series enters every product term
+        got = TruncatedSeries([1, 1, 1]).compose(TruncatedSeries([Fraction(0), 1]), 2).coeffs
+        assert [type(c) for c in got] == [Fraction, Fraction, Fraction]
+        assert got == (1, 1, 1)
+
+    # sha256 of the newline-joined str(Fraction(c)), captured from the term-by-term exp
+    @pytest.mark.parametrize("build, phi, n, order, digest", [
+        ("t_series", "psi", 1, 200,
+         "b583eb95049ace7029addf808ae06812976fbfa8d41e942e0ef990f6d47ee8a1"),
+        ("d_series", "cos_sqrt_z", 3, 40,
+         "8e1b2b1fa51a639f501bd5437ed76c4cb468d34ea55e9eeea7edf1062c5b7d2a"),
+    ])
+    def test_exact_structural_digest(self, build, phi, n, order, digest):
+        fn = getattr(extremal, build)(make_spec(phi), n, order, exact=True)
+        text = "\n".join(str(Fraction(c)) for c in fn.series.coeffs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestValidation:
     def test_rejects_nan(self):
@@ -341,6 +412,16 @@ class TestValidation:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             TruncatedSeries([0, complex("inf")])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", [float, complex, np.float64, np.complex128])
+    def test_rejects_non_finite_of_every_float_type(self, kind, bad):
+        with pytest.raises(ValueError):
+            TruncatedSeries([1, kind(bad)])
+
+    @pytest.mark.parametrize("good", [True, np.int64(3), np.float64(0.5), np.complex128(1j)])
+    def test_accepts_finite_subclasses_and_numpy_scalars(self, good):
+        assert TruncatedSeries([good]).coeffs == (good,)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
