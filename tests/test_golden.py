@@ -41,6 +41,7 @@ CASES = {
     "curves_csv": ["curves", "--id", "tau", "--samples", "512"],
     "curves_json": ["--format", "json", "curves", "--id", "tau4", "--samples", "256"],
     "verify_hankel": ["verify", "--suite", "hankel", "--density", "64"],
+    "verify_hankel_32": ["verify", "--suite", "hankel", "--density", "32"],
     "verify_lemmas": ["verify", "--suite", "lemmas", "--density", "64"],
     "verify_lemmas_48": ["verify", "--suite", "lemmas", "--density", "48"],
     "verify_bloch": ["verify", "--suite", "bloch"],
