@@ -28,6 +28,7 @@ from gft.bounds import (
     h3_bound_sl_star,
     hankel_quadratic_coefficients,
     max_quadratic_0_4,
+    minimize,
     q_params_a2a3_a4,
     q_params_a4,
     schwarz_functional_H,
@@ -344,6 +345,41 @@ class TestSchwarzFunctionalH:
     def test_density_validated(self):
         with pytest.raises(ValueError):
             schwarz_functional_H(0, 0, 16)
+
+
+class TestMinimizeMatchesScipy:
+    """The polish is scipy's Nelder-Mead step for step: same x, fun and nfev."""
+
+    @staticmethod
+    def objective(rng, dim):
+        centre = rng.uniform(-2.0, 2.0, dim)
+        scale = rng.uniform(0.1, 3.0, dim)
+        wave = rng.uniform(-1.0, 1.0, dim)
+        amp = rng.uniform(0.0, 0.5)
+        clamp = rng.random() < 0.5  # flat outside [-1, 1]^dim: ties in the simplex
+
+        def f(x):
+            y = np.clip(x, -1.0, 1.0) if clamp else x
+            return float(np.sum(scale * (y - centre) ** 2) + amp * math.sin(float(wave @ x)))
+
+        return f
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_same_trajectory(self, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 5))
+        x0 = rng.uniform(-1.5, 1.5, dim)
+        x0[rng.random(dim) < 0.4] = 0.0
+        xatol, fatol = 10.0 ** -rng.integers(4, 14, 2)
+        maxiter = 2000 if seed % 4 else int(rng.integers(2, 40))  # a quarter stop at the cap
+        f = self.objective(rng, dim)
+        ours = minimize(f, x0, xatol=xatol, fatol=fatol, maxiter=maxiter)
+        ref = optimize.minimize(f, x0, method="Nelder-Mead",
+                                options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert ours.fun == ref.fun
+        assert ours.nfev == ref.nfev
 
 
 class TestFourthCoefficientBounds:

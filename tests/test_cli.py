@@ -194,6 +194,16 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["failed"] is False
 
+    def test_lemmas_suite_gates_every_violation(self, monkeypatch):
+        from gft import verify
+
+        monkeypatch.setattr(verify, "eq_p31_check", lambda density: {
+            "max_cubic": 2.0, "max_violation_cubic": 0.0,
+            "max_quartic_on_power_maps": 2.5, "max_violation_quartic": 0.5})
+        code, out = run_cli(["verify", "--suite", "lemmas", "--density", "32"])
+        assert code == EXIT_REJECTED
+        assert json.loads(out)["failed"] is True
+
     def test_bloch_suite(self):
         code, out = run_cli(["verify", "--suite", "bloch"])
         assert code == EXIT_OK

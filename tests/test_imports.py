@@ -1,7 +1,8 @@
 """Import boundaries: each subcommand loads only the heavy modules it runs.
 
-numpy, scipy and :mod:`gft.verify` are imported on first use, so the
-closed-form subcommands and the exact conjecture suite start without them.
+numpy and :mod:`gft.verify` are imported on first use, so the closed-form
+subcommands and the exact conjecture suite start without them, and no
+subcommand loads scipy.
 Every check runs in a fresh interpreter, because the test process itself has
 long since loaded them all.
 """
@@ -50,8 +51,7 @@ CASES = [
     (["verify", "--suite", "conjecture"], []),
     (["verify", "--suite", "lemmas", "--density", "32"], ["numpy", "gft.verify"]),
     (["verify", "--suite", "bloch"], ["numpy", "gft.verify"]),
-    (["verify", "--suite", "hankel", "--density", "32"],
-     ["numpy", "scipy", "scipy.optimize", "gft.verify"]),
+    (["verify", "--suite", "hankel", "--density", "32"], ["numpy", "gft.verify"]),
 ]
 
 
@@ -67,19 +67,17 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded):
     assert run_fresh(code) == [0, [], loaded]
 
 
-def test_minimize_shim_defers_scipy_and_stays_the_polish_hook():
+def test_oracles_load_no_scipy_and_minimize_stays_the_polish_hook():
     code = (
         "import json, sys\n"
-        "from gft import bounds\n"
-        "before = 'scipy.optimize' in sys.modules\n"
-        "res = bounds.minimize(lambda x: (x[0] - 1.0) ** 2, [0.0], method='Nelder-Mead')\n"
+        "from gft import bounds, verify\n"
         "calls = []\n"
-        "shim = bounds.minimize\n"
-        "bounds.minimize = lambda *a, **k: calls.append(1) or shim(*a, **k)\n"
+        "polish = bounds.minimize\n"
+        "bounds.minimize = lambda *a, **k: calls.append(1) or polish(*a, **k)\n"
         "bounds.schwarz_functional_H(1.0, 0.5, 32)\n"
-        "print(json.dumps([before, 'scipy.optimize' in sys.modules,\n"
-        "                  abs(float(res.x[0]) - 1.0) < 1e-3, float(res.fun) < 1e-6,\n"
-        "                  int(res.nfev) > 0, len(calls)]))\n"
+        "verify.maximize_second_hankel_oracle(bounds.alpha_class_params(0.5), (1.0, 0.5, 1 / 3), 32)\n"
+        "verify.bloch_seminorm_bound()\n"
+        "print(json.dumps([len(calls), [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
     )
-    # scipy absent until the first call; the polish looks the module global up
-    assert run_fresh(code) == [False, True, True, True, True, 1]
+    # the polish looks the module global up at call time
+    assert run_fresh(code) == [2, []]
