@@ -461,11 +461,9 @@ def minimize(fun, x0, xatol: float, fatol: float, maxiter: int = 2000):
     x0 = np.asarray(x0, dtype=float).ravel()
     n = len(x0)
     sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim[:] = x0
     for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.array([f(v) for v in sim], dtype=float)
     for _ in range(2):  # the reference sorts twice before the first step
         ind = np.argsort(fsim)
