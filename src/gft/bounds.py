@@ -434,7 +434,7 @@ def _schwarz_cubic_objective(q1: float, q2: float, xi, eta):
     return (1 - xi**2) * (1 - np.abs(eta) ** 2) + np.abs(_schwarz_inner(q1, q2, xi, eta))
 
 
-def minimize(fun, x0, xatol: float, fatol: float, maxiter: int = 2000):
+def minimize(fun, x0, xatol: float, fatol: float):
     """Nelder-Mead minimum of ``fun`` from ``x0``, as an object with x, fun, nfev.
 
     The unbounded, non-adaptive simplex method: reflection 1, expansion 2,
@@ -443,9 +443,10 @@ def minimize(fun, x0, xatol: float, fatol: float, maxiter: int = 2000):
     ``tests/test_bounds.py`` compares it with, so x, fun and nfev agree with
     it bit for bit.  The initial simplex scales each coordinate of x0 by
     1.05, or sets it to 0.00025 where it is zero.  The simplex is sorted by
-    value after the first evaluations and after every step; the search stops
-    once every vertex lies within ``xatol`` and every value within ``fatol``
-    of the best, or after ``maxiter - 1`` steps.  :func:`grid_then_polish`
+    value twice after the first evaluations and once after every step, as
+    scipy 1.17 does; the search stops, without a further sort, once every
+    vertex lies within ``xatol`` and every value within ``fatol`` of the best,
+    or after 1999 steps (scipy's ``maxiter`` 2000).  :func:`grid_then_polish`
     looks this name up at call time, so a wrapper assigned to it sees every
     polish.
     """
@@ -465,11 +466,13 @@ def minimize(fun, x0, xatol: float, fatol: float, maxiter: int = 2000):
     for k in range(n):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.array([f(v) for v in sim], dtype=float)
-    for _ in range(2):  # the reference sorts twice before the first step
+    # argsort is not stable on every CPU, so even a sort of a sorted simplex
+    # can reorder ties: sort exactly where the reference does.
+    for _ in range(2):
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
-    for _ in range(maxiter - 1):
+    for _ in range(1999):
         if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
