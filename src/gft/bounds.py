@@ -442,13 +442,12 @@ def minimize(fun, x0, xatol: float, fatol: float):
     the same order as the reference implementation that
     ``tests/test_bounds.py`` compares it with, so x, fun and nfev agree with
     it bit for bit.  The initial simplex scales each coordinate of x0 by
-    1.05, or sets it to 0.00025 where it is zero.  The simplex is sorted by
-    value twice after the first evaluations and once after every step, as
-    scipy 1.17 does; the search stops, without a further sort, once every
-    vertex lies within ``xatol`` and every value within ``fatol`` of the best,
-    or after 1999 steps (scipy's ``maxiter`` 2000).  :func:`grid_then_polish`
-    looks this name up at call time, so a wrapper assigned to it sees every
-    polish.
+    1.05, or sets it to 0.00025 where it is zero.  As in the reference, the
+    simplex is sorted twice after the first evaluations and once after every
+    step; the search stops, with no further sort, once every vertex lies
+    within ``xatol`` and every value within ``fatol`` of the best, or after
+    1999 steps (``maxiter`` 2000).  :func:`grid_then_polish` looks this name
+    up at call time, so a wrapper assigned to it sees every polish.
     """
     import numpy as np
 
@@ -466,9 +465,7 @@ def minimize(fun, x0, xatol: float, fatol: float):
     for k in range(n):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.array([f(v) for v in sim], dtype=float)
-    # argsort is not stable on every CPU, so even a sort of a sorted simplex
-    # can reorder ties: sort exactly where the reference does.
-    for _ in range(2):
+    for _ in range(2):  # argsort may reorder ties even when sorted: sort where the reference does
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
