@@ -23,9 +23,11 @@ from .bounds import (
     ClassParams,
     PhiCoeffs,
     alpha_class_params,
-    caratheodory_to_coeffs,
+    _a4,
+    _p3_free_coeffs,
     grid_then_polish,
     polar_grid,
+    polar_slabs,
     second_hankel,
     sl_bound_table,
 )
@@ -219,16 +221,20 @@ class CaratheodoryPoint:
     p3: complex
 
 
+def _p2(p1, x):
+    """Libera-Zlotkiewicz p2 = (p1^2 + x (4 - p1^2)) / 2; array-friendly."""
+    return (p1**2 + x * (4 - p1**2)) / 2
+
+
 def _p2_p3(p1, x):
     """Libera-Zlotkiewicz (p2, p3 at y = 0, dp3/dy); p3 is affine in y.
 
     Array-friendly: p3 = base + bump * y for the free parameter |y| <= 1.
     """
     s = 4 - p1**2
-    p2 = (p1**2 + x * s) / 2
     base = (p1**3 + 2 * p1 * s * x - p1 * s * x**2) / 4
     bump = 2 * s * (1 - np.abs(x) ** 2) / 4
-    return p2, base, bump
+    return _p2(p1, x), base, bump
 
 
 def caratheodory_point(p1: float, x: complex, y: complex) -> CaratheodoryPoint:
@@ -271,10 +277,17 @@ def _float_params(params: ClassParams) -> ClassParams:
 
 
 def _hankel_halves(params: ClassParams, coeffs, p1, x):
-    """|a2 a4 - a3^2| split as E0 + E1*y (affine in the free parameter y)."""
+    """|a2 a4 - a3^2| split as E0 + E1*y (affine in the free parameter y).
+
+    a2, a3 and the p3-free part of a4 are computed once and a4 is completed
+    at p3 = base and at p3 = base + bump.  That is the expression tree of two
+    :func:`caratheodory_to_coeffs` calls with their shared subexpressions
+    evaluated once, so E0 and E1 keep the bits of the two calls.
+    """
     p2, base, bump = _p2_p3(p1, x)
-    a2, a3, a4_0 = caratheodory_to_coeffs(params, coeffs, p1, p2, base)
-    _, _, a4_1 = caratheodory_to_coeffs(params, coeffs, p1, p2, base + bump)
+    a2, a3, head, tail = _p3_free_coeffs(params, coeffs, p1, p2)
+    a4_0 = _a4(params, coeffs, head, tail, base)
+    a4_1 = _a4(params, coeffs, head, tail, base + bump)
     e0 = a2 * a4_0 - a3**2
     e1 = a2 * (a4_1 - a4_0)
     return e0, e1
@@ -473,36 +486,36 @@ def verify_class_membership_bounds(
 # -- Caratheodory lemma sweeps ---------------------------------------------------------
 
 
-def _caratheodory_grid(density: int):
-    p1, _, _, x = polar_grid(2.0, density)
-    return p1, x, _p2_p3(p1, x)[0]
-
-
 def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
-    """Sweep |p2 - v p1^2| against its three-branch bound and the refinements."""
-    p1, x, p2 = _caratheodory_grid(grid_density)
-    lhs = np.abs(p2 - v * p1**2)
+    """Sweep |p2 - v p1^2| against its three-branch bound and the refinements.
+
+    Each slab of the polar grid contributes its own maxima; a maximum of
+    maxima is the maximum, so the report holds the bits of a full sweep.
+    """
     if v <= 0:
         bound = -4 * v + 2
     elif v <= 1:
         bound = 2.0
     else:
         bound = 4 * v - 2
-    report = {
-        "v": v,
-        "bound": float(bound),
-        "max_lhs": float(lhs.max()),
-        "max_violation": float((lhs - bound).max()),
-    }
+    weights = {}  # refinement: weight of |p1|^2 added to the left side
     if 0 < v <= 0.5:
-        refined = lhs + v * np.abs(p1) ** 2
-        report["max_refined1"] = float(refined.max())
-        report["max_violation_refined1"] = float((refined - 2).max())
+        weights["refined1"] = v
     if 0.5 <= v < 1:
-        refined = lhs + (1 - v) * np.abs(p1) ** 2
-        report["max_refined2"] = float(refined.max())
-        report["max_violation_refined2"] = float((refined - 2).max())
-    return report
+        weights["refined2"] = 1 - v
+    p1, _, _, x = polar_grid(2.0, grid_density)
+    peaks = {}
+    for rows in polar_slabs(grid_density):
+        t = p1[rows]
+        lhs = np.abs(_p2(t, x) - v * t**2)
+        slab = {"max_lhs": lhs.max(), "max_violation": (lhs - bound).max()}
+        for name, weight in weights.items():
+            refined = lhs + weight * np.abs(t) ** 2
+            slab[f"max_{name}"] = refined.max()
+            slab[f"max_violation_{name}"] = (refined - 2).max()
+        for key, peak in slab.items():
+            peaks[key] = max(peaks.get(key, peak), peak)
+    return {"v": v, "bound": float(bound)} | {k: float(peak) for k, peak in peaks.items()}
 
 
 def eq_p31_check(grid_density: int = 64) -> dict:
@@ -510,35 +523,47 @@ def eq_p31_check(grid_density: int = 64) -> dict:
 
     The sweep covers the polar (p1, x) grid times 16 unimodular y. With
     p3 = base + bump y, the combination is A + bump y for the y-free
-    A = base - 2 p1 p2 + p1^3, so |A| + bump bounds it over all y. The pass at
-    the first y gives an attained value L, and only grid points with
-    |A| + bump >= L - 1e-9 are evaluated at all 16 y, by the same expression
-    as the full sweep, so the maximum is the full sweep's to the bit.
+    A = base - 2 p1 p2 + p1^3, so |A| + bump bounds it over all y. The grid
+    is swept in :func:`polar_slabs`, with a running lower bound L: the
+    largest value at the first y seen so far. In each slab only the points
+    with |A| + bump >= L - 1e-9 are evaluated at all 16 y, by the same
+    expression as the full sweep. L never exceeds its final value, the
+    largest value at the first y over the whole grid, so the evaluated points
+    include every point of a pruning by that final value: the point attaining
+    it, and every point that can reach the maximum. Any point left out has
+    all 16 values below the final L, and the maximum is the full sweep's to
+    the bit.
 
     The quartic combination involving p4 has no three-parameter formula, so
     it is checked on power-map samples w(z) = lam z^m where all p_k are
     available in closed form (p_k = 2 lam^(k/m) when m | k, else 0).
     """
     p1, _, _, x = polar_grid(2.0, grid_density)
-    p1, x = p1[..., None], x[..., None]
+    x = x[..., None]
     ys = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-    p2, base, bump = _p2_p3(p1, x)
-    two_p1_p2 = 2 * p1 * p2
-    p1_cubed = np.broadcast_to(p1**3, p2.shape)
+    lower = max_cubic = max_violation = -math.inf
+    for rows in polar_slabs(grid_density):
+        t = p1[rows][..., None]
+        p2, base, bump = _p2_p3(t, x)
+        two_p1_p2 = 2 * t * p2
+        p1_cubed = np.broadcast_to(t**3, p2.shape)
 
-    def cubic(at, y):
-        return np.abs(base[at] + bump[at] * y - two_p1_p2[at] + p1_cubed[at])
+        def cubic(at, y):
+            return np.abs(base[at] + bump[at] * y - two_p1_p2[at] + p1_cubed[at])
 
-    lower = cubic(..., ys[0]).max()
-    # The few operations behind |A| + bump and behind each computed
-    # |A + bump y| act on magnitudes of at most 40, so each rounds off by less
-    # than 1e-13: a point whose bound falls short of L by the 1e-9 slack holds
-    # no value as large as L, let alone the maximum.
-    keep = np.abs(base - two_p1_p2 + p1_cubed) + bump >= lower - 1e-9
-    values = cubic(tuple(i[:, None] for i in keep.nonzero()), ys)  # (survivor, y)
+        lower = max(lower, cubic(..., ys[0]).max())
+        # The few operations behind |A| + bump and behind each computed
+        # |A + bump y| act on magnitudes of at most 40, so each rounds off by
+        # less than 1e-13: a point whose bound falls short of L by the 1e-9
+        # slack holds no value as large as L, let alone the maximum.
+        keep = np.abs(base - two_p1_p2 + p1_cubed) + bump >= lower - 1e-9
+        if keep.any():
+            values = cubic(tuple(i[:, None] for i in keep.nonzero()), ys)  # (survivor, y)
+            max_cubic = max(max_cubic, values.max())
+            max_violation = max(max_violation, (values - 2).max())
     report = {
-        "max_cubic": float(values.max()),
-        "max_violation_cubic": float((values - 2).max()),
+        "max_cubic": float(max_cubic),
+        "max_violation_cubic": float(max_violation),
     }
     worst_quartic = 0.0
     for m in (1, 2, 3, 4):

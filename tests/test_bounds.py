@@ -29,6 +29,8 @@ from gft.bounds import (
     hankel_quadratic_coefficients,
     max_quadratic_0_4,
     minimize,
+    polar_grid,
+    polar_slabs,
     q_params_a2a3_a4,
     q_params_a4,
     schwarz_functional_H,
@@ -345,6 +347,22 @@ class TestSchwarzFunctionalH:
     def test_density_validated(self):
         with pytest.raises(ValueError):
             schwarz_functional_H(0, 0, 16)
+
+    # 33 and 37 leave a ragged last slab; at 96 a slab is a single row
+    @pytest.mark.parametrize("density", [32, 33, 37, 48, 96])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("q_params", [q_params_a4, q_params_a2a3_a4])
+    def test_slabbed_grid_equals_full_tensor(self, grid_calls, q_params, alpha, density):
+        q1, q2 = q_params(alpha_class_params(alpha), (1.0, 0.5, 1.0 / 3.0))
+        schwarz_functional_H(float(q1), float(q2), density)
+        (call,) = grid_calls
+        t, _, _, x = polar_grid(1.0, density)
+        full = call.on_grid(t, x)
+        slabbed = call.assembled()
+        assert len(call.slabs) == len(polar_slabs(density)) > 1
+        assert np.array_equal(slabbed.view(np.uint64), full.view(np.uint64))
+        assert np.argmax(slabbed) == np.argmax(full)
+        assert repr(call.result) == repr(call.unslabbed(full))
 
 
 class TestMinimizeMatchesScipy:

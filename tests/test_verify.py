@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gft.bounds import PhiCoeffs, alpha_class_params, h2_bound_sl, second_hankel
+from gft import verify
+from gft.bounds import (
+    PhiCoeffs,
+    alpha_class_params,
+    caratheodory_to_coeffs,
+    h2_bound_sl,
+    polar_grid,
+    polar_slabs,
+    second_hankel,
+)
 from gft.catalog import make_spec
 from gft.extremal import f_from_q, t_series
 from gft.verify import (
@@ -37,6 +46,9 @@ from gft.verify import (
 from gft.series import TruncatedSeries
 
 B_PSI = PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
+PSI_FLOATS = (1.0, 0.5, 1.0 / 3.0)
+# 33 and 37 leave a ragged last slab; at 96 a slab is a single row
+SLAB_DENSITIES = [32, 33, 37, 48, 96]
 
 
 class TestCaratheodoryPoint:
@@ -353,6 +365,46 @@ def test_membership_sample_count_below_one_rejected(count):
         verify_class_membership_bounds(count)
 
 
+def _coeffs_reference(params, coeffs, p1, p2, p3):
+    """(a2, a3, a4) with a4 as one expression, before its p3-free part was shared."""
+    g2, g3 = params.g2, params.g3
+    h2, h3 = params.h2, params.h3
+    u, v, w = params.u, params.v, params.w
+    b1, b2, b3 = coeffs
+    a2 = b1 * p1 / (2 * u)
+    a3 = (b2 * p1**2 * u - b1 * (p1**2 - 2 * p2) * u + b1**2 * p1**2 * h2) / (4 * u * v)
+    a4 = (
+        p1 * (-2 * b2 * p1**2 + b3 * p1**2 + 4 * b2 * p2) * u * v
+        + b1**3 * p1**3 * h2 * h3
+        - b1**2 * p1 * (p1**2 - 2 * p2) * (g3 * h2 + (g2 - 2 * h2) * h3)
+        + b1
+        * (
+            p1**3
+            * (
+                g2 * (g3 + (b2 - 1) * h3)
+                + h2 * ((b2 - 1) * g3 + h3 - 2 * b2 * h3)
+            )
+            - 4 * p1 * p2 * u * v
+            + 4 * p3 * u * v
+        )
+    ) / (8 * u * v * w)
+    return a2, a3, a4
+
+
+def _hankel_grid_reference(params, coeffs, density):
+    """The Hankel oracle's grid values on the full (d, d, d) tensor, by two
+    whole-formula coefficient calls."""
+    p1, _, _, x = polar_grid(2.0, density)
+    p1 = p1 + 0j
+    s = 4 - p1**2
+    p2 = (p1**2 + x * s) / 2
+    base = (p1**3 + 2 * p1 * s * x - p1 * s * x**2) / 4
+    bump = 2 * s * (1 - np.abs(x) ** 2) / 4
+    a2, a3, a4_0 = _coeffs_reference(params, coeffs, p1, p2, base)
+    _, _, a4_1 = _coeffs_reference(params, coeffs, p1, p2, base + bump)
+    return np.abs(a2 * a4_0 - a3**2) + np.abs(a2 * (a4_1 - a4_0))
+
+
 class TestHankelOracle:
     def test_sharp_at_starlike_end(self):
         val = maximize_second_hankel_oracle(alpha_class_params(0.0), B_PSI, 64)
@@ -386,6 +438,40 @@ class TestHankelOracle:
     def test_density_validated(self):
         with pytest.raises(ValueError):
             maximize_second_hankel_oracle(alpha_class_params(0.0), B_PSI, 16)
+
+    @pytest.mark.parametrize("density", SLAB_DENSITIES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_slabbed_grid_equals_two_call_full_tensor(self, grid_calls, alpha, density):
+        params = alpha_class_params(alpha)
+        value = maximize_second_hankel_oracle(params, B_PSI, density)
+        (call,) = grid_calls
+        full = _hankel_grid_reference(params, PSI_FLOATS, density)
+        slabbed = call.assembled()
+        assert len(call.slabs) == len(polar_slabs(density)) > 1
+        assert np.array_equal(slabbed.view(np.uint64), full.view(np.uint64))
+        assert np.argmax(slabbed) == np.argmax(full)
+        assert repr(value) == repr(float(call.unslabbed(full)[0]))
+
+    @given(
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2 * math.pi, exclude_max=True),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_part_halves_equal_two_coefficient_calls(self, p, r, phi, alpha):
+        # the scalar arguments the polish passes: a complex p1, a numpy-scalar x
+        params = alpha_class_params(alpha)
+        p1, x = complex(p), np.float64(r) * cmath.exp(1j * phi)
+        p2, base, bump = verify._p2_p3(p1, x)
+        calls = [caratheodory_to_coeffs(params, PSI_FLOATS, p1, p2, p3) for p3 in (base, base + bump)]
+        for p3, got in zip((base, base + bump), calls):
+            ref = _coeffs_reference(params, PSI_FLOATS, p1, p2, p3)
+            assert np.array(got).view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
+        (a2, a3, a4_0), (_, _, a4_1) = calls
+        want = np.array([a2 * a4_0 - a3**2, a2 * (a4_1 - a4_0)])
+        got = np.array(verify._hankel_halves(params, PSI_FLOATS, p1, x))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +545,25 @@ def _full_p31_tensor(density):
     return np.abs(p3 - 2 * p1 * p2 + p1**3)
 
 
+def _lemma_reference(v, density):
+    """lemma_p1p2_check on the full (d, d, d) tensor."""
+    p1, _, _, x = polar_grid(2.0, density)
+    s = 4 - p1**2
+    lhs = np.abs((p1**2 + x * s) / 2 - v * p1**2)
+    bound = -4 * v + 2 if v <= 0 else (2.0 if v <= 1 else 4 * v - 2)
+    report = {"v": v, "bound": float(bound), "max_lhs": float(lhs.max()),
+              "max_violation": float((lhs - bound).max())}
+    if 0 < v <= 0.5:
+        refined = lhs + v * np.abs(p1) ** 2
+        report["max_refined1"] = float(refined.max())
+        report["max_violation_refined1"] = float((refined - 2).max())
+    if 0.5 <= v < 1:
+        refined = lhs + (1 - v) * np.abs(p1) ** 2
+        report["max_refined2"] = float(refined.max())
+        report["max_violation_refined2"] = float((refined - 2).max())
+    return report
+
+
 class TestLemmaSweeps:
     def test_v_zero(self):
         rep = lemma_p1p2_check(0.0)
@@ -497,6 +602,17 @@ class TestLemmaSweeps:
         full = _full_p31_tensor(density)
         assert rep["max_cubic"] == float(full.max())
         assert rep["max_violation_cubic"] == float((full - 2).max())
+
+    @pytest.mark.parametrize("density", SLAB_DENSITIES)
+    def test_slabbed_p1p2_sweep_equals_full_tensor(self, density):
+        for v in (-1.0, -0.5, 0.0, 0.25, 0.4, 0.5, 0.75, 23.0 / 24.0, 1.0, 1.5, 3.0):
+            assert repr(lemma_p1p2_check(v, density)) == repr(_lemma_reference(v, density))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            lemma_p1p2_check(0.0, 0)
+        with pytest.raises(ValueError):
+            eq_p31_check(0)
 
     def test_p31_report_fields_are_plain_floats(self):
         rep = eq_p31_check(32)
