@@ -9,34 +9,10 @@ Modules:
 - :mod:`gft.bounds`   coefficient-functional bounds for convolution classes
 - :mod:`gft.verify`   brute-force sampling and sweep oracles
 - :mod:`gft.cli`      the ``gft`` command-line front end
-"""
 
-from .series import TruncatedSeries
-from .catalog import make_spec, counterpart, classify, in_psi_image
-from .extremal import t_series, d_series, f_from_q, growth_constant
-from .radius import (
-    RadiusResult,
-    radius_starlike_order,
-    radius_M_beta,
-    radius_convex_order,
-    radius_strongly_starlike,
-    radius_k_starlike,
-    majorization_radius,
-    inclusion_constants,
-    re_im_envelope,
-    curve_points,
-)
-from .bounds import (
-    ClassParams,
-    PhiCoeffs,
-    BoundReport,
-    alpha_class_params,
-    fekete_szego,
-    second_hankel,
-    second_hankel_symmetric,
-    schwarz_functional_H,
-    a4_bound,
-    a2a3_a4_bound,
-)
+Import the module you need (``from gft import radius``): the package itself
+imports none of them, so a ``gft`` process loads only the modules its
+subcommand runs.
+"""
 
 __version__ = "0.1.0"

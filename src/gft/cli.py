@@ -25,9 +25,14 @@ subcommand does not render is rejected, while a file ``seed`` is a default
 that unseeded runs ignore.  Exit codes: 0 success, 1 computation rejected,
 2 usage error.
 
-Only the numeric ``verify`` suites import numpy (through :mod:`gft.verify`),
-so the closed-form subcommands and the exact ``verify --suite conjecture``
-start without it; numpy is the only runtime dependency.
+Each subcommand imports the library modules it runs, when it runs them:
+``radius`` and ``curves`` load :mod:`gft.radius`, ``bound`` loads
+:mod:`gft.bounds`, ``classify`` loads :mod:`gft.catalog` (and through it
+:mod:`gft.series`), ``extremal`` and ``verify --suite conjecture`` load
+:mod:`gft.extremal` as well, and the numeric ``verify`` suites load
+:mod:`gft.verify`, which brings in every other module and numpy. So the parser
+keeps its own copies of the ``--phi`` and ``--id`` choices (``PHI_NAMES`` and
+``CURVE_IDS``). numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -41,9 +46,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-
-from . import bounds, catalog, extremal, radius
 
 __all__ = ["Config", "load_config", "main"]
 
@@ -61,6 +63,12 @@ FORMATS = {
     "verify": ("json",),
     "classify": ("json",),
 }
+
+# the --phi and --id choices: catalog.CATALOG_NAMES and radius.CURVE_IDS, copied
+# so that building the parser imports neither module
+PHI_NAMES = ("cos_sqrt_minus_z", "cos_sqrt_z", "one_minus_log_one_minus_z", "psi",
+             "sqrt_1_minus_z", "sqrt_1_plus_z")
+CURVE_IDS = ("tau", "tau1", "tau2", "tau3", "tau4")
 
 
 @dataclass
@@ -121,35 +129,105 @@ def _finite(x: float) -> float:
 
 # -- selector tables -------------------------------------------------------------------
 # Each entry's parameters are the optional flags it reads, with their defaults.
+# Each imports the library module it calls when it runs.
+
+
+def _starlike_order(alpha):
+    from . import radius
+
+    return {"alpha": alpha, "radius": _finite(radius.radius_starlike_order(alpha))}
+
+
+def _m_beta(beta):
+    from . import radius
+
+    return {"beta": beta, "radius": _finite(radius.radius_M_beta(beta))}
+
+
+def _convex(alpha):
+    from . import radius
+
+    return dict(radius.radius_convex_order(alpha).as_dict(), alpha=alpha)
+
+
+def _strongly_starlike(gamma):
+    from . import radius
+
+    return {"gamma": gamma, "gammaMax": radius.strongly_starlike_gamma_max(),
+            "radius": _finite(radius.radius_strongly_starlike(gamma))}
+
+
+def _k_starlike(k):
+    from . import radius
+
+    return dict(radius.radius_k_starlike(k).as_dict(), k=k)
+
+
+def _majorization():
+    from . import radius
+
+    return radius.majorization_radius().as_dict()
+
+
+def _inclusion():
+    from . import radius
+
+    return radius.inclusion_constants().as_dict()
 
 
 RADIUS_PROBLEMS = {
-    "starlike-order": lambda alpha: {
-        "alpha": alpha, "radius": _finite(radius.radius_starlike_order(alpha))},
-    "m-beta": lambda beta: {"beta": beta, "radius": _finite(radius.radius_M_beta(beta))},
-    "convex": lambda alpha: dict(radius.radius_convex_order(alpha).as_dict(), alpha=alpha),
-    "strongly-starlike": lambda gamma: {
-        "gamma": gamma,
-        "gammaMax": radius.strongly_starlike_gamma_max(),
-        "radius": _finite(radius.radius_strongly_starlike(gamma)),
-    },
-    "k-starlike": lambda k: dict(radius.radius_k_starlike(k).as_dict(), k=k),
-    "majorization": lambda: radius.majorization_radius().as_dict(),
-    "inclusion": lambda: radius.inclusion_constants().as_dict(),
+    "starlike-order": _starlike_order,
+    "m-beta": _m_beta,
+    "convex": _convex,
+    "strongly-starlike": _strongly_starlike,
+    "k-starlike": _k_starlike,
+    "majorization": _majorization,
+    "inclusion": _inclusion,
 }
 
-SL_BOUNDS = {
-    "fekete": lambda alpha=0.0, t=1.0: bounds.fekete_szego_sl(alpha, t),
-    "h2": lambda alpha=0.0: bounds.h2_bound_sl(alpha),
-    "a4": lambda alpha=0.0: bounds.a4_bound_sl(alpha),
-    "a2a3a4": lambda alpha=0.0: bounds.a2a3_a4_bound_sl(alpha),
-    "a5": lambda alpha=0.0: bounds.a5_bound_sl(alpha),
-    "h3": lambda alpha=0.0: (
-        bounds.h3_bound_sl_star() if alpha == 0 else bounds.h3_bound_sl_alpha(alpha)),
-}
+
+def _fekete(alpha=0.0, t=1.0):
+    from . import bounds
+
+    return bounds.fekete_szego_sl(alpha, t)
+
+
+def _h2(alpha=0.0):
+    from . import bounds
+
+    return bounds.h2_bound_sl(alpha)
+
+
+def _a4(alpha=0.0):
+    from . import bounds
+
+    return bounds.a4_bound_sl(alpha)
+
+
+def _a2a3a4(alpha=0.0):
+    from . import bounds
+
+    return bounds.a2a3_a4_bound_sl(alpha)
+
+
+def _a5(alpha=0.0):
+    from . import bounds
+
+    return bounds.a5_bound_sl(alpha)
+
+
+def _h3(alpha=0.0):
+    from . import bounds
+
+    return bounds.h3_bound_sl_star() if alpha == 0 else bounds.h3_bound_sl_alpha(alpha)
+
+
+SL_BOUNDS = {"fekete": _fekete, "h2": _h2, "a4": _a4, "a2a3a4": _a2a3a4, "a5": _a5, "h3": _h3}
 
 
 def _symmetric_h2(kind: str, b1=1.0, b2=0.5, b3=1.0 / 3.0):
+    from . import bounds
+
     return bounds.second_hankel_symmetric(kind, bounds.PhiCoeffs(b1, b2, b3))
 
 
@@ -161,7 +239,7 @@ def _select_bound(args):
     return functools.partial(_symmetric_h2, args.klass.removeprefix("symmetric-"))
 
 
-# The numeric suites import gft.verify (and so numpy) when they run.
+# The numeric suites import gft.verify, and so numpy.
 
 
 def _membership(seed, samples=200):  # seed: --seed, else the GFT_CONFIG value
@@ -174,7 +252,7 @@ def _membership(seed, samples=200):  # seed: --seed, else the GFT_CONFIG value
 
 
 def _hankel(density=64):
-    from . import verify
+    from . import bounds, verify
 
     rows = []
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -213,6 +291,8 @@ def _bloch():
 
 
 def _conjecture():  # exact, so it runs without numpy
+    from . import extremal
+
     report = extremal.conjecture_check(5, 10)
     return {"suite": "conjecture", **report, "failed": bool(report["violations"])}
 
@@ -261,6 +341,10 @@ def _cmd_bound(args, cfg: Config, out) -> int:
 
 
 def _cmd_extremal(args, cfg: Config, out) -> int:
+    from fractions import Fraction
+
+    from . import catalog, extremal
+
     spec = catalog.make_spec(args.phi)
     builder = extremal.t_series if args.kind == "t" else extremal.d_series
     fn = builder(spec, args.n, args.order, exact=True)
@@ -282,6 +366,8 @@ def _cmd_extremal(args, cfg: Config, out) -> int:
 
 
 def _cmd_curves(args, cfg: Config, out) -> int:
+    from . import radius
+
     points = radius.curve_points(args.id, args.samples)
     if cfg.output_format == "json":
         payload = {
@@ -305,6 +391,8 @@ def _cmd_verify(args, cfg: Config, out) -> int:
 
 
 def _cmd_classify(args, cfg: Config, out) -> int:
+    from . import catalog
+
     spec = catalog.make_spec(args.phi)
     record = catalog.classify(spec, grid_size=args.grid)
     payload = {
@@ -358,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("extremal", help="structural-function coefficients")
-    p.add_argument("--phi", required=True, choices=catalog.CATALOG_NAMES)
+    p.add_argument("--phi", required=True, choices=PHI_NAMES)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--kind", choices=("t", "d"), default="t")
     p.set_defaults(handler=_cmd_extremal)
 
     p = sub.add_parser("curves", help="boundary-curve samples")
-    p.add_argument("--id", required=True, choices=radius.CURVE_IDS)
+    p.add_argument("--id", required=True, choices=CURVE_IDS)
     p.add_argument("--samples", type=int, default=256)
     p.set_defaults(handler=_cmd_curves)
 
@@ -375,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("classify", help="grid classification of a generator")
-    p.add_argument("--phi", required=True, choices=catalog.CATALOG_NAMES)
+    p.add_argument("--phi", required=True, choices=PHI_NAMES)
     p.add_argument("--grid", type=int, default=256)
     p.set_defaults(handler=_cmd_classify)
 

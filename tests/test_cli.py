@@ -7,10 +7,13 @@ import math
 
 import pytest
 
+from gft import catalog, radius
 from gft.cli import (
+    CURVE_IDS,
     EXIT_OK,
     EXIT_REJECTED,
     EXIT_USAGE,
+    PHI_NAMES,
     RADIUS_PROBLEMS,
     SL_BOUNDS,
     SUITES,
@@ -259,6 +262,20 @@ class TestContracts:
     def test_unknown_flag_usage_error(self):
         code, _ = run_cli(["radius", "--problem", "majorization", "--frob", "1"])
         assert code == EXIT_USAGE
+
+    def test_parser_choices_are_the_library_names(self):
+        assert PHI_NAMES == catalog.CATALOG_NAMES
+        assert CURVE_IDS == radius.CURVE_IDS
+
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--phi", "log_one_plus_z"],
+        ["classify", "--phi", "PSI", "--grid", "64"],
+        ["curves", "--id", "tau5"],
+    ])
+    def test_unknown_choice_usage_error(self, argv):
+        code, out = run_cli(argv)
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_config_file_and_flag_precedence(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "gft.cfg"

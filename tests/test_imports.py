@@ -1,8 +1,9 @@
-"""Import boundaries: each subcommand loads only the heavy modules it runs.
+"""Import boundaries: each subcommand loads only the modules it runs.
 
-numpy and :mod:`gft.verify` are imported on first use, so the closed-form
-subcommands and the exact conjecture suite start without them, and no
-subcommand loads scipy.
+``import gft`` loads no submodule, and the CLI imports each gft module when a
+subcommand first runs it. numpy comes in only with :mod:`gft.verify`, so the
+closed-form subcommands and the exact conjecture suite start without it, and
+no subcommand loads scipy.
 Every check runs in a fresh interpreter, because the test process itself has
 long since loaded them all.
 """
@@ -18,7 +19,6 @@ import pytest
 import gft
 
 SRC = str(pathlib.Path(gft.__file__).resolve().parents[1])
-HEAVY = ("numpy", "scipy", "scipy.optimize", "gft.verify")
 
 
 def run_fresh(code: str):
@@ -31,27 +31,41 @@ def run_fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-LOADED = f"[m for m in {HEAVY!r} if m in sys.modules]"
+# every gft module loaded, and numpy or scipy if loaded
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'gft' or m in ('numpy', 'scipy'))"
+
+
+def test_package_import_loads_no_submodule():
+    assert run_fresh(f"import sys, gft; print(__import__('json').dumps({LOADED}))") == ["gft"]
 
 
 def test_cli_import_loads_no_heavy_module():
-    assert run_fresh(f"import sys, gft.cli; print(__import__('json').dumps({LOADED}))") == []
+    assert run_fresh(f"import sys, gft.cli; print(__import__('json').dumps({LOADED}))") == [
+        "gft", "gft.cli"]
 
+
+CLI = ["gft", "gft.cli"]
+RADIUS = ["gft", "gft.cli", "gft.radius"]
+BOUNDS = ["gft", "gft.bounds", "gft.cli"]
+CLASSIFY = ["gft", "gft.catalog", "gft.cli", "gft.series"]
+EXTREMAL = ["gft", "gft.catalog", "gft.cli", "gft.extremal", "gft.series"]
+NUMERIC = ["gft", "gft.bounds", "gft.catalog", "gft.cli", "gft.extremal", "gft.radius",
+           "gft.series", "gft.verify", "numpy"]
 
 CASES = [
-    (["radius", "--problem", "inclusion"], []),
-    (["radius", "--problem", "k-starlike", "--k", "1"], []),
-    (["bound", "--class", "sl", "--alpha", "0.5", "--which", "a4"], []),
-    (["bound", "--class", "symmetric-convex", "--which", "h2"], []),
-    (["extremal", "--phi", "psi", "--n", "2", "--order", "8"], []),
-    (["--format", "text", "extremal", "--phi", "cos_sqrt_z", "--kind", "d"], []),
-    (["curves", "--id", "tau3", "--samples", "64"], []),
-    (["--format", "json", "curves", "--id", "tau", "--samples", "64"], []),
-    (["classify", "--phi", "sqrt_1_plus_z", "--grid", "64"], []),
-    (["verify", "--suite", "conjecture"], []),
-    (["verify", "--suite", "lemmas", "--density", "32"], ["numpy", "gft.verify"]),
-    (["verify", "--suite", "bloch"], ["numpy", "gft.verify"]),
-    (["verify", "--suite", "hankel", "--density", "32"], ["numpy", "gft.verify"]),
+    (["radius", "--problem", "inclusion"], RADIUS),
+    (["radius", "--problem", "k-starlike", "--k", "1"], RADIUS),
+    (["bound", "--class", "sl", "--alpha", "0.5", "--which", "a4"], BOUNDS),
+    (["bound", "--class", "symmetric-convex", "--which", "h2"], BOUNDS),
+    (["extremal", "--phi", "psi", "--n", "2", "--order", "8"], EXTREMAL),
+    (["--format", "text", "extremal", "--phi", "cos_sqrt_z", "--kind", "d"], EXTREMAL),
+    (["curves", "--id", "tau3", "--samples", "64"], RADIUS),
+    (["--format", "json", "curves", "--id", "tau", "--samples", "64"], RADIUS),
+    (["classify", "--phi", "sqrt_1_plus_z", "--grid", "64"], CLASSIFY),
+    (["verify", "--suite", "conjecture"], EXTREMAL),
+    (["verify", "--suite", "lemmas", "--density", "32"], NUMERIC),
+    (["verify", "--suite", "bloch"], NUMERIC),
+    (["verify", "--suite", "hankel", "--density", "32"], NUMERIC),
 ]
 
 
@@ -64,7 +78,7 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded):
         f"status = cli.main({argv!r}, stream=io.StringIO())\n"
         f"print(json.dumps([status, before, {LOADED}]))\n"
     )
-    assert run_fresh(code) == [0, [], loaded]
+    assert run_fresh(code) == [0, CLI, loaded]
 
 
 def test_oracles_load_no_scipy_and_minimize_stays_the_polish_hook():

@@ -614,6 +614,21 @@ class TestLemmaSweeps:
         with pytest.raises(ValueError):
             eq_p31_check(0)
 
+    def test_power_map_quartic_is_computed_once(self):
+        # the reference: the power-map loop itself, uncached
+        worst = 0.0
+        for m in (1, 2, 3, 4):
+            for lam_abs in np.linspace(0.1, 1.0, 10).tolist():
+                for lam_arg in np.linspace(0, 2 * math.pi, 12, endpoint=False).tolist():
+                    lam = lam_abs * cmath.exp(1j * lam_arg)
+                    p = [2 * lam ** (k // m) if k % m == 0 else 0.0 for k in range(1, 5)]
+                    q = p[0] ** 4 - 3 * p[0] ** 2 * p[1] + p[1] ** 2 + 2 * p[0] * p[2] - p[3]
+                    worst = max(worst, abs(q))
+        first, second = eq_p31_check(32), eq_p31_check(32)
+        assert first["max_quartic_on_power_maps"] == worst
+        assert repr(first) == repr(second)
+        assert verify._max_quartic_on_power_maps.cache_info().misses == 1
+
     def test_p31_report_fields_are_plain_floats(self):
         rep = eq_p31_check(32)
         assert set(rep) == {"max_cubic", "max_violation_cubic",
