@@ -16,3 +16,11 @@ subcommand runs.
 """
 
 __version__ = "0.1.0"
+
+# The catalog's generator names (base entries and their mirrors, sorted) and
+# the ids of radius.curve_points. They live here so that the CLI parser can
+# offer them as choices without loading either module; catalog checks its
+# entries against CATALOG_NAMES when it loads.
+CATALOG_NAMES = ("cos_sqrt_minus_z", "cos_sqrt_z", "one_minus_log_one_minus_z", "psi",
+                 "sqrt_1_minus_z", "sqrt_1_plus_z")
+CURVE_IDS = ("tau", "tau1", "tau2", "tau3", "tau4")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from . import CATALOG_NAMES
 from .series import TruncatedSeries
 
 __all__ = [
@@ -89,7 +90,8 @@ _MIRROR = {
 }
 _BASE = {mirror: base for base, mirror in _MIRROR.items()}
 
-CATALOG_NAMES = tuple(sorted([*_CATALOG, *_BASE]))
+if CATALOG_NAMES != tuple(sorted([*_CATALOG, *_BASE])):
+    raise ImportError("gft.CATALOG_NAMES must list every catalog entry and mirror, sorted")
 
 
 def make_spec(name: str) -> MaMindaSpec:

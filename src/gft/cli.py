@@ -30,9 +30,10 @@ Each subcommand imports the library modules it runs, when it runs them:
 :mod:`gft.bounds`, ``classify`` loads :mod:`gft.catalog` (and through it
 :mod:`gft.series`), ``extremal`` and ``verify --suite conjecture`` load
 :mod:`gft.extremal` as well, and the numeric ``verify`` suites load
-:mod:`gft.verify`, which brings in every other module and numpy. So the parser
-keeps its own copies of the ``--phi`` and ``--id`` choices (``PHI_NAMES`` and
-``CURVE_IDS``). numpy is the only runtime dependency.
+:mod:`gft.verify`, which brings in every other module and numpy. The parser
+takes its ``--phi`` and ``--id`` choices from the package (``gft.CATALOG_NAMES``
+and ``gft.CURVE_IDS``), so building it loads no library module. numpy is the
+only runtime dependency.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+
+from . import CATALOG_NAMES, CURVE_IDS
 
 __all__ = ["Config", "load_config", "main"]
 
@@ -63,12 +66,6 @@ FORMATS = {
     "verify": ("json",),
     "classify": ("json",),
 }
-
-# the --phi and --id choices: catalog.CATALOG_NAMES and radius.CURVE_IDS, copied
-# so that building the parser imports neither module
-PHI_NAMES = ("cos_sqrt_minus_z", "cos_sqrt_z", "one_minus_log_one_minus_z", "psi",
-             "sqrt_1_minus_z", "sqrt_1_plus_z")
-CURVE_IDS = ("tau", "tau1", "tau2", "tau3", "tau4")
 
 
 @dataclass
@@ -129,105 +126,37 @@ def _finite(x: float) -> float:
 
 # -- selector tables -------------------------------------------------------------------
 # Each entry's parameters are the optional flags it reads, with their defaults.
-# Each imports the library module it calls when it runs.
-
-
-def _starlike_order(alpha):
-    from . import radius
-
-    return {"alpha": alpha, "radius": _finite(radius.radius_starlike_order(alpha))}
-
-
-def _m_beta(beta):
-    from . import radius
-
-    return {"beta": beta, "radius": _finite(radius.radius_M_beta(beta))}
-
-
-def _convex(alpha):
-    from . import radius
-
-    return dict(radius.radius_convex_order(alpha).as_dict(), alpha=alpha)
-
-
-def _strongly_starlike(gamma):
-    from . import radius
-
-    return {"gamma": gamma, "gammaMax": radius.strongly_starlike_gamma_max(),
-            "radius": _finite(radius.radius_strongly_starlike(gamma))}
-
-
-def _k_starlike(k):
-    from . import radius
-
-    return dict(radius.radius_k_starlike(k).as_dict(), k=k)
-
-
-def _majorization():
-    from . import radius
-
-    return radius.majorization_radius().as_dict()
-
-
-def _inclusion():
-    from . import radius
-
-    return radius.inclusion_constants().as_dict()
+# The radius and bound entries call the modules that _cmd_radius and _cmd_bound
+# import as globals before they run an entry.
 
 
 RADIUS_PROBLEMS = {
-    "starlike-order": _starlike_order,
-    "m-beta": _m_beta,
-    "convex": _convex,
-    "strongly-starlike": _strongly_starlike,
-    "k-starlike": _k_starlike,
-    "majorization": _majorization,
-    "inclusion": _inclusion,
+    "starlike-order": lambda alpha: {
+        "alpha": alpha, "radius": _finite(radius.radius_starlike_order(alpha))},
+    "m-beta": lambda beta: {"beta": beta, "radius": _finite(radius.radius_M_beta(beta))},
+    "convex": lambda alpha: dict(radius.radius_convex_order(alpha).as_dict(), alpha=alpha),
+    "strongly-starlike": lambda gamma: {
+        "gamma": gamma,
+        "gammaMax": radius.strongly_starlike_gamma_max(),
+        "radius": _finite(radius.radius_strongly_starlike(gamma)),
+    },
+    "k-starlike": lambda k: dict(radius.radius_k_starlike(k).as_dict(), k=k),
+    "majorization": lambda: radius.majorization_radius().as_dict(),
+    "inclusion": lambda: radius.inclusion_constants().as_dict(),
+}
+
+SL_BOUNDS = {
+    "fekete": lambda alpha=0.0, t=1.0: bounds.fekete_szego_sl(alpha, t),
+    "h2": lambda alpha=0.0: bounds.h2_bound_sl(alpha),
+    "a4": lambda alpha=0.0: bounds.a4_bound_sl(alpha),
+    "a2a3a4": lambda alpha=0.0: bounds.a2a3_a4_bound_sl(alpha),
+    "a5": lambda alpha=0.0: bounds.a5_bound_sl(alpha),
+    "h3": lambda alpha=0.0: (
+        bounds.h3_bound_sl_star() if alpha == 0 else bounds.h3_bound_sl_alpha(alpha)),
 }
 
 
-def _fekete(alpha=0.0, t=1.0):
-    from . import bounds
-
-    return bounds.fekete_szego_sl(alpha, t)
-
-
-def _h2(alpha=0.0):
-    from . import bounds
-
-    return bounds.h2_bound_sl(alpha)
-
-
-def _a4(alpha=0.0):
-    from . import bounds
-
-    return bounds.a4_bound_sl(alpha)
-
-
-def _a2a3a4(alpha=0.0):
-    from . import bounds
-
-    return bounds.a2a3_a4_bound_sl(alpha)
-
-
-def _a5(alpha=0.0):
-    from . import bounds
-
-    return bounds.a5_bound_sl(alpha)
-
-
-def _h3(alpha=0.0):
-    from . import bounds
-
-    return bounds.h3_bound_sl_star() if alpha == 0 else bounds.h3_bound_sl_alpha(alpha)
-
-
-SL_BOUNDS = {"fekete": _fekete, "h2": _h2, "a4": _a4, "a2a3a4": _a2a3a4, "a5": _a5, "h3": _h3}
-
-
 def _symmetric_h2(kind: str, b1=1.0, b2=0.5, b3=1.0 / 3.0):
-    from . import bounds
-
     return bounds.second_hankel_symmetric(kind, bounds.PhiCoeffs(b1, b2, b3))
 
 
@@ -239,7 +168,7 @@ def _select_bound(args):
     return functools.partial(_symmetric_h2, args.klass.removeprefix("symmetric-"))
 
 
-# The numeric suites import gft.verify, and so numpy.
+# The numeric suites import gft.verify (and so numpy) when they run.
 
 
 def _membership(seed, samples=200):  # seed: --seed, else the GFT_CONFIG value
@@ -322,6 +251,9 @@ SUITES = {
 
 
 def _cmd_radius(args, cfg: Config, out) -> int:
+    global radius
+    from . import radius
+
     payload = dict(args.run(), problem=args.problem)
     if cfg.output_format == "text":
         for key in sorted(payload):
@@ -332,6 +264,9 @@ def _cmd_radius(args, cfg: Config, out) -> int:
 
 
 def _cmd_bound(args, cfg: Config, out) -> int:
+    global bounds
+    from . import bounds
+
     payload = args.run().as_dict()
     if cfg.output_format == "text":
         out.write(f"value: {payload['value']}\ncase: {payload['caseLabel']}\n")
@@ -446,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("extremal", help="structural-function coefficients")
-    p.add_argument("--phi", required=True, choices=PHI_NAMES)
+    p.add_argument("--phi", required=True, choices=CATALOG_NAMES)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--kind", choices=("t", "d"), default="t")
@@ -463,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("classify", help="grid classification of a generator")
-    p.add_argument("--phi", required=True, choices=PHI_NAMES)
+    p.add_argument("--phi", required=True, choices=CATALOG_NAMES)
     p.add_argument("--grid", type=int, default=256)
     p.set_defaults(handler=_cmd_classify)
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import CURVE_IDS
+
 __all__ = [
     "RadiusResult",
     "InclusionConstants",
@@ -238,8 +240,6 @@ def re_im_envelope(r: float) -> dict:
 
 
 # -- figure curves -------------------------------------------------------------
-
-CURVE_IDS = ("tau", "tau1", "tau2", "tau3", "tau4")
 
 _TAU2_RAY_LENGTH = 3.0
 

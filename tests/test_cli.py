@@ -7,13 +7,12 @@ import math
 
 import pytest
 
+import gft
 from gft import catalog, radius
 from gft.cli import (
-    CURVE_IDS,
     EXIT_OK,
     EXIT_REJECTED,
     EXIT_USAGE,
-    PHI_NAMES,
     RADIUS_PROBLEMS,
     SL_BOUNDS,
     SUITES,
@@ -264,8 +263,17 @@ class TestContracts:
         assert code == EXIT_USAGE
 
     def test_parser_choices_are_the_library_names(self):
-        assert PHI_NAMES == catalog.CATALOG_NAMES
-        assert CURVE_IDS == radius.CURVE_IDS
+        assert catalog.CATALOG_NAMES is gft.CATALOG_NAMES
+        assert radius.CURVE_IDS is gft.CURVE_IDS
+        assert gft.CATALOG_NAMES == tuple(sorted([*catalog._CATALOG, *catalog._BASE]))
+        for curve_id in gft.CURVE_IDS:
+            assert radius.curve_points(curve_id, 16)
+        choices = {
+            action.dest: action.choices
+            for sub in build_parser()._subparsers._group_actions[0].choices.values()
+            for action in sub._actions if action.dest in ("phi", "id")
+        }
+        assert choices == {"phi": gft.CATALOG_NAMES, "id": gft.CURVE_IDS}
 
     @pytest.mark.parametrize("argv", [
         ["extremal", "--phi", "log_one_plus_z"],

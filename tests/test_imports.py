@@ -39,6 +39,15 @@ def test_package_import_loads_no_submodule():
     assert run_fresh(f"import sys, gft; print(__import__('json').dumps({LOADED}))") == ["gft"]
 
 
+def test_package_binds_t_series_once_extremal_loads():
+    # bench/selftest.py checks that tracing patches the package's t_series
+    code = ("import json, gft\n"
+            "before = hasattr(gft, 't_series')\n"
+            "from gft import extremal\n"
+            "print(json.dumps([before, gft.t_series is extremal.t_series]))\n")
+    assert run_fresh(code) == [False, True]
+
+
 def test_cli_import_loads_no_heavy_module():
     assert run_fresh(f"import sys, gft.cli; print(__import__('json').dumps({LOADED}))") == [
         "gft", "gft.cli"]
