@@ -14,7 +14,8 @@ The one-parameter family obtained from the weights
 g_n = n(1 + (n-1)a), h_n = 1 + (n-1)a interpolates the starlike (a = 0) and
 convex (a = 1) classes of the logarithmic generator; its closed-form bound
 table from the worked examples is exposed as the ``*_sl`` helpers with exact
-rational arithmetic.
+rational arithmetic; its third Hankel estimate is assembled from the other
+entries of that table.
 """
 
 from __future__ import annotations
@@ -680,9 +681,9 @@ def h2_bound_sl(alpha) -> BoundReport:
     """|a2 a4 - a3^2| table value for the logarithmic family.
 
     Below the branch point this equals the general case1 value 1/(4(1+2a)^2).
-    Above it the tabulated closed form is returned; note it dips slightly
-    below the general case3 value, so the brute-force oracle is compared
-    against :func:`second_hankel` instead of this table entry.
+    Above it the paper's printed case3 form is returned, which is refuted: it
+    lies below an attained value (7/288 at a = 1, where the Hankel oracle
+    reaches 0.0280934), so the oracle is compared with :func:`second_hankel`.
     """
     alpha = _check_alpha(alpha)
     if sl_threshold_sign(alpha) <= 0:
@@ -734,38 +735,10 @@ def a5_bound_sl(alpha) -> BoundReport:
 
 
 def h3_bound_sl_alpha(alpha) -> BoundReport:
-    """Third-Hankel estimate assembled from the five sharp functional bounds."""
+    """Third-Hankel estimate: the ``h3`` entry of :func:`sl_bound_table`."""
     alpha = _check_alpha(alpha)
-    if sl_threshold_sign(alpha) <= 0:
-        num = (
-            949
-            + 11388 * alpha
-            + 52493 * alpha**2
-            + 114974 * alpha**3
-            + 117180 * alpha**4
-            + 42568 * alpha**5
-        )
-        den = 1728 * (1 + 4 * alpha) * (1 + 3 * alpha) ** 2 * (1 + 2 * alpha) ** 4
-        return BoundReport(num / den, "sl-h3-case1", {"alpha": alpha})
-    num = (
-        -5069
-        - 76035 * alpha
-        - 385994 * alpha**2
-        - 619570 * alpha**3
-        + 831511 * alpha**4
-        + 3545777 * alpha**5
-        + 3327024 * alpha**6
-        + 1298324 * alpha**7
-    )
-    den = (
-        1728
-        * (1 + alpha)
-        * (1 + 4 * alpha)
-        * (1 + 3 * alpha) ** 2
-        * (1 + 2 * alpha) ** 3
-        * (61 * alpha**2 - 20 * alpha - 5)
-    )
-    return BoundReport(num / den, "sl-h3-case3", {"alpha": alpha})
+    label = "sl-h3-case1" if sl_threshold_sign(alpha) <= 0 else "sl-h3-case3"
+    return BoundReport(sl_bound_table(alpha)["h3"], label, {"alpha": alpha})
 
 
 def h3_bound_sl_star() -> BoundReport:
@@ -778,20 +751,14 @@ def h3_bound_sl_star() -> BoundReport:
     )
 
 
-def h3_assembled_sl(alpha):
-    """|a3| H2 + |a4| |a2a3 - a4| + |a5| |a3 - a2^2| from the table entries."""
-    alpha = _check_alpha(alpha)
-    return (
-        a3_bound_sl(alpha).value * h2_bound_sl(alpha).value
-        + a4_bound_sl(alpha).value * a2a3_a4_bound_sl(alpha).value
-        + a5_bound_sl(alpha).value * fekete_szego_sl(alpha, 1).value
-    )
-
-
 def sl_bound_table(alpha) -> dict:
-    """All closed-form functional bounds of the logarithmic family at alpha."""
+    """All closed-form functional bounds of the logarithmic family at alpha.
+
+    ``h3`` is assembled from the other entries by the triangle inequality,
+    |a3| H2 + |a4| |a2 a3 - a4| + |a5| |a3 - a2^2|.
+    """
     alpha = _check_alpha(alpha)
-    return {
+    table = {
         "a2": a2_bound_sl(alpha).value,
         "a3": a3_bound_sl(alpha).value,
         "fekete_t1": fekete_szego_sl(alpha, 1).value,
@@ -799,5 +766,7 @@ def sl_bound_table(alpha) -> dict:
         "a4": a4_bound_sl(alpha).value,
         "a2a3_a4": a2a3_a4_bound_sl(alpha).value,
         "a5": a5_bound_sl(alpha).value,
-        "h3": h3_bound_sl_alpha(alpha).value,
     }
+    table["h3"] = (table["a3"] * table["h2"] + table["a4"] * table["a2a3_a4"]
+                   + table["a5"] * table["fekete_t1"])
+    return table

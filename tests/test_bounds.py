@@ -1,10 +1,14 @@
 """Coefficient-functional bounds: exact tables, case machinery, oracles."""
 
+import cmath
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gft.bounds import (
     PSI_COEFFS,
@@ -12,8 +16,11 @@ from gft.bounds import (
     PhiCoeffs,
     SYMMETRIC_CONVEX_PARAMS,
     SYMMETRIC_STARLIKE_PARAMS,
+    _hankel_MT,
+    a2_bound_sl,
     a2a3_a4_bound,
     a2a3_a4_bound_sl,
+    a3_bound_sl,
     a4_bound,
     a4_bound_sl,
     a5_bound_sl,
@@ -23,7 +30,6 @@ from gft.bounds import (
     fekete_szego_positive,
     fekete_szego_sl,
     h2_bound_sl,
-    h3_assembled_sl,
     h3_bound_sl_alpha,
     h3_bound_sl_star,
     hankel_quadratic_coefficients,
@@ -37,9 +43,14 @@ from gft.bounds import (
     second_hankel,
     second_hankel_symmetric,
     sl_bound_table,
+    sl_threshold_sign,
 )
+from gft.verify import caratheodory_point
 
 ALPHA_STAR_FLOAT = (2 + math.sqrt(15)) / 11  # branch point of the h2 table
+
+#: exact alpha in [0, 1]
+RATIONAL_ALPHAS = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
 
 
 class TestClassParams:
@@ -187,19 +198,30 @@ class TestSecondHankel:
             b = PhiCoeffs(rng.uniform(0.1, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
             second_hankel(SYMMETRIC_STARLIKE_PARAMS, b)  # must never hit the no-case branch
 
-    def test_counterpart_parity(self):
-        # the intermediate polynomials only see b1^2, b1^4, b1 b3, b2: the
-        # sign convention cannot change the bound
-        from types import SimpleNamespace
-
-        from gft.bounds import _hankel_MT
-
-        c = SimpleNamespace(b1=Fraction(-1), b2=Fraction(1, 2), b3=Fraction(-1, 3))
-        for alpha in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            params = alpha_class_params(alpha)
-            m_c, t_c = _hankel_MT(params, c)
-            m_b, t_b = _hankel_MT(params, B_PSI)
-            assert (m_c, t_c) == (m_b, t_b)
+    @given(
+        alpha=RATIONAL_ALPHAS,
+        c=st.tuples(
+            st.fractions(min_value=-3, max_value=Fraction(-1, 100), max_denominator=100),
+            st.fractions(min_value=-3, max_value=3, max_denominator=100),
+            st.fractions(min_value=-3, max_value=3, max_denominator=100),
+        ),
+    )
+    @example(alpha=Fraction(0), c=PSI_COEFFS)
+    @example(alpha=Fraction(1, 2), c=PSI_COEFFS)
+    @example(alpha=Fraction(1), c=PSI_COEFFS)
+    @settings(max_examples=100, deadline=None)
+    def test_counterpart_parity(self, alpha, c):
+        # B_i = (-1)^i C_i.  The Hankel polynomials only see b1^2, b1^4, b1 b3
+        # and b2, so the sign convention cannot change the bound; the cubic
+        # functional's q1 flips sign and q2 does not, and H(q1, q2) is even in q1
+        params = alpha_class_params(alpha)
+        b = PhiCoeffs.from_counterpart(*c)
+        assert (b.b1, b.b2, b.b3) == (-c[0], c[1], -c[2])
+        c_ns = SimpleNamespace(b1=c[0], b2=c[1], b3=c[2])
+        assert _hankel_MT(params, c_ns) == _hankel_MT(params, b)
+        for q_params in (q_params_a4, q_params_a2a3_a4):
+            q1_c, q2_c = q_params(params, c)
+            assert q_params(params, (b.b1, b.b2, b.b3)) == (-q1_c, q2_c)
 
 
 def _corollary_starlike(b):
@@ -498,6 +520,35 @@ class TestH2Table:
         assert abs(float(h2_bound_sl(alpha).value) - case1) < 1e-10
 
 
+# The paper's two printed H3(1) estimates for S_l(alpha), below and above the
+# branch point, kept as data: the code assembles h3 from the table instead.
+def _printed_h3_case1(a):
+    num = 949 + 11388 * a + 52493 * a**2 + 114974 * a**3 + 117180 * a**4 + 42568 * a**5
+    return num / (1728 * (1 + 4 * a) * (1 + 3 * a) ** 2 * (1 + 2 * a) ** 4)
+
+
+def _printed_h3_case3(a):
+    num = (
+        -5069
+        - 76035 * a
+        - 385994 * a**2
+        - 619570 * a**3
+        + 831511 * a**4
+        + 3545777 * a**5
+        + 3327024 * a**6
+        + 1298324 * a**7
+    )
+    den = (
+        1728
+        * (1 + a)
+        * (1 + 4 * a)
+        * (1 + 3 * a) ** 2
+        * (1 + 2 * a) ** 3
+        * (61 * a**2 - 20 * a - 5)
+    )
+    return num / den
+
+
 class TestH3Table:
     def test_alpha_zero(self):
         assert h3_bound_sl_alpha(Fraction(0)).value == Fraction(949, 1728)
@@ -516,43 +567,11 @@ class TestH3Table:
         h3 = a3 * (a2 * a4 - a3**2) - a4 * (a4 - a2 * a3) + a5 * (a3 - a2**2)
         assert abs(h3) == Fraction(1, 9)
 
-    def test_assembly_identity_exact(self):
-        # the printed rational functions equal the product-sum assembly
-        for j in range(11):
-            alpha = Fraction(j, 10)
-            assert h3_bound_sl_alpha(alpha).value == h3_assembled_sl(alpha)
-
     def test_branch_labels_flip_at_threshold(self):
         a_minus = Fraction(533907, 1000000)  # just below (2+sqrt(15))/11
         a_plus = Fraction(533908, 1000000)   # just above
         assert h3_bound_sl_alpha(a_minus).case_label == "sl-h3-case1"
         assert h3_bound_sl_alpha(a_plus).case_label == "sl-h3-case3"
-
-    def test_branch_continuity(self):
-        # both closed forms evaluated at the same threshold point agree
-        a = ALPHA_STAR_FLOAT
-        first = (
-            949 + 11388 * a + 52493 * a**2 + 114974 * a**3 + 117180 * a**4 + 42568 * a**5
-        ) / (1728 * (1 + 4 * a) * (1 + 3 * a) ** 2 * (1 + 2 * a) ** 4)
-        second = (
-            -5069
-            - 76035 * a
-            - 385994 * a**2
-            - 619570 * a**3
-            + 831511 * a**4
-            + 3545777 * a**5
-            + 3327024 * a**6
-            + 1298324 * a**7
-        ) / (
-            1728
-            * (1 + a)
-            * (1 + 4 * a)
-            * (1 + 3 * a) ** 2
-            * (1 + 2 * a) ** 3
-            * (61 * a**2 - 20 * a - 5)
-        )
-        assert abs(first - second) < 1e-9
-        assert abs(float(h3_bound_sl_alpha(a).value) - first) < 1e-9
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -568,3 +587,90 @@ class TestTable:
         assert table["a4"] == Fraction(19, 36)
         assert table["a2a3_a4"] == Fraction(1, 3)
         assert table["a5"] == Fraction(107, 288)
+
+
+def _h3_is_printed_form(alpha):
+    rep = h3_bound_sl_alpha(alpha)
+    if sl_threshold_sign(alpha) <= 0:
+        assert (rep.value, rep.case_label) == (_printed_h3_case1(alpha), "sl-h3-case1")
+    else:
+        assert (rep.value, rep.case_label) == (_printed_h3_case3(alpha), "sl-h3-case3")
+
+
+def _h2_case1_is_second_hankel(alpha):
+    general = second_hankel(alpha_class_params(alpha), PhiCoeffs.from_counterpart(*PSI_COEFFS))
+    assert (general.case_label == "case1") == (sl_threshold_sign(alpha) <= 0)
+    if general.case_label == "case1":
+        assert h2_bound_sl(alpha).value == general.value
+
+
+def _a3_is_fekete_szego_at_zero(alpha):
+    assert a3_bound_sl(alpha).value == fekete_szego_sl(alpha, 0).value
+
+
+def _a2_is_c1_over_u(alpha):
+    assert a2_bound_sl(alpha).value == abs(PSI_COEFFS[0]) / alpha_class_params(alpha).u
+
+
+DERIVATIONS = [
+    _h3_is_printed_form,
+    _h2_case1_is_second_hankel,
+    _a3_is_fekete_szego_at_zero,
+    _a2_is_c1_over_u,
+]
+# a grid, and the two sides of the branch point (2 + sqrt 15)/11 = 0.5339079...
+DERIVATION_ALPHAS = [Fraction(j, 100) for j in range(101)] + [
+    Fraction(533907, 10**6),
+    Fraction(533908, 10**6),
+]
+
+
+class TestDerivedTable:
+    """Table entries equal, in exact Fractions, the closed forms they derive from."""
+
+    @pytest.mark.parametrize("check", DERIVATIONS)
+    def test_on_grid_and_at_branch_point(self, check):
+        for alpha in DERIVATION_ALPHAS:
+            check(alpha)
+
+    @pytest.mark.parametrize("check", DERIVATIONS)
+    @given(alpha=RATIONAL_ALPHAS)
+    @settings(max_examples=40, deadline=None)
+    def test_at_drawn_rational(self, check, alpha):
+        check(alpha)
+
+
+# a point of the closed unit disk, drawn on the boundary about half the time
+DISK_POINTS = st.builds(
+    lambda r, phi: r * cmath.exp(1j * phi),
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+
+
+class TestBoundsDominateFunctionals:
+    @given(
+        alpha=RATIONAL_ALPHAS,
+        p1=st.floats(0.0, 2.0),
+        x=DISK_POINTS,
+        y=DISK_POINTS,
+        t=st.floats(-4.0, 4.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_at_least_functional(self, alpha, p1, x, y, t):
+        # admissible Caratheodory data (p1 real by rotation) give a member of
+        # the class; each bound must hold for it, up to rounding
+        cp = caratheodory_point(p1, x, y)
+        psi = tuple(float(c) for c in PSI_COEFFS)
+        a2, a3, a4 = caratheodory_to_coeffs(
+            alpha_class_params(float(alpha)), psi, cp.p1, cp.p2, cp.p3)
+        params = alpha_class_params(alpha)
+        pairs = [
+            (a2 * a4 - a3**2, second_hankel(params, B_PSI)),
+            (a3 - t * a2**2, fekete_szego(params, PSI_COEFFS, Fraction(t))),
+            (a2, a2_bound_sl(alpha)),
+            (a3, a3_bound_sl(alpha)),
+            (a4, a4_bound_sl(alpha)),
+        ]
+        for functional, bound in pairs:
+            assert abs(functional) <= float(bound.value) + 1e-12, bound.case_label
