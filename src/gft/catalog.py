@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 REAL_COEFF_TOL = 1e-12
+CLASSIFY_COEFFS = 40  # coefficients c_1..c_40 are checked for realness
 
 
 @dataclass(frozen=True)
@@ -141,19 +142,18 @@ class ClassificationRecord:
 _CLASSIFY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 
 
-def classify(spec: MaMindaSpec, grid_size: int = 256, coeff_count: int = 40) -> ClassificationRecord:
+def classify(spec: MaMindaSpec, grid_size: int = 256) -> ClassificationRecord:
     """Grid-based classification of a generator.
 
     ``typically_real_shift`` is the sign test on the first coefficient (the
     shifted function Phi - 1 is typically real iff that coefficient is
     positive, given real coefficients).  ``positive_real_part`` scans a polar
-    grid of `_CLASSIFY_RADII` x ``grid_size`` angles.  This is a heuristic
-    check, not a certificate.
+    grid of `_CLASSIFY_RADII` x ``grid_size`` angles, and
+    ``real_coefficients`` the first CLASSIFY_COEFFS coefficients.  This is a
+    heuristic check, not a certificate.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
-    if coeff_count < 1:
-        raise ValueError("coeff_count must be at least 1")
     min_re = math.inf
     for r in _CLASSIFY_RADII:
         for j in range(grid_size):
@@ -162,7 +162,7 @@ def classify(spec: MaMindaSpec, grid_size: int = 256, coeff_count: int = 40) -> 
             if w.real < min_re:
                 min_re = w.real
     max_imag = max(
-        abs(complex(spec.coeff(k)).imag) for k in range(1, coeff_count + 1)
+        abs(complex(spec.coeff(k)).imag) for k in range(1, CLASSIFY_COEFFS + 1)
     )
     return ClassificationRecord(
         typically_real_shift=complex(spec.coeff(1)).real > 0,

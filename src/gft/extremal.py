@@ -13,7 +13,6 @@ rational path is available whenever the generator has rational coefficients.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,29 +28,22 @@ __all__ = [
     "f_from_q",
     "distortion_envelope_convex",
     "growth_envelope_starlike",
-    "distortion_envelope_starlike",
     "growth_constant",
 ]
 
-DEFAULT_EVAL_ORDER = 60
-BOUNDARY_EVAL_ORDER = 200  # used for radii beyond 0.95
+# series order of every envelope evaluation, at any radius
+ENVELOPE_ORDER = 200
 
 
 @dataclass(frozen=True)
 class ExtremalFunction:
-    """A normalized function f(z) = z + a2 z^2 + ... with its provenance."""
+    """A normalized function f(z) = z + a2 z^2 + ..."""
 
     series: TruncatedSeries
-    spec_name: str
-    n: int
-    kind: str  # "starlike_t", "convex_d" or "from_q"
 
     def __post_init__(self):
         if self.series[0] != 0 or self.series[1] != 1:
             raise ValueError("extremal function must be normalized: f(0)=0, f'(0)=1")
-
-    def coefficient(self, k: int):
-        return self.series[k]
 
     def __call__(self, z: complex) -> complex:
         return self.series(z)
@@ -87,9 +79,7 @@ def _structural_exp(spec, n: int, order: int, exact: bool) -> TruncatedSeries:
 
 def t_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:
     """The starlike structural function z * exp(integral (Phi(t^n)-1)/t)."""
-    u = _structural_exp(spec, n, order, exact)
-    name = getattr(spec, "name", "custom")
-    return ExtremalFunction(u.shifted(1).padded(order), name, n, "starlike_t")
+    return ExtremalFunction(_structural_exp(spec, n, order, exact).shifted(1).padded(order))
 
 
 # Once this module loads, the package binds t_series too, as it did when it
@@ -129,9 +119,7 @@ def d_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:
 
     The derivative of the returned series is d', with z d'(z) = t_n(z).
     """
-    u = _structural_exp(spec, n, order, exact)
-    name = getattr(spec, "name", "custom")
-    return ExtremalFunction(u.antiderivative().padded(order), name, n, "convex_d")
+    return ExtremalFunction(_structural_exp(spec, n, order, exact).antiderivative().padded(order))
 
 
 def f_from_q(q: TruncatedSeries, order: int) -> ExtremalFunction:
@@ -139,13 +127,7 @@ def f_from_q(q: TruncatedSeries, order: int) -> ExtremalFunction:
     _check_order(order)
     integral = q.integrate_over_t().padded(order - 1)
     u = integral.exp(order - 1)
-    return ExtremalFunction(u.shifted(1).padded(order), "from_q", 1, "from_q")
-
-
-def _eval_order(r: float, order: int | None) -> int:
-    if order is not None:
-        return order
-    return BOUNDARY_EVAL_ORDER if r > 0.95 else DEFAULT_EVAL_ORDER
+    return ExtremalFunction(u.shifted(1).padded(order))
 
 
 def _real_or_raise(w: complex, what: str) -> float:
@@ -155,61 +137,27 @@ def _real_or_raise(w: complex, what: str) -> float:
     return w.real
 
 
-def distortion_envelope_convex(spec: MaMindaSpec, r: float, order: int | None = None) -> tuple[float, float]:
+def distortion_envelope_convex(spec: MaMindaSpec, r: float) -> tuple[float, float]:
     """(d'(r), d'(-r)) for the convex-side structural function of spec.
 
     For a generator with negative leading slope this is (lower, upper) for
-    |f'| over the class at radius r.
+    |f'| over the class at radius r. d' is the series that :func:`d_series`
+    integrates, so it is evaluated as built.
     """
     if not 0 < r < 1:
         raise ValueError("radius must be in (0, 1)")
-    n_ord = _eval_order(r, order)
-    d = d_series(spec, 1, n_ord)
-    dp = d.series.derivative()
-    lo = _real_or_raise(dp(r), "d'(r)")
-    hi = _real_or_raise(dp(-r), "d'(-r)")
-    return lo, hi
+    dp = _structural_exp(spec, 1, ENVELOPE_ORDER, False)
+    return _real_or_raise(dp(r), "d'(r)"), _real_or_raise(dp(-r), "d'(-r)")
 
 
-def growth_envelope_starlike(spec: MaMindaSpec, r: float, order: int | None = None) -> tuple[float, float]:
+def growth_envelope_starlike(spec: MaMindaSpec, r: float) -> tuple[float, float]:
     """(t(r), -t(-r)): the modulus envelope for the starlike class at radius r."""
     if not 0 < r < 1:
         raise ValueError("radius must be in (0, 1)")
-    n_ord = _eval_order(r, order)
-    t = t_series(spec, 1, n_ord)
+    t = t_series(spec, 1, ENVELOPE_ORDER)
     lo = _real_or_raise(t(r), "t(r)")
     hi = -_real_or_raise(t(-r), "t(-r)")
     return lo, hi
-
-
-def distortion_envelope_starlike(
-    spec: MaMindaSpec, r: float, order: int | None = None, grid: int = 256
-) -> tuple[float, float]:
-    """(t'(r), t'(-r)); requires |Phi| to be extremal on the real axis.
-
-    The hypothesis min_{|z|=rho}|Phi(z)| = Phi(rho), max = Phi(-rho) is
-    checked on a ``grid``-point circle and a failure raises with the
-    offending angle.
-    """
-    if not 0 < r < 1:
-        raise ValueError("radius must be in (0, 1)")
-    import cmath
-
-    mod_plus = abs(spec.eval(r))
-    mod_minus = abs(spec.eval(-r))
-    for j in range(grid):
-        theta = 2 * math.pi * j / grid
-        m = abs(spec.eval(r * cmath.exp(1j * theta)))
-        if m < mod_plus - 1e-12 or m > mod_minus + 1e-12:
-            raise ValueError(
-                f"|Phi| is not extremal on the real axis at radius {r}: "
-                f"|Phi({r}*e^(i{theta:.4f}))| = {m:.6f} outside "
-                f"[{mod_plus:.6f}, {mod_minus:.6f}]"
-            )
-    n_ord = _eval_order(r, order)
-    t = t_series(spec, 1, n_ord)
-    tp = t.series.derivative()
-    return _real_or_raise(tp(r), "t'(r)"), _real_or_raise(tp(-r), "t'(-r)")
 
 
 def growth_constant(terms: int = 1000) -> float:

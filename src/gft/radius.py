@@ -59,14 +59,8 @@ class RadiusResult:
         }
 
 
-def bisect_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    equation_id: str,
-    width: float = BISECT_WIDTH,
-) -> RadiusResult:
-    """Bisection on [lo, hi]; requires a strict sign change at the ends."""
+def bisect_root(fn: Callable[[float], float], lo: float, hi: float, equation_id: str) -> RadiusResult:
+    """Bisection on [lo, hi] to width BISECT_WIDTH; needs a strict sign change at the ends."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
         return RadiusResult(equation_id, (lo, hi), lo, 0.0, 0)
@@ -79,7 +73,7 @@ def bisect_root(
     a, b = lo, hi
     fa = f_lo
     iterations = 0
-    while b - a > width and iterations < BISECT_MAX_ITER:
+    while b - a > BISECT_WIDTH and iterations < BISECT_MAX_ITER:
         mid = 0.5 * (a + b)
         fm = fn(mid)
         iterations += 1
@@ -191,7 +185,6 @@ class InclusionConstants:
     gamma_min: float      # smallest strongly-starlike order containing the class
     alpha_parabolic: float  # largest parabolic-class offset contained
     c0: float             # largest c with sqrt(1+cz)-class contained
-    theta0_result: RadiusResult
 
     def as_dict(self) -> dict:
         return {
@@ -210,8 +203,7 @@ def inclusion_constants() -> InclusionConstants:
     theta0 solves -2 + log(2(1+cos t)) + t tan(t/2) = 0 on (0, pi); the
     boundary argument is maximal (and locally concave) there.
     """
-    res = bisect_root(_argument_stationarity, 1e-6, math.pi - 1e-6, "theta0")
-    theta0 = res.root
+    theta0 = bisect_root(_argument_stationarity, 1e-6, math.pi - 1e-6, "theta0").root
     f0 = abs(boundary_argument(theta0))
     # concavity sanity: theta0 is a local maximum of the boundary argument
     eps = 1e-4
@@ -224,7 +216,6 @@ def inclusion_constants() -> InclusionConstants:
         gamma_min=2.0 * f0 / math.pi,
         alpha_parabolic=ALPHA_PARABOLIC,
         c0=C0_SQRT,
-        theta0_result=res,
     )
 
 

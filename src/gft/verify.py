@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,6 +61,7 @@ __all__ = [
 
 BOUNDARY_GRID = 512
 SCHWARZ_SAFETY = 1.001  # random polynomials are shrunk by this factor
+SAMPLE_ORDER = 32  # series order of every Schwarz sample
 
 
 def _circle(grid: int) -> np.ndarray:
@@ -82,87 +83,87 @@ class SchwarzSample:
 
     series: TruncatedSeries
     kind: str
-    params: dict = field(default_factory=dict)
 
     def __call__(self, z):
         return self.series(z)
 
-    def boundary_sup(self, grid: int = BOUNDARY_GRID, radius: float = 0.999) -> float:
-        return float(np.abs(self.series(radius * _circle(grid))).max())
+    def boundary_sup(self) -> float:
+        """max |w| on BOUNDARY_GRID points of the circle of radius 0.999."""
+        return float(np.abs(self.series(0.999 * _circle(BOUNDARY_GRID))).max())
 
 
-def _mobius_series(eta: float, order: int) -> TruncatedSeries:
+def _mobius_series(eta: float) -> TruncatedSeries:
     # z (z + eta) / (1 + eta z)
-    inv = TruncatedSeries([1] + [(-eta) ** k for k in range(1, order + 1)])
+    inv = TruncatedSeries([1] + [(-eta) ** k for k in range(1, SAMPLE_ORDER + 1)])
     num = TruncatedSeries([0, eta, 1])
-    return num.mul(inv, order)
+    return num.mul(inv, SAMPLE_ORDER)
 
 
-def _blaschke_series(zeros: Sequence[complex], scale: float, order: int) -> TruncatedSeries:
+def _blaschke_series(zeros: Sequence[complex], scale: float) -> TruncatedSeries:
     out = TruncatedSeries([0, scale])
     for a in zeros:
         ac = complex(a)
-        if abs(ac) >= 1:
-            raise ValueError("Blaschke zeros must lie inside the disk")
         # (a - z)/(1 - conj(a) z)
-        inv = TruncatedSeries([ac.conjugate() ** k for k in range(order + 1)])
-        factor = TruncatedSeries([ac, -1]).mul(inv, order)
-        out = out.mul(factor, order)
+        inv = TruncatedSeries([ac.conjugate() ** k for k in range(SAMPLE_ORDER + 1)])
+        factor = TruncatedSeries([ac, -1]).mul(inv, SAMPLE_ORDER)
+        out = out.mul(factor, SAMPLE_ORDER)
     return out
 
 
-def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0, order: int = 32) -> SchwarzSample:
+# the params keys each sample kind reads (m defaults to 1, eta to 0.5); any
+# other key is rejected, and the two random kinds draw from the seed alone
+_SAMPLE_KEYS = {"monomial": {"m"}, "mobius_eta": {"eta"},
+                "scaled_blaschke": set(), "random_poly_normalized": set()}
+
+
+def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> SchwarzSample:
     """Deterministic Schwarz-function sample of the requested kind."""
-    params = dict(params or {})
+    if kind not in _SAMPLE_KEYS:
+        raise ValueError(f"unknown Schwarz sample kind {kind!r}")
+    params = params or {}
+    unread = sorted(set(params) - _SAMPLE_KEYS[kind])
+    if unread:
+        raise ValueError(f"Schwarz sample kind {kind!r} reads no params key {', '.join(unread)}")
     if kind == "monomial":
         m = int(params.get("m", 1))
         if m < 1:
             raise ValueError("monomial exponent must be >= 1")
-        series = TruncatedSeries([0] * m + [1]).padded(max(order, m))
+        series = TruncatedSeries([0] * m + [1]).padded(max(SAMPLE_ORDER, m))
     elif kind == "mobius_eta":
         eta = float(params.get("eta", 0.5))
         if not 0 <= eta <= 1:
             raise ValueError("eta must lie in [0, 1]")
-        series = _mobius_series(eta, order)
+        series = _mobius_series(eta)
     elif kind == "scaled_blaschke":
         rng = np.random.default_rng(seed)
-        n_zeros = int(params.get("n_zeros", 2))
-        zeros = params.get("zeros")
-        if zeros is None:
-            # modest zero radii keep the series truncation far below the
-            # boundary-sup headroom of the closed disk of radius 0.999
-            radii = rng.uniform(0.1, 0.6, n_zeros)
-            angles = rng.uniform(0, 2 * math.pi, n_zeros)
-            zeros = [r * cmath.exp(1j * t) for r, t in zip(radii, angles)]
-        scale = float(params.get("scale", rng.uniform(0.5, 0.95)))
-        params = dict(params, zeros=[complex(z) for z in zeros], scale=scale)
-        series = _blaschke_series(zeros, scale, order)
-    elif kind == "random_poly_normalized":
+        # modest zero radii keep the series truncation far below the
+        # boundary-sup headroom of the closed disk of radius 0.999
+        radii = rng.uniform(0.1, 0.6, 2)
+        angles = rng.uniform(0, 2 * math.pi, 2)
+        zeros = [r * cmath.exp(1j * t) for r, t in zip(radii, angles)]
+        series = _blaschke_series(zeros, float(rng.uniform(0.5, 0.95)))
+    else:
         rng = np.random.default_rng(seed)
-        degree = int(params.get("degree", 8))
-        raw = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+        raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         poly = TruncatedSeries([0] + list(raw))
         sup = float(np.abs(poly(_circle(BOUNDARY_GRID))).max())
-        series = (poly * (1.0 / (SCHWARZ_SAFETY * sup))).padded(max(order, degree))
-        params = dict(params, degree=degree)
-    else:
-        raise ValueError(f"unknown Schwarz sample kind {kind!r}")
-    return SchwarzSample(series, kind, params)
+        series = (poly * (1.0 / (SCHWARZ_SAFETY * sup))).padded(SAMPLE_ORDER)
+    return SchwarzSample(series, kind)
 
 
-def sample_suite(count: int, seed: int = 42, order: int = 32) -> list[SchwarzSample]:
+def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
     """A deterministic mix of sample kinds, extremal witnesses first."""
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
     samples: list[SchwarzSample] = []
     for m in (1, 2, 3, 4):
-        samples.append(sample_schwarz("monomial", {"m": m}, order=order))
+        samples.append(sample_schwarz("monomial", {"m": m}))
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        samples.append(sample_schwarz("mobius_eta", {"eta": eta}, order=order))
+        samples.append(sample_schwarz("mobius_eta", {"eta": eta}))
     i = 0
     while len(samples) < count:
         kind = "scaled_blaschke" if i % 3 == 2 else "random_poly_normalized"
-        samples.append(sample_schwarz(kind, None, seed=seed + i, order=order))
+        samples.append(sample_schwarz(kind, None, seed=seed + i))
         i += 1
     return samples[:count]
 
@@ -323,14 +324,14 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
 # -- class-membership sampling -------------------------------------------------------
 
 
-def _class_coefficients(q: TruncatedSeries, alpha: float, up_to: int = 5) -> list[complex]:
-    """a_1..a_{up_to} of the class member with convolution ratio q.
+def _class_coefficients(q: TruncatedSeries, alpha: float) -> list[complex]:
+    """a_1..a_5 of the class member with convolution ratio q.
 
     Solves the triangular recurrence a_n (n-1) h_n = sum_{m<n} a_m h_m q_{n-m}
     with weights h_m = 1 + (m-1) alpha.
     """
     a = [complex(1)]
-    for n in range(2, up_to + 1):
+    for n in range(2, 6):
         h_n = 1 + (n - 1) * alpha
         acc = 0j
         for m in range(1, n):
@@ -375,7 +376,7 @@ _GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
 def _growth_reference() -> tuple[tuple[float, float], ...]:
     """(t(r), -t(-r)) per membership radius, t the order-200 structural function."""
     psi = make_spec("psi")  # order 200 controls the r=0.9 tail
-    return tuple(growth_envelope_starlike(psi, r, order=200) for r in _MEMBERSHIP_RADII)
+    return tuple(growth_envelope_starlike(psi, r) for r in _MEMBERSHIP_RADII)
 
 
 def verify_class_membership_bounds(
@@ -591,26 +592,22 @@ def _max_quartic_on_power_maps() -> float:
 # -- Bloch norm -----------------------------------------------------------------------
 
 
-def bloch_norm_estimate(f, grid_size: int = 256, r_max: float = 0.999, radial_count: int = 128) -> float:
-    """sup over a polar grid of (1 - |z|^2) |f'(z)|.
+def bloch_norm_estimate(omega: SchwarzSample, grid_size: int = 256, radial_count: int = 128) -> float:
+    """sup of (1 - |z|^2) |f'(z)| for the class member f that ``omega`` induces.
 
-    ``f`` is either an object with a ``series`` attribute of order >= 40
-    (derivative taken termwise), a bare series, or a :class:`SchwarzSample`,
-    in which case the class member it induces is differentiated through the
-    structural formula (exact pointwise, no truncation).  Each radius circle
-    is evaluated as one array, so memory stays at one circle's worth.
+    The polar grid has ``radial_count`` radii from 0 to 0.999, ends included,
+    and ``grid_size`` angles. f' comes from the structural formula (exact
+    pointwise, no truncation). Each radius circle is evaluated as one array,
+    so memory stays at one circle's worth.
     """
-    if isinstance(f, SchwarzSample):
-        deriv = lambda z: structural_deriv(f, z)
-    else:
-        series = f.series if hasattr(f, "series") else f
-        if series.order < 40:
-            raise ValueError("series order must be at least 40 for a stable estimate")
-        deriv = series.derivative()
+    if radial_count < 2:
+        raise ValueError(f"radial_count must be at least 2, got {radial_count}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be at least 1, got {grid_size}")
     circle = _circle(grid_size)
     best = 0.0
-    for r in np.linspace(0.0, r_max, radial_count):
-        best = max(best, float(((1 - r * r) * np.abs(deriv(r * circle))).max()))
+    for r in np.linspace(0.0, 0.999, radial_count):
+        best = max(best, float(((1 - r * r) * np.abs(structural_deriv(omega, r * circle))).max()))
     return best
 
 
@@ -624,21 +621,12 @@ def bloch_class_envelope() -> dict:
     witness).  The stationary radius and peak value are well-defined
     constants of the stated envelope either way.
     """
-    res = bisect_root(
-        lambda r: 1 - r + 2 * r * math.log(1 - r), 0.2, 0.7, "bloch_r0"
-    )
-    r0 = res.root
+    r0 = bisect_root(lambda r: 1 - r + 2 * r * math.log(1 - r), 0.2, 0.7, "bloch_r0").root
     value = (1 - r0 * r0) * (1 - math.log(1 - r0))
     grid = np.linspace(0.0, 0.999, 200001)
     genv = (1 - grid**2) * (1 - np.log1p(-grid))
     grid_argmax = float(grid[int(np.argmax(genv))])
-    return {
-        "r0": r0,
-        "value": value,
-        "grid_argmax": grid_argmax,
-        "norm_bound": value,  # |f(0)| = 0 for normalized members
-        "root_result": res,
-    }
+    return {"r0": r0, "value": value, "grid_argmax": grid_argmax}
 
 
 def bloch_seminorm_bound() -> dict:
@@ -713,16 +701,30 @@ def vector_space_counterexample(scan_density: int = 360) -> dict:
     }
 
 
-def lambda_combination_check(
-    lam: float, m: int, n: int, order: int = 48, radius: float = 0.99, angles: int = 256
-) -> dict:
+def _psi_blend(lam: float, m: int, n: int, order: int) -> TruncatedSeries:
+    """lam psi(z^n) + (1-lam) psi(z^m) to ``order``, psi = 1 - log(1+z).
+
+    psi(z^p) is psi's coefficients spread p apart: the values of the float
+    composition of psi with z^p, without its Horner loop of Cauchy products.
+    """
+    psi = make_spec("psi").series(order).coeffs
+
+    def at_power(p: int) -> TruncatedSeries:
+        out = [0.0] * (order + 1)
+        out[::p] = psi[: order // p + 1]
+        return TruncatedSeries(out)
+
+    return lam * at_power(n) + (1 - lam) * at_power(m)
+
+
+def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dict:
     """Blended generator membership: the z exp(...) construction stays in class.
 
     Builds g = z exp(alpha) with
     alpha = (1-lam)/m * sum_k (-z^m)^k/k^2 + lam/n * sum_k (-z^n)^k/k^2,
     verifies z g'/g = lam (1 - log(1+z^n)) + (1-lam)(1 - log(1+z^m)) as a
     series identity, and checks that the blend stays inside the image region
-    on a boundary-adjacent grid.
+    on 256 points of the circle of radius 0.99.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive integers")
@@ -743,25 +745,15 @@ def lambda_combination_check(
 
     # series identity: z g'/g = (u + z u') / u for g = z u
     ratio = (u + u.derivative().shifted(1).padded(order)).divide(u, order)
-    psi = make_spec("psi")
-    zn = [0.0] * (order + 1)
-    zm = [0.0] * (order + 1)
-    if n <= order:
-        zn[n] = 1.0
-    if m <= order:
-        zm[m] = 1.0
-    psi_series = psi.series(order)
-    blend = lam * psi_series.compose(TruncatedSeries(zn), order) + (1 - lam) * psi_series.compose(
-        TruncatedSeries(zm), order
-    )
+    blend = _psi_blend(lam, m, n, order)
     max_coeff_err = max(
         abs(complex(ratio[k]) - complex(blend[k])) for k in range(order + 1)
     )
 
     worst_margin = math.inf
     inside = True
-    for j in range(angles):
-        z = radius * cmath.exp(2j * math.pi * j / angles)
+    for j in range(256):
+        z = 0.99 * cmath.exp(2j * math.pi * j / 256)
         w = lam * (1 - cmath.log(1 + z**n)) + (1 - lam) * (1 - cmath.log(1 + z**m))
         margin = 1 - abs(cmath.exp(1 - w) - 1)
         worst_margin = min(worst_margin, margin)
@@ -775,4 +767,3 @@ def lambda_combination_check(
         "worst_margin": worst_margin,
         "g_series": g,
     }
-

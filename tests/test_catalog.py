@@ -134,11 +134,6 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(make_spec("psi"), grid_size=32)
 
-    @pytest.mark.parametrize("count", [0, -2])
-    def test_coeff_count_validated(self, count):
-        with pytest.raises(ValueError, match="coeff_count must be at least 1"):
-            classify(make_spec("psi"), coeff_count=count)
-
 
 class TestPsiImage:
     def test_center(self):

@@ -10,7 +10,6 @@ from gft.catalog import counterpart, make_spec
 from gft.extremal import (
     d_series,
     distortion_envelope_convex,
-    distortion_envelope_starlike,
     f_from_q,
     growth_constant,
     growth_envelope_starlike,
@@ -198,10 +197,6 @@ class TestEnvelopes:
         lo, hi = growth_envelope_starlike(PSI, 0.5)
         assert abs(lo - 0.31932005004413685) < 1e-12
         assert abs(hi - 0.89502229169565640) < 1e-12
-
-    def test_starlike_distortion_hypothesis_check(self):
-        lo, hi = distortion_envelope_starlike(PSI, 0.5)
-        assert 0 < lo < hi
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):

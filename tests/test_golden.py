@@ -6,9 +6,16 @@ Refactors must leave these bytes unchanged.  After a deliberate output
 change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The benchmark's ``cli-cold`` workload checks each fresh-process command by
+the exit code, byte count and sha256 of its stdout, recorded in
+``bench/reference.json``; ``test_cli_cold_reference`` replays every one of
+those commands in process.  It only reads that file.
 """
 
+import hashlib
 import io
+import json
 import pathlib
 
 import pytest
@@ -16,6 +23,7 @@ import pytest
 from gft.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+REFERENCE = pathlib.Path(__file__).parents[1] / "bench" / "reference.json"
 
 CASES = {
     "radius_k_starlike": ["radius", "--problem", "k-starlike", "--k", "1"],
@@ -62,6 +70,19 @@ def render(argv) -> str:
 def test_golden_output(name):
     expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
     assert render(CASES[name]) == expected
+
+
+COLD = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli-cold"]
+
+
+@pytest.mark.parametrize("command", sorted(COLD))
+def test_cli_cold_reference(command, monkeypatch):
+    monkeypatch.delenv("GFT_CONFIG", raising=False)
+    stream = io.StringIO()
+    code = main(command.split(" "), stream=stream)
+    stdout = stream.getvalue().encode("utf-8")
+    got = {"exit": code, "bytes": len(stdout), "sha256": hashlib.sha256(stdout).hexdigest()}
+    assert got == COLD[command]
 
 
 if __name__ == "__main__":

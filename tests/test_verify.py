@@ -124,6 +124,29 @@ class TestSampleSchwarz:
         with pytest.raises(ValueError):
             sample_schwarz("lacunary")
 
+    @pytest.mark.parametrize("kind, params", [
+        ("monomial", {"eta": 0.3}),
+        ("monomial", {"m": 2, "degree": 8}),
+        ("mobius_eta", {"m": 2}),
+        ("mobius_eta", {"eta": 0.5, "scale": 0.9}),
+        ("scaled_blaschke", {"n_zeros": 2}),
+        ("scaled_blaschke", {"zeros": [0.5]}),
+        ("random_poly_normalized", {"degree": 8}),
+        ("random_poly_normalized", {"m": 1}),
+    ])
+    def test_unread_params_key_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="reads no params key"):
+            sample_schwarz(kind, params, seed=3)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("monomial", {"m": 3}),
+        ("mobius_eta", {"eta": 0.25}),
+        ("scaled_blaschke", {}),
+        ("random_poly_normalized", None),
+    ])
+    def test_read_params_keys_accepted(self, kind, params):
+        assert sample_schwarz(kind, params, seed=3).kind == kind
+
 
 class TestConvexDistortionSandwich:
     def test_sampled_members_between_envelope_ends(self):
@@ -204,9 +227,9 @@ def _ref_deriv_convex(omega, z):
     return cmath.exp(_ref_log_ratio(omega, z))
 
 
-def _ref_bloch(deriv, grid_size, r_max, radial_count):
+def _ref_bloch(deriv, grid_size, radial_count):
     best = 0.0
-    for r in np.linspace(0.0, r_max, radial_count):
+    for r in np.linspace(0.0, 0.999, radial_count):
         for j in range(grid_size):
             z = r * cmath.exp(2j * math.pi * j / grid_size)
             best = max(best, (1 - r * r) * abs(deriv(z)))
@@ -267,12 +290,8 @@ class TestArrayPath:
     def test_bloch_estimate_matches_scalar_loop(self):
         for omega in sample_suite(12, seed=5):
             est = bloch_norm_estimate(omega, grid_size=10, radial_count=6)
-            ref = _ref_bloch(lambda z: _ref_deriv(omega, z), 10, 0.999, 6)
+            ref = _ref_bloch(lambda z: _ref_deriv(omega, z), 10, 6)
             assert _rel_close(est, ref, 1e-13)
-        series = make_spec("psi").series(48)
-        deriv = series.derivative()
-        est = bloch_norm_estimate(series, grid_size=10, radial_count=6)
-        assert _rel_close(est, _ref_bloch(lambda z: _horner(deriv, z), 10, 0.999, 6), 1e-13)
 
     def test_counterexample_matches_scalar_sums(self):
         rep = vector_space_counterexample(scan_density=12)
@@ -644,10 +663,6 @@ class TestLemmaSweeps:
 
 
 class TestBloch:
-    def test_identity_function(self):
-        series = TruncatedSeries([0, 1]).padded(41)
-        assert bloch_norm_estimate(series, grid_size=8) == pytest.approx(1.0)
-
     def test_class_envelope_constants(self):
         env = bloch_class_envelope()
         assert abs(env["r0"] - 0.453105) < 1e-4
@@ -672,9 +687,17 @@ class TestBloch:
         assert est <= cap + 1e-9
         assert cap == pytest.approx(2.7787, abs=1e-3)
 
-    def test_order_validated(self):
-        with pytest.raises(ValueError):
-            bloch_norm_estimate(TruncatedSeries([0, 1]))
+    @pytest.mark.parametrize("grid_size, radial_count", [(8, 1), (8, 0), (8, -3), (0, 8), (-1, 8)])
+    def test_degenerate_grid_rejected(self, grid_size, radial_count):
+        # one radius would be r = 0 alone, where (1 - r^2)|f'| = |f'(0)| = 1
+        omega = sample_schwarz("monomial", {"m": 1})
+        with pytest.raises(ValueError, match="must be at least"):
+            bloch_norm_estimate(omega, grid_size=grid_size, radial_count=radial_count)
+
+    def test_smallest_grid_accepted(self):
+        omega = sample_schwarz("monomial", {"m": 1})
+        est = bloch_norm_estimate(omega, grid_size=1, radial_count=2)
+        assert _rel_close(est, _ref_bloch(lambda z: _ref_deriv(omega, z), 1, 2), 1e-13)
 
 
 class TestVectorSpaceCounterexample:
@@ -764,6 +787,23 @@ class TestLambdaCombination:
         assert rep["series_identity_error"] < 1e-10
         assert rep["all_inside"] is True
         assert rep["worst_margin"] > 0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 1), (3, 2), (5, 30)])
+    @pytest.mark.parametrize("order", [1, 12, 24])
+    def test_spread_blend_equals_composed_blend(self, lam, m, n, order):
+        psi = make_spec("psi").series(order)
+
+        def composed(p):
+            monomial = [0.0] * (order + 1)
+            if p <= order:
+                monomial[p] = 1.0
+            return psi.compose(TruncatedSeries(monomial), order)
+
+        ref = lam * composed(n) + (1 - lam) * composed(m)
+        got = verify._psi_blend(lam, m, n, order)
+        assert len(got.coeffs) == len(ref.coeffs)
+        assert all(complex(g) == complex(r) for g, r in zip(got.coeffs, ref.coeffs))
 
     def test_validation(self):
         with pytest.raises(ValueError):
