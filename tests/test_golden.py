@@ -56,6 +56,8 @@ CASES = {
     "verify_conjecture": ["verify", "--suite", "conjecture"],
     "verify_counterexamples": ["verify", "--suite", "counterexamples"],
     "verify_membership": ["--seed", "42", "verify", "--suite", "membership", "--samples", "24"],
+    # the CLI default of 200 samples
+    "verify_membership_200": ["--seed", "42", "verify", "--suite", "membership"],
     "classify": ["classify", "--phi", "cos_sqrt_z", "--grid", "256"],
 }
 
