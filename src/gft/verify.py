@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
+    SLAB_POINTS,
     ClassParams,
     PhiCoeffs,
     alpha_class_params,
@@ -31,7 +32,7 @@ from .bounds import (
     second_hankel,
     sl_bound_table,
 )
-from .catalog import in_psi_image, make_spec
+from .catalog import make_spec
 # conjecture_check and t_series are re-exported
 from .extremal import conjecture_check, growth_envelope_starlike, t_series
 from .radius import bisect_root, re_im_envelope
@@ -177,20 +178,36 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_S = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1]: t = s z, dt = z ds
 
 
-def _log_ratio_integral(omega: SchwarzSample, z: np.ndarray) -> np.ndarray:
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """z^0..z^n along a new last axis, by running products."""
+    out = np.ones(z.shape + (n + 1,), dtype=complex)
+    out[..., 1:] = z[..., None]
+    return np.multiply.accumulate(out, axis=-1, out=out)
+
+
+def _log_ratio_integral(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """integral_0^z -log(1 + w(t))/t dt by 64-point Gauss-Legendre quadrature.
 
-    In s the integrand is -log(1 + w(s z))/s; all (point, node) pairs are
-    evaluated at once and summed by one product with the weights.
+    w has the coefficient rows ``coeffs`` (..., N+1), broadcast against the
+    points ``z``. In s the integrand is -log(1 + w(s z))/s, with
+    w(s z) = sum_k (c_k z^k) s^k at all (point, node) pairs one product with
+    the node powers s_j^k, k <= N; log(1 + w) is log|1 + w| + i arg(1 + w).
     """
-    w = omega(z[..., None] * _GL_S)
-    return 0.5 * ((-np.log(1 + w) / _GL_S) @ _GL_WEIGHTS)
+    n = coeffs.shape[-1]
+    u = (coeffs * _powers(z, n - 1)) @ _GL_S ** np.arange(n)[:, None]
+    u += 1
+    # -log(u)/s in place of u: u / -s rounds as -u / s does
+    log_abs = np.log(np.abs(u))
+    u.imag = np.angle(u)
+    u.real = log_abs
+    u /= -_GL_S
+    return 0.5 * (u @ _GL_WEIGHTS)
 
 
 def structural_eval(omega: SchwarzSample, z):
     """f(z) = z exp(integral (q-1)/t dt) with q = 1 - log(1 + omega)."""
     za = np.asarray(z, dtype=complex)
-    return _like(z, za * np.exp(_log_ratio_integral(omega, za)))
+    return _like(z, za * np.exp(_log_ratio_integral(np.asarray(omega.series.coeffs, complex), za)))
 
 
 def structural_deriv(omega: SchwarzSample, z):
@@ -207,7 +224,7 @@ def structural_deriv(omega: SchwarzSample, z):
 def structural_deriv_convex(omega: SchwarzSample, z):
     """f'(z) = exp(integral (q-1)/t dt): derivative of the convex-side member."""
     za = np.asarray(z, dtype=complex)
-    return _like(z, np.exp(_log_ratio_integral(omega, za)))
+    return _like(z, np.exp(_log_ratio_integral(np.asarray(omega.series.coeffs, complex), za)))
 
 
 # -- Caratheodory parameterization -------------------------------------------------
@@ -324,21 +341,39 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
 # -- class-membership sampling -------------------------------------------------------
 
 
-def _class_coefficients(q: TruncatedSeries, alpha: float) -> list[complex]:
-    """a_1..a_5 of the class member with convolution ratio q.
+def _cmul(a, b):
+    """a * b rounded as Python rounds a complex product, part by part; numpy
+    may fuse the multiply-adds of its own product and round differently."""
+    return a.real * b.real - a.imag * b.imag + 1j * (a.real * b.imag + a.imag * b.real)
 
-    Solves the triangular recurrence a_n (n-1) h_n = sum_{m<n} a_m h_m q_{n-m}
-    with weights h_m = 1 + (m-1) alpha.
+
+def _class_coefficients(omega4: np.ndarray, alphas: np.ndarray) -> list[np.ndarray]:
+    """a_2..a_5 of the class members, one row per sample and one column per alpha.
+
+    ``omega4`` holds w_0 = 0, w_1..w_4 of each Schwarz sample. q = psi(omega)
+    takes the Horner steps of :meth:`TruncatedSeries.compose` and the sum
+    order of :meth:`TruncatedSeries.mul`, then a_n (n-1) h_n =
+    sum_{m<n} a_m h_m q_{n-m} with h_m = 1 + (m-1) alpha. Each step rounds as
+    Python does on one sample's complex scalars, keeping the bits of that route.
     """
-    a = [complex(1)]
+    psi = make_spec("psi").series(4, exact=False).coeffs
+    q = np.zeros_like(omega4)
+    q[:, 0] = psi[4]
+    for c in reversed(psi[:4]):
+        # coefficient n of q * omega is sum_{j<n} q_j w_{n-j}, in order of j
+        acc = _cmul(q[:, :1], omega4[:, 1:])
+        for j in range(1, 4):
+            acc[:, j:] += _cmul(q[:, j : j + 1], omega4[:, 1 : 5 - j])
+        q[:, 0], q[:, 1:] = c, acc
+    h = [1 + (m - 1) * alphas for m in range(1, 6)]
+    a = [np.ones((len(omega4), len(alphas)), dtype=complex)]
     for n in range(2, 6):
-        h_n = 1 + (n - 1) * alpha
-        acc = 0j
+        acc = 0
         for m in range(1, n):
-            h_m = 1 + (m - 1) * alpha
-            acc += a[m - 1] * h_m * complex(q[n - m])
-        a.append(acc / ((n - 1) * h_n))
-    return a
+            acc = acc + _cmul(a[m - 1] * h[m - 1], q[:, n - m, None])
+        d = (n - 1) * h[n - 1]
+        a.append(acc.real / d + 1j * (acc.imag / d))  # as Python; numpy multiplies by 1/d
+    return a[1:]
 
 
 @dataclass
@@ -379,6 +414,9 @@ def _growth_reference() -> tuple[tuple[float, float], ...]:
     return tuple(growth_envelope_starlike(psi, r) for r in _MEMBERSHIP_RADII)
 
 
+_COEFF_KEYS = ("a2", "a3", "fekete_t1", "a4", "a2a3_a4", "a5", "h2_general", "h3")
+
+
 def verify_class_membership_bounds(
     sample_count: int = 200,
     seed: int = 42,
@@ -392,84 +430,73 @@ def verify_class_membership_bounds(
     |f| evaluated by quadrature; the coefficient functionals are checked for
     each alpha against the closed-form table, with the second Hankel
     functional compared against the general three-case bound.
+
+    The samples' coefficients are stacked as rows and checked in blocks of
+    rows: w at the envelope points is one product with the points' powers,
+    and a block's growth quadrature holds at most ``SLAB_POINTS`` (point,
+    node) pairs. Only the violation list is built sample by sample.
     """
     samples = sample_suite(sample_count, seed=seed)
+    coeffs = np.array([omega.series.coeffs for omega in samples], dtype=complex)
     # one row per radius: envelope points, growth points and their bounds
     radii = np.array(_MEMBERSHIP_RADII)[:, None]
     z_env = radii * _circle(_MEMBERSHIP_ANGLES)
     z_growth = z_env[:, ::_GROWTH_STRIDE]
+    env_powers = _powers(z_env, coeffs.shape[1] - 1).reshape(-1, coeffs.shape[1]).T
     envs = [re_im_envelope(r) for r in _MEMBERSHIP_RADII]
     re_lo_env, re_hi_env, im_env = (
         np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")
     )
     growth_lo, growth_hi = np.array(_growth_reference()).T[:, :, None]
-    # a2..a5 read only q1..q4, so psi(omega) is composed at order 4
-    psi4 = make_spec("psi").series(4, exact=False)
-    worst = {
-        "re_lo": math.inf,
-        "re_hi": math.inf,
-        "im": math.inf,
-        "g_lo": math.inf,
-        "g_hi": math.inf,
-    }
-    tables = {}
+    worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
+    env_bad, growth_bad = [], []  # failing points per (sample, radius)
+    block = max(1, SLAB_POINTS // (z_growth.size * _GL_S.size))
+    for lo in range(0, len(samples), block):
+        rows = coeffs[lo : lo + block]
+        ratio = 1 - np.log(1 + (rows @ env_powers).reshape((-1,) + z_env.shape))
+        re_lo = ratio.real - re_lo_env
+        re_hi = re_hi_env - ratio.real
+        im = im_env - np.abs(ratio.imag)
+        fv = np.abs(z_growth * np.exp(_log_ratio_integral(rows[:, None, None, :], z_growth)))
+        g_lo = fv - growth_lo
+        g_hi = growth_hi - fv
+        for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
+                            ("g_lo", g_lo), ("g_hi", g_hi)):
+            worst[key] = min(worst[key], float(margin.min()))
+        env_bad.extend((np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=-1))
+        growth_bad.extend((np.minimum(g_lo, g_hi) < -tol).sum(axis=-1))
+
+    tables = []  # the bounds per (alpha, key)
     for alpha in alphas:
         frac = Fraction(alpha).limit_denominator(10**6)
         table = sl_bound_table(frac)
         table["h2_general"] = second_hankel(
             alpha_class_params(float(frac)), PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
         ).value
-        tables[alpha] = table
-    coeff_margins = {
-        (alpha, key): math.inf
-        for alpha in alphas
-        for key in ("a2", "a3", "fekete_t1", "a4", "a2a3_a4", "a5", "h2_general", "h3")
-    }
+        tables.append([float(table[key]) for key in _COEFF_KEYS])
+    a2, a3, a4, a5 = _class_coefficients(coeffs[:, :5], np.array(alphas, dtype=float))
+    a2_sq, a2_a3 = _cmul(a2, a2), _cmul(a2, a3)
+    hankel = _cmul(a2, a4) - _cmul(a3, a3)
+    h3 = _cmul(a3, hankel) - _cmul(a4, a4 - a2_a3) + _cmul(a5, a3 - a2_sq)
+    values = np.stack((a2, a3, a3 - a2_sq, a4, a2_a3 - a4, a5, hankel, h3), axis=-1)
+    # (sample, check), alpha-major; Python's abs(complex) is the hypot of the parts
+    margins = (np.array(tables) - np.hypot(values.real, values.imag)).reshape(len(samples), -1)
+    checks = [f"{key}@alpha={alpha}" for alpha in alphas for key in _COEFF_KEYS]
+    coeff_bad = [[] for _ in samples]
+    for idx, c in zip(*np.nonzero(margins < -tol)):
+        coeff_bad[idx].append(checks[c])
+
+    # one violation entry per failing point, in scan order: per sample, for
+    # each radius the envelope points, then the growth points; then the
+    # failing coefficient checks
     violations = []
-
     for idx, omega in enumerate(samples):
-        ratio = 1 - np.log(1 + omega(z_env))
-        re_lo = ratio.real - re_lo_env
-        re_hi = re_hi_env - ratio.real
-        im = im_env - np.abs(ratio.imag)
-        fv = np.abs(structural_eval(omega, z_growth))
-        g_lo = fv - growth_lo
-        g_hi = growth_hi - fv
-        for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
-                            ("g_lo", g_lo), ("g_hi", g_hi)):
-            worst[key] = min(worst[key], float(margin.min()))
-        # one violation entry per failing point, in scan order: per radius,
-        # the envelope points, then the growth points
-        env_bad = (np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=1)
-        growth_bad = (np.minimum(g_lo, g_hi) < -tol).sum(axis=1)
-        for r, n_env, n_growth in zip(_MEMBERSHIP_RADII, env_bad, growth_bad):
-            for where, n in ((f"envelope r={r}", n_env), (f"growth r={r}", n_growth)):
-                violations.extend(
-                    {"sample": idx, "kind": omega.kind, "where": where} for _ in range(n)
-                )
-
-        psi_omega = psi4.compose(omega.series.padded(4), 4)
-        for alpha in alphas:
-            a = _class_coefficients(psi_omega, alpha)
-            a2, a3, a4, a5 = a[1], a[2], a[3], a[4]
-            table = tables[alpha]
-            checks = {
-                "a2": float(table["a2"]) - abs(a2),
-                "a3": float(table["a3"]) - abs(a3),
-                "fekete_t1": float(table["fekete_t1"]) - abs(a3 - a2 * a2),
-                "a4": float(table["a4"]) - abs(a4),
-                "a2a3_a4": float(table["a2a3_a4"]) - abs(a2 * a3 - a4),
-                "a5": float(table["a5"]) - abs(a5),
-                "h2_general": float(table["h2_general"]) - abs(a2 * a4 - a3 * a3),
-                "h3": float(table["h3"])
-                - abs(a3 * (a2 * a4 - a3 * a3) - a4 * (a4 - a2 * a3) + a5 * (a3 - a2 * a2)),
-            }
-            for key, margin in checks.items():
-                coeff_margins[(alpha, key)] = min(coeff_margins[(alpha, key)], margin)
-                if margin < -tol:
-                    violations.append(
-                        {"sample": idx, "kind": omega.kind, "where": f"{key}@alpha={alpha}"}
-                    )
+        wheres = []
+        for r, n_env, n_growth in zip(_MEMBERSHIP_RADII, env_bad[idx], growth_bad[idx]):
+            wheres += [f"envelope r={r}"] * n_env + [f"growth r={r}"] * n_growth
+        violations.extend(
+            {"sample": idx, "kind": omega.kind, "where": where} for where in wheres + coeff_bad[idx]
+        )
 
     return MembershipReport(
         samples=sample_count,
@@ -479,7 +506,7 @@ def verify_class_membership_bounds(
         worst_im=worst["im"],
         worst_growth_lo=worst["g_lo"],
         worst_growth_hi=worst["g_hi"],
-        coeff_margins={f"{k[1]}@alpha={k[0]}": v for k, v in coeff_margins.items()},
+        coeff_margins=dict(zip(checks, margins.min(axis=0).tolist())),
         violations=violations,
     )
 
@@ -750,20 +777,19 @@ def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dic
         abs(complex(ratio[k]) - complex(blend[k])) for k in range(order + 1)
     )
 
+    # w is in the image region iff |exp(1 - w) - 1| < 1, that is iff its
+    # margin 1 - |exp(1 - w) - 1| is positive (exactly so in floats)
     worst_margin = math.inf
-    inside = True
     for j in range(256):
         z = 0.99 * cmath.exp(2j * math.pi * j / 256)
         w = lam * (1 - cmath.log(1 + z**n)) + (1 - lam) * (1 - cmath.log(1 + z**m))
-        margin = 1 - abs(cmath.exp(1 - w) - 1)
-        worst_margin = min(worst_margin, margin)
-        inside = inside and in_psi_image(w)
+        worst_margin = min(worst_margin, 1 - abs(cmath.exp(1 - w) - 1))
     return {
         "lambda": lam,
         "m": m,
         "n": n,
         "series_identity_error": max_coeff_err,
-        "all_inside": inside,
+        "all_inside": worst_margin > 0,
         "worst_margin": worst_margin,
         "g_series": g,
     }

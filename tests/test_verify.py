@@ -21,7 +21,7 @@ from gft.bounds import (
     polar_slabs,
     second_hankel,
 )
-from gft.catalog import make_spec
+from gft.catalog import in_psi_image, make_spec
 from gft.extremal import f_from_q, t_series
 from gft.verify import (
     SchwarzSample,
@@ -287,6 +287,24 @@ class TestArrayPath:
         assert structural_deriv(omega, 0.0) == 1
         assert structural_eval(omega, 0.0) == 0
 
+    @pytest.mark.parametrize(
+        "omega",
+        [sample_schwarz("monomial", {"m": 40}), SchwarzSample(TruncatedSeries([0]), "zero")],
+        ids=["monomial-40", "order-0"],
+    )
+    def test_orders_other_than_sample_order(self, omega):
+        # 41 coefficients and 1: a node-power table sized by SAMPLE_ORDER
+        # would drop z^40 (0.95^40 = 0.13) or fail to broadcast
+        zs = np.array([0.3, -0.45, 0.2 + 0.4j, 0.95 * cmath.exp(0.7j), -0.95j, 0.95])
+        for fn, ref in (
+            (structural_eval, _ref_eval),
+            (structural_deriv, _ref_deriv),
+            (structural_deriv_convex, _ref_deriv_convex),
+        ):
+            values = fn(omega, zs)
+            for z, v in zip(zs, values):
+                assert _rel_close(v, ref(omega, complex(z)), 1e-13), (fn.__name__, z)
+
     def test_bloch_estimate_matches_scalar_loop(self):
         for omega in sample_suite(12, seed=5):
             est = bloch_norm_estimate(omega, grid_size=10, radial_count=6)
@@ -374,6 +392,148 @@ def test_membership_violation_order_matches_scalar_loop():
     assert hashlib.sha256(text).hexdigest() == (
         "762bb83f32b4aef1bee7505a7535000bfe70f57541351162e732c71f0ae13970"
     )
+
+
+# -- the per-sample membership loop that the stacked path replaced -------------------
+# One Schwarz sample at a time: omega evaluated by Horner at the envelope points
+# and at every (growth point, node) pair, a complex np.log in the quadrature,
+# and psi(omega) composed as a series before the scalar coefficient recurrence.
+
+
+def _ref_class_coefficients(q, alpha):
+    a = [complex(1)]
+    for n in range(2, 6):
+        h_n = 1 + (n - 1) * alpha
+        acc = 0j
+        for m in range(1, n):
+            h_m = 1 + (m - 1) * alpha
+            acc += a[m - 1] * h_m * complex(q[n - m])
+        a.append(acc / ((n - 1) * h_n))
+    return a
+
+
+def _ref_structural_eval(omega, z):
+    w = omega(z[..., None] * verify._GL_S)
+    return z * np.exp(0.5 * ((-np.log(1 + w) / verify._GL_S) @ verify._GL_WEIGHTS))
+
+
+def _ref_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
+    samples = sample_suite(sample_count, seed=seed)
+    radii = np.array(verify._MEMBERSHIP_RADII)[:, None]
+    z_env = radii * verify._circle(verify._MEMBERSHIP_ANGLES)
+    z_growth = z_env[:, :: verify._GROWTH_STRIDE]
+    envs = [verify.re_im_envelope(r) for r in verify._MEMBERSHIP_RADII]
+    re_lo_env, re_hi_env, im_env = (
+        np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")
+    )
+    growth_lo, growth_hi = np.array(verify._growth_reference()).T[:, :, None]
+    psi4 = make_spec("psi").series(4, exact=False)
+    worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
+    tables = {}
+    for alpha in alphas:
+        frac = Fraction(alpha).limit_denominator(10**6)
+        table = verify.sl_bound_table(frac)
+        table["h2_general"] = second_hankel(alpha_class_params(float(frac)), B_PSI).value
+        tables[alpha] = table
+    keys = ("a2", "a3", "fekete_t1", "a4", "a2a3_a4", "a5", "h2_general", "h3")
+    coeff_margins = {(alpha, key): math.inf for alpha in alphas for key in keys}
+    violations = []
+    for idx, omega in enumerate(samples):
+        ratio = 1 - np.log(1 + omega(z_env))
+        re_lo = ratio.real - re_lo_env
+        re_hi = re_hi_env - ratio.real
+        im = im_env - np.abs(ratio.imag)
+        fv = np.abs(_ref_structural_eval(omega, z_growth))
+        g_lo = fv - growth_lo
+        g_hi = growth_hi - fv
+        for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
+                            ("g_lo", g_lo), ("g_hi", g_hi)):
+            worst[key] = min(worst[key], float(margin.min()))
+        env_bad = (np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=1)
+        growth_bad = (np.minimum(g_lo, g_hi) < -tol).sum(axis=1)
+        for r, n_env, n_growth in zip(verify._MEMBERSHIP_RADII, env_bad, growth_bad):
+            for where, n in ((f"envelope r={r}", n_env), (f"growth r={r}", n_growth)):
+                violations.extend(
+                    {"sample": idx, "kind": omega.kind, "where": where} for _ in range(n)
+                )
+        psi_omega = psi4.compose(omega.series.padded(4), 4)
+        for alpha in alphas:
+            _, a2, a3, a4, a5 = _ref_class_coefficients(psi_omega, alpha)
+            table = tables[alpha]
+            checks = {
+                "a2": float(table["a2"]) - abs(a2),
+                "a3": float(table["a3"]) - abs(a3),
+                "fekete_t1": float(table["fekete_t1"]) - abs(a3 - a2 * a2),
+                "a4": float(table["a4"]) - abs(a4),
+                "a2a3_a4": float(table["a2a3_a4"]) - abs(a2 * a3 - a4),
+                "a5": float(table["a5"]) - abs(a5),
+                "h2_general": float(table["h2_general"]) - abs(a2 * a4 - a3 * a3),
+                "h3": float(table["h3"])
+                - abs(a3 * (a2 * a4 - a3 * a3) - a4 * (a4 - a2 * a3) + a5 * (a3 - a2 * a2)),
+            }
+            for key, margin in checks.items():
+                coeff_margins[(alpha, key)] = min(coeff_margins[(alpha, key)], margin)
+                if margin < -tol:
+                    violations.append(
+                        {"sample": idx, "kind": omega.kind, "where": f"{key}@alpha={alpha}"}
+                    )
+    return verify.MembershipReport(
+        samples=sample_count,
+        seed=seed,
+        worst_re_lo=worst["re_lo"],
+        worst_re_hi=worst["re_hi"],
+        worst_im=worst["im"],
+        worst_growth_lo=worst["g_lo"],
+        worst_growth_hi=worst["g_hi"],
+        coeff_margins={f"{k[1]}@alpha={k[0]}": v for k, v in coeff_margins.items()},
+        violations=violations,
+    ).as_dict()
+
+
+@pytest.mark.parametrize("seed", [1000, 1001])
+def test_class_coefficients_keep_the_bits_of_the_series_route(seed):
+    # every kind, with complex coefficients; the report holds only minima, so
+    # each sample's a_2..a_5 are compared here
+    samples = sample_suite(60, seed=seed)
+    alphas = (0.0, 0.25, 0.5, 1.0)
+    psi4 = make_spec("psi").series(4, exact=False)
+    omega4 = np.array([omega.series.padded(4).coeffs for omega in samples], dtype=complex)
+    got = verify._class_coefficients(omega4, np.array(alphas))
+    for idx, omega in enumerate(samples):
+        q = psi4.compose(omega.series.padded(4), 4)
+        for i, alpha in enumerate(alphas):
+            assert [complex(a[idx, i]) for a in got] == _ref_class_coefficients(q, alpha)[1:]
+
+
+def _assert_membership_equal(got, ref):
+    # log(1 + w) = log|1 + w| + i arg(1 + w) moves the growth quadrature in
+    # its last bits; the lower growth margin shows it (0.0 -> 2.8e-17 at seed 42)
+    assert abs(got.pop("worstGrowthLoMargin") - ref.pop("worstGrowthLoMargin")) <= 1e-15
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key] == ref[key], key
+
+
+@pytest.mark.parametrize("seed", range(1000, 1048))
+def test_stacked_membership_equals_per_sample_loop(seed):
+    got = verify_class_membership_bounds(24, seed=seed).as_dict()
+    _assert_membership_equal(got, _ref_membership(24, seed))
+
+
+# blocks hold 5 samples: one short block, one full, one full plus one, ..., 40
+@pytest.mark.parametrize("count", [1, 4, 5, 6, 11, 200])
+def test_stacked_membership_equals_per_sample_loop_at_block_edges(count):
+    got = verify_class_membership_bounds(count, seed=42).as_dict()
+    _assert_membership_equal(got, _ref_membership(count, 42))
+
+
+def test_stacked_membership_violations_equal_per_sample_loop():
+    got = verify_class_membership_bounds(24, seed=1000, tol=-0.5).as_dict()
+    ref = _ref_membership(24, 1000, tol=-0.5)
+    assert len(ref["violations"]) > 500
+    assert {v["where"].split(" ")[0] for v in ref["violations"]} >= {"envelope", "growth"}
+    assert any("@alpha=" in v["where"] for v in ref["violations"])
+    _assert_membership_equal(got, ref)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -804,6 +964,19 @@ class TestLambdaCombination:
         got = verify._psi_blend(lam, m, n, order)
         assert len(got.coeffs) == len(ref.coeffs)
         assert all(complex(g) == complex(r) for g, r in zip(got.coeffs, ref.coeffs))
+
+    # the 45-entry lambda pool of the benchmark's series-build workload
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_inside_equals_pointwise_image_test(self, lam, m, n):
+        rep = lambda_combination_check(lam, m, n, order=24)
+        inside = True
+        for j in range(256):
+            z = 0.99 * cmath.exp(2j * math.pi * j / 256)
+            w = lam * (1 - cmath.log(1 + z**n)) + (1 - lam) * (1 - cmath.log(1 + z**m))
+            inside = inside and in_psi_image(w)
+        assert rep["all_inside"] is inside
 
     def test_validation(self):
         with pytest.raises(ValueError):
