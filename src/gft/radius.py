@@ -274,10 +274,11 @@ def curve_points(curve_id: str, samples: int) -> list[complex]:
         pts = []
         for j in range(samples):
             theta = 2 * math.pi * (j + 1) / (samples + 1)
-            if abs(math.sin(theta)) < 1e-12 and math.cos(theta) > 0:
+            cos = math.cos(theta)
+            if abs(math.sin(theta)) < 1e-12 and cos > 0:
                 continue  # the axis direction away from the vertex never meets the parabola
-            rho_closed = (1 - alpha) / (1 - math.cos(theta))
-            fn = lambda rho, th=theta: (1 + rho * math.cos(th)) - rho - alpha
+            rho_closed = (1 - alpha) / (1 - cos)
+            fn = lambda rho, cos=cos: (1 + rho * cos) - rho - alpha
             res = bisect_root(fn, 0.0, 2 * rho_closed + 1.0, f"tau3@{theta:.3f}")
             pts.append(1 + res.root * cmath.exp(1j * theta))
         if not pts:

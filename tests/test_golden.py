@@ -10,20 +10,32 @@ change, rewrite the files with
 The benchmark's ``cli-cold`` workload checks each fresh-process command by
 the exit code, byte count and sha256 of its stdout, recorded in
 ``bench/reference.json``; ``test_cli_cold_reference`` replays every one of
-those commands in process.  It only reads that file.
+those commands in process.  ``test_inproc_reference`` replays every pool
+entry of the in-process ``membership`` workload and of the ``oracles``
+workload's ``bloch`` sub-op, the two that build Schwarz samples, with the
+runners, ``compare`` and tolerances of ``bench/inproc.py``.  Both only read
+``bench/``.
 """
 
 import hashlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
 from gft.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
-REFERENCE = pathlib.Path(__file__).parents[1] / "bench" / "reference.json"
+BENCH = pathlib.Path(__file__).parents[1] / "bench"
+REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+
+sys.path.insert(0, str(BENCH))
+try:
+    import inproc  # imports its sibling bench/draws.py
+finally:
+    sys.path.remove(str(BENCH))
 
 CASES = {
     "radius_k_starlike": ["radius", "--problem", "k-starlike", "--k", "1"],
@@ -74,7 +86,7 @@ def test_golden_output(name):
     assert render(CASES[name]) == expected
 
 
-COLD = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli-cold"]
+COLD = REFERENCE["cli-cold"]
 
 
 @pytest.mark.parametrize("command", sorted(COLD))
@@ -85,6 +97,21 @@ def test_cli_cold_reference(command, monkeypatch):
     stdout = stream.getvalue().encode("utf-8")
     got = {"exit": code, "bytes": len(stdout), "sha256": hashlib.sha256(stdout).hexdigest()}
     assert got == COLD[command]
+
+
+REPLAYED = [("membership", "membership", params) for params in inproc.KINDS["membership"][1]] + [
+    ("oracles", "bloch", params) for params in inproc.KINDS["bloch"][1]
+]
+
+
+@pytest.mark.parametrize(
+    "workload, kind, params", REPLAYED, ids=[inproc.key(k, p) for _, k, p in REPLAYED]
+)
+def test_inproc_reference(workload, kind, params):
+    tol = inproc.TOLERANCE[workload]
+    ref = REFERENCE[workload][inproc.key(kind, params)]
+    digest = inproc.KINDS[kind][0](params)
+    assert inproc.compare(digest, ref, tol["rtol"], tol["atol"]) is None
 
 
 if __name__ == "__main__":

@@ -148,6 +148,77 @@ class TestSampleSchwarz:
         assert sample_schwarz(kind, params, seed=3).kind == kind
 
 
+# -- the Cauchy-product sample construction that the closed forms replaced -----------
+# The Moebius map as z (z + eta) times the series of 1/(1 + eta z), each Blaschke
+# factor as (a - z) times the series of 1/(1 - conj(a) z) multiplied into scale z,
+# all by TruncatedSeries.mul; a random polynomial as a series scaled by its sup on
+# a freshly built boundary circle. The RNG draws are those of sample_schwarz.
+
+
+def _ref_mobius(eta):
+    inv = TruncatedSeries([1] + [(-eta) ** k for k in range(1, verify.SAMPLE_ORDER + 1)])
+    return TruncatedSeries([0, eta, 1]).mul(inv, verify.SAMPLE_ORDER)
+
+
+def _ref_blaschke(seed):
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0.1, 0.6, 2)
+    angles = rng.uniform(0, 2 * math.pi, 2)
+    out = TruncatedSeries([0, float(rng.uniform(0.5, 0.95))])
+    for r, t in zip(radii, angles):
+        a = complex(r * cmath.exp(1j * t))
+        inv = TruncatedSeries([a.conjugate() ** k for k in range(verify.SAMPLE_ORDER + 1)])
+        factor = TruncatedSeries([a, -1]).mul(inv, verify.SAMPLE_ORDER)
+        out = out.mul(factor, verify.SAMPLE_ORDER)
+    return out
+
+
+def _ref_random_poly(seed):
+    rng = np.random.default_rng(seed)
+    poly = TruncatedSeries([0] + list(rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+    circle = np.exp(2j * np.pi * np.arange(verify.BOUNDARY_GRID) / verify.BOUNDARY_GRID)
+    sup = float(np.abs(poly(circle)).max())
+    return (poly * (1.0 / (verify.SCHWARZ_SAFETY * sup))).padded(verify.SAMPLE_ORDER)
+
+
+def _coeffs(series):
+    return [complex(c) for c in series.coeffs]
+
+
+def _max_coeff_gap(got, ref):
+    assert len(got.coeffs) == len(ref.coeffs) == verify.SAMPLE_ORDER + 1
+    return max(abs(g - r) for g, r in zip(_coeffs(got), _coeffs(ref)))
+
+
+class TestClosedFormSamples:
+    @pytest.mark.parametrize("eta", [k / 20 for k in range(21)] + [1 / 3, 0.999])
+    def test_mobius_matches_cauchy_product(self, eta):
+        got = sample_schwarz("mobius_eta", {"eta": eta}).series
+        assert _max_coeff_gap(got, _ref_mobius(eta)) <= 1e-15
+
+    @pytest.mark.parametrize("kind, ref", [
+        ("scaled_blaschke", _ref_blaschke),
+        ("random_poly_normalized", _ref_random_poly),
+    ])
+    def test_seeded_kinds_match_cauchy_product(self, kind, ref):
+        for seed in range(64):
+            got = sample_schwarz(kind, seed=seed).series
+            assert _max_coeff_gap(got, ref(seed)) <= 1e-15, seed
+
+    def test_monomials_and_mobius_ends_are_exact(self):
+        for m in (1, 2, 3, 4):
+            ref = TruncatedSeries([0] * m + [1]).padded(verify.SAMPLE_ORDER)
+            assert _coeffs(sample_schwarz("monomial", {"m": m}).series) == _coeffs(ref)
+        # eta = 0 and eta = 1 reproduce z^2 and z, the monomial samples m = 2
+        # and m = 1, coefficient for coefficient. sample_suite keeps both
+        # anyway: the 24-sample membership digests of the benchmark reference
+        # pin the suite's sample list, and dropping them would shift it.
+        for eta, m in ((0.0, 2), (1.0, 1)):
+            got = _coeffs(sample_schwarz("mobius_eta", {"eta": eta}).series)
+            assert got == _coeffs(_ref_mobius(eta))
+            assert got == _coeffs(sample_schwarz("monomial", {"m": m}).series)
+
+
 class TestConvexDistortionSandwich:
     def test_sampled_members_between_envelope_ends(self):
         from gft.extremal import d_series
@@ -534,6 +605,23 @@ def test_stacked_membership_violations_equal_per_sample_loop():
     assert {v["where"].split(" ")[0] for v in ref["violations"]} >= {"envelope", "growth"}
     assert any("@alpha=" in v["where"] for v in ref["violations"])
     _assert_membership_equal(got, ref)
+
+
+def test_bound_row_is_cached_per_alpha(monkeypatch):
+    built = []
+    real = verify.sl_bound_table
+    monkeypatch.setattr(verify, "sl_bound_table", lambda alpha: built.append(alpha) or real(alpha))
+    verify._bound_row.cache_clear()
+    alphas = (0.0, 0.3, 0.5, 1.0)
+    for _ in range(2):
+        verify_class_membership_bounds(6, seed=7, alphas=alphas)
+    assert built == [Fraction(alpha).limit_denominator(10**6) for alpha in alphas]
+    for alpha in alphas:
+        frac = Fraction(alpha).limit_denominator(10**6)
+        table = real(frac)
+        table["h2_general"] = second_hankel(alpha_class_params(float(frac)), B_PSI).value
+        assert verify._bound_row(alpha) == tuple(float(table[key]) for key in verify._COEFF_KEYS)
+    assert len(built) == len(alphas)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -977,6 +1065,8 @@ class TestLambdaCombination:
             w = lam * (1 - cmath.log(1 + z**n)) + (1 - lam) * (1 - cmath.log(1 + z**m))
             inside = inside and in_psi_image(w)
         assert rep["all_inside"] is inside
+        # psi(D) is convex, so every blend of two of its points stays inside
+        assert rep["worst_margin"] > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
