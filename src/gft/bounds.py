@@ -29,7 +29,6 @@ __all__ = [
     "ClassParams",
     "PhiCoeffs",
     "BoundReport",
-    "SchwarzMax",
     "alpha_class_params",
     "SYMMETRIC_STARLIKE_PARAMS",
     "SYMMETRIC_CONVEX_PARAMS",
@@ -43,8 +42,8 @@ __all__ = [
     "q_params_a2a3_a4",
     "polar_grid",
     "polar_slabs",
+    "grid_argmax",
     "grid_then_polish",
-    "schwarz_functional_H",
     "a4_bound",
     "a2a3_a4_bound",
     "PSI_COEFFS",
@@ -394,7 +393,8 @@ def _a4(params: ClassParams, coeffs, head, tail, p3):
 
 
 def q_params_a4(params: ClassParams, coeffs):
-    """(q1, q2) of the cubic Schwarz functional controlling |a4|."""
+    """(q1, q2) of the paper's reduction a4 = (B1/w)(c3 + q1 c1 c2 + q2 c1^3) in the
+    Schwarz coefficients c_k; no oracle uses it, the tests check it against them."""
     u, v = params.u, params.v
     h2, h3 = params.h2, params.h3
     g2, g3 = params.g2, params.g3
@@ -407,7 +407,7 @@ def q_params_a4(params: ClassParams, coeffs):
 
 
 def q_params_a2a3_a4(params: ClassParams, coeffs):
-    """(q1, q2) of the cubic Schwarz functional controlling |a2 a3 - a4|."""
+    """(q1, q2) of the reduction a4 - a2 a3 = (B1/w)(c3 + q1 c1 c2 + q2 c1^3)."""
     u, v = params.u, params.v
     g2, g3, g4 = params.g2, params.g3, params.g4
     h2, h3, h4 = params.h2, params.h3, params.h4
@@ -421,33 +421,6 @@ def q_params_a2a3_a4(params: ClassParams, coeffs):
         + b1**3 * h2 * (-g4 + g2 * h3 - h2 * h3 + h4)
     ) / denom
     return q1, q2
-
-
-@dataclass(frozen=True)
-class SchwarzMax:
-    """Attained lower bound for a Schwarz-coefficient functional maximum."""
-
-    value: float
-    xi: float
-    eta: complex
-    zeta: complex
-
-
-def _schwarz_inner(q1: float, q2: float, xi, eta):
-    """The zeta-free part q2 xi^3 + q1 xi (1-xi^2) eta - xi (1-xi^2) eta^2.
-
-    Uses c1 = xi (rotated real), c2 = (1-xi^2) eta,
-    c3 = (1-xi^2)((1-|eta|^2) zeta - xi eta^2) in c3 + q1 c1 c2 + q2 c1^3.
-    """
-    one_m_xi2 = 1 - xi**2
-    return q2 * xi**3 + q1 * xi * one_m_xi2 * eta - xi * one_m_xi2 * eta**2
-
-
-def _schwarz_cubic_objective(q1: float, q2: float, xi, eta):
-    """|c3 + q1 c1 c2 + q2 c1^3| with zeta aligned to the zeta-free part."""
-    import numpy as np
-
-    return (1 - xi**2) * (1 - np.abs(eta) ** 2) + np.abs(_schwarz_inner(q1, q2, xi, eta))
 
 
 def minimize(fun, x0, xatol: float, fatol: float):
@@ -553,85 +526,83 @@ def polar_slabs(density: int) -> list[slice]:
     return [slice(lo, min(lo + rows, density)) for lo in range(0, density, rows)]
 
 
-def grid_then_polish(on_grid, neg, top: float, density: int, xatol: float, fatol: float):
-    """Maximum of a function of (t, x) by polar-grid argmax and a simplex polish.
+def grid_argmax(on_grid, top: float, density: int, *row_data):
+    """(value, (t, rho, phi)) of the first maximum of a function on a polar grid.
 
-    ``on_grid(t, x)`` evaluates the function on :func:`polar_grid` arrays
-    (``t`` restricted to a slab of rows); ``neg((t, rho, phi))`` is its
-    negation at one point, clamping the point into the region itself.
-    Returns (value, point) of the better of the grid argmax and the
-    Nelder-Mead polish started from it.
-
+    ``on_grid(t, x, *data)`` evaluates it on :func:`polar_grid` arrays, ``t``
+    restricted to a slab of rows; each array of ``row_data`` has the shape
+    (d, 1, 1) of ``t`` and reaches ``on_grid`` restricted to the same rows.
     The slabs fill one (d, d, d) array and a single argmax runs over it, so
-    the first maximum in grid order wins ties exactly as over one full-grid
-    evaluation.
+    the first maximum in grid order wins ties as over one full-grid evaluation.
     """
     import numpy as np
 
     t, rho, phi, x = polar_grid(top, density)
     vals = np.empty((density, density, density))
     for rows in polar_slabs(density):
-        vals[rows] = on_grid(t[rows], x)
+        vals[rows] = on_grid(t[rows], x, *(data[rows] for data in row_data))
     i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    start = (float(t[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k]))
-    best = float(vals[i, j, k])
-    res = minimize(neg, np.array(start), xatol=xatol, fatol=fatol)
+    return float(vals[i, j, k]), (float(t[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k]))
+
+
+def grid_then_polish(on_grid, neg, top: float, density: int, xatol: float, fatol: float):
+    """Maximum of a function of (t, x) by :func:`grid_argmax` and a simplex polish.
+
+    ``neg((t, rho, phi))`` is the negation of the function at one point,
+    clamping the point into the region itself.  Returns (value, point) of the
+    better of the grid argmax and the Nelder-Mead polish started from it.
+    """
+    best, start = grid_argmax(on_grid, top, density)
+    res = minimize(neg, start, xatol=xatol, fatol=fatol)
     if -res.fun > best:
         return -res.fun, res.x
     return best, start
 
 
-def schwarz_functional_H(q1: float, q2: float, grid_density: int = 64) -> SchwarzMax:
-    """Numerical maximum of |c3 + q1 c1 c2 + q2 c1^3| over Schwarz coefficients.
+def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) -> BoundReport:
+    """Grid maximum of |functional(a2, a3, a4)| over the class, with its witness.
 
-    Grid over xi in [0,1] (rotation-normalized), eta in the closed unit disk,
-    with the unimodular third parameter aligned in closed form, followed by a
-    simplex polish.  The result is an attained lower bound of the true
-    supremum: a sampled maximum, with no certificate.  For the inputs arising
-    here the maximizer sits at a grid vertex and the value is exact.
+    Rotate the Schwarz function so that c1 = xi lies in [0, 1]; its Schur
+    parameters eta, zeta give c2 = s eta, c3 = s ((1 - |eta|^2) zeta - xi eta^2)
+    with s = 1 - xi^2.  At fixed xi the functional is affine in (c2, c3),
+    A + B c2 + C c3; :func:`gft.verify._class_coefficients` gives it at
+    (c2, c3) = (0, 0), (1, 0), (0, 1).  The best zeta leaves
+    |A + B s eta - C s xi eta^2| + |C| s (1 - |eta|^2), maximized over the
+    :func:`polar_grid` of (xi, eta): an attained value, exact when a
+    maximizer is a grid vertex.
     """
     if grid_density < 32:
         raise ValueError("grid_density must be at least 32")
     import numpy as np
 
-    q1 = float(q1)
-    q2 = float(q2)
+    from .verify import _class_coefficients
 
-    def neg(x):
-        xi_c = min(max(x[0], 0.0), 1.0)
-        rho_c = min(max(x[1], 0.0), 1.0)
-        e = rho_c * np.exp(1j * x[2])
-        return -float(_schwarz_cubic_objective(q1, q2, xi_c, e))
+    xi = polar_grid(1.0, grid_density)[0]
+    omega = np.zeros((3,) + xi.shape + (4,), dtype=complex)  # (c2, c3) = 0, (1, 0), (0, 1)
+    omega[..., 1] = xi
+    omega[1, ..., 2] = omega[2, ..., 3] = 1
+    at = functional(*_class_coefficients(
+        omega.reshape(-1, 4), [1.0] + [float(c) for c in coeffs],
+        [1.0, float(params.h2), float(params.h3)],
+        [float(params.u), float(params.v), float(params.w)])).reshape(omega.shape[:-1])
 
-    best_val, (xi_b, rho_b, phi_b) = grid_then_polish(
-        lambda xi, eta: _schwarz_cubic_objective(q1, q2, xi, eta), neg,
-        1.0, grid_density, 1e-9, 1e-12)
-    xi_b, rho_b = min(max(xi_b, 0.0), 1.0), min(max(rho_b, 0.0), 1.0)
-    eta_b = rho_b * np.exp(1j * phi_b)
-    inner = _schwarz_inner(q1, q2, xi_b, eta_b)
-    zeta_b = inner / abs(inner) if abs(inner) > 0 else 1.0
-    return SchwarzMax(best_val, xi_b, complex(eta_b), complex(zeta_b))
+    def on_grid(xi, eta, a, b, c):
+        s = 1 - xi**2
+        return np.abs(a + b * s * eta - c * s * xi * eta**2) + np.abs(c) * s * (1 - np.abs(eta) ** 2)
 
-
-def _cubic_bound(q_params, params: ClassParams, coeffs, grid_density: int) -> BoundReport:
-    """|B1|/(g4-h4) * H(q1, q2) for the (q1, q2) that ``q_params`` assigns."""
-    q1, q2 = q_params(params, coeffs)
-    h = schwarz_functional_H(float(q1), float(q2), grid_density)
-    return BoundReport(
-        abs(coeffs[0]) / params.w * h.value,
-        "schwarz_cubic",
-        {"q1": q1, "q2": q2, "xi": h.xi},
-    )
+    value, (xi_b, rho_b, phi_b) = grid_argmax(on_grid, 1.0, grid_density,
+                                              at[0], at[1] - at[0], at[2] - at[0])
+    return BoundReport(value, label, {"xi": xi_b, "rho": rho_b, "phi": phi_b})
 
 
 def a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundReport:
-    """|a4| <= |B1|/(g4-h4) * H(q1, q2), H evaluated by the maximization oracle."""
-    return _cubic_bound(q_params_a4, params, coeffs, grid_density)
+    """|a4| over the class with generator coefficients ``coeffs``, by the grid oracle."""
+    return _cubic_oracle(lambda a2, a3, a4: a4, "grid_a4", params, coeffs, grid_density)
 
 
 def a2a3_a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundReport:
-    """|a2 a3 - a4| <= |B1|/(g4-h4) * H(q1, q2) with the shifted q-parameters."""
-    return _cubic_bound(q_params_a2a3_a4, params, coeffs, grid_density)
+    """|a2 a3 - a4| over the class with generator coefficients ``coeffs``, by the grid oracle."""
+    return _cubic_oracle(lambda a2, a3, a4: a2 * a3 - a4, "grid_a2a3a4", params, coeffs, grid_density)
 
 
 # -- closed-form table for the logarithmic family -------------------------------------

@@ -344,6 +344,28 @@ def _cmd_classify(args, cfg: Config, out) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+def rational(text: str):
+    """An exact Fraction: "0.3" and "3/10" give 3/10.  nan, inf, "1/0" and exponents
+    of 100 or more are invalid (10^exponent is built exactly: 10 s for 10^7)."""
+    from fractions import Fraction
+
+    _, e, exponent = text.lower().partition("e")
+    if e and not abs(int(exponent)) < 100:
+        raise ValueError(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(text) from None
+
+
+def finite(text: str) -> float:
+    """A float other than nan and inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _selected_flags(p, select, **types):
     """Add the flags whose use depends on the entry ``select(args)`` picks.
 
@@ -370,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="radius constants")
     p.add_argument("--problem", required=True, choices=RADIUS_PROBLEMS)
     _selected_flags(p, lambda a: RADIUS_PROBLEMS[a.problem],
-                    alpha=float, beta=float, gamma=float, k=float)
+                    alpha=finite, beta=finite, gamma=finite, k=finite)
     p.set_defaults(handler=_cmd_radius)
 
     p = sub.add_parser("bound", help="coefficient-functional bounds")
     p.add_argument("--class", dest="klass", required=True,
                    choices=("sl", "symmetric-starlike", "symmetric-convex"))
     p.add_argument("--which", required=True, choices=SL_BOUNDS)
-    _selected_flags(p, _select_bound, alpha=float, t=float, b1=float, b2=float, b3=float)
+    _selected_flags(p, _select_bound, alpha=rational, t=finite, b1=finite, b2=finite, b3=finite)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("extremal", help="structural-function coefficients")

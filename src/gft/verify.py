@@ -356,32 +356,34 @@ def _cmul(a, b):
     return a.real * b.real - a.imag * b.imag + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def _class_coefficients(omega4: np.ndarray, alphas: np.ndarray) -> list[np.ndarray]:
-    """a_2..a_5 of the class members, one row per sample and one column per alpha.
+def _class_coefficients(omega: np.ndarray, phi, h, d) -> list[np.ndarray]:
+    """a_2..a_{N+1} of the class members, one row per Schwarz function and one
+    column per weight set.
 
-    ``omega4`` holds w_0 = 0, w_1..w_4 of each Schwarz sample. q = psi(omega)
-    takes the Horner steps of :meth:`TruncatedSeries.compose` and the sum
-    order of :meth:`TruncatedSeries.mul`, then a_n (n-1) h_n =
-    sum_{m<n} a_m h_m q_{n-m} with h_m = 1 + (m-1) alpha. Each step rounds as
-    Python does on one sample's complex scalars, keeping the bits of that route.
+    ``omega`` holds w_0 = 0, w_1..w_N of each Schwarz function, ``phi`` the
+    generator coefficients 1, phi_1..phi_N, ``h`` the weights 1, h_2..h_N and
+    ``d`` the gaps d_n = g_n - h_n, n = 2..N+1, each weight a scalar or one
+    entry per column. q = phi(omega) takes the Horner steps of
+    :meth:`TruncatedSeries.compose` and the sum order of
+    :meth:`TruncatedSeries.mul`, then a_n d_n = sum_{m<n} a_m h_m q_{n-m}. Each
+    step rounds as Python does on one row's complex scalars, keeping the bits
+    of that route.
     """
-    psi = make_spec("psi").series(4, exact=False).coeffs
-    q = np.zeros_like(omega4)
-    q[:, 0] = psi[4]
-    for c in reversed(psi[:4]):
+    order = omega.shape[1] - 1
+    q = np.zeros_like(omega)
+    q[:, 0] = phi[order]
+    for c in reversed(phi[:order]):
         # coefficient n of q * omega is sum_{j<n} q_j w_{n-j}, in order of j
-        acc = _cmul(q[:, :1], omega4[:, 1:])
-        for j in range(1, 4):
-            acc[:, j:] += _cmul(q[:, j : j + 1], omega4[:, 1 : 5 - j])
+        acc = _cmul(q[:, :1], omega[:, 1:])
+        for j in range(1, order):
+            acc[:, j:] += _cmul(q[:, j : j + 1], omega[:, 1 : order + 1 - j])
         q[:, 0], q[:, 1:] = c, acc
-    h = [1 + (m - 1) * alphas for m in range(1, 6)]
-    a = [np.ones((len(omega4), len(alphas)), dtype=complex)]
-    for n in range(2, 6):
+    a = [np.ones((len(omega), np.size(d[0])), dtype=complex)]
+    for n in range(2, order + 2):
         acc = 0
         for m in range(1, n):
             acc = acc + _cmul(a[m - 1] * h[m - 1], q[:, n - m, None])
-        d = (n - 1) * h[n - 1]
-        a.append(acc.real / d + 1j * (acc.imag / d))  # as Python; numpy multiplies by 1/d
+        a.append(acc.real / d[n - 2] + 1j * (acc.imag / d[n - 2]))  # as Python, not by 1/d
     return a[1:]
 
 
@@ -487,7 +489,9 @@ def verify_class_membership_bounds(
         growth_bad.extend((np.minimum(g_lo, g_hi) < -tol).sum(axis=-1))
 
     tables = [_bound_row(alpha) for alpha in alphas]  # the bounds per (alpha, key)
-    a2, a3, a4, a5 = _class_coefficients(coeffs[:, :5], np.array(alphas, dtype=float))
+    psi = make_spec("psi").series(4, exact=False).coeffs
+    h = [1 + k * np.array(alphas, dtype=float) for k in range(5)]  # h_1..h_5, d_n = (n - 1) h_n
+    a2, a3, a4, a5 = _class_coefficients(coeffs[:, :5], psi, h[:4], [k * h[k] for k in range(1, 5)])
     a2_sq, a2_a3 = _cmul(a2, a2), _cmul(a2, a3)
     hankel = _cmul(a2, a4) - _cmul(a3, a3)
     h3 = _cmul(a3, hankel) - _cmul(a4, a4 - a2_a3) + _cmul(a5, a3 - a2_sq)

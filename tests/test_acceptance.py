@@ -15,8 +15,10 @@ import numpy as np
 from gft.bounds import (
     PSI_COEFFS,
     PhiCoeffs,
+    a2a3_a4_bound,
     a2a3_a4_bound_sl,
     a3_bound_sl,
+    a4_bound,
     a4_bound_sl,
     a5_bound_sl,
     alpha_class_params,
@@ -24,7 +26,6 @@ from gft.bounds import (
     fekete_szego_sl,
     h2_bound_sl,
     h3_bound_sl_star,
-    schwarz_functional_H,
     second_hankel,
 )
 from gft.catalog import make_spec
@@ -130,13 +131,14 @@ def test_criterion_3_bound_table():
 def test_criterion_4_oracle_dominance_and_attainment():
     b = PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
     val = maximize_second_hankel_oracle(alpha_class_params(0.0), b, density=64)
-    h_a4 = schwarz_functional_H(-2.5, 19 / 12, 64).value
-    h_mix = schwarz_functional_H(-1.0, -2 / 3, 64).value
+    params = alpha_class_params(0.0)
+    a4 = a4_bound(params, PSI_COEFFS, 64).value
+    mix = a2a3_a4_bound(params, PSI_COEFFS, 64).value
     checks = [
         ("hankel oracle reaches", val >= 0.249),
         ("hankel oracle bounded", val <= 0.25 + 1e-9),
-        ("H(-5/2,19/12)", abs(h_a4 - 19 / 12) < 1e-4),
-        ("H(-1,-2/3)", abs(h_mix - 1.0) < 1e-4),
+        ("a4 oracle attains 19/36", abs(a4 - 19 / 36) < 1e-12),
+        ("a2a3-a4 oracle attains 1/3", abs(mix - 1 / 3) < 1e-12),
     ]
     report(4, "brute-force oracles dominate and nearly attain", checks)
 

@@ -1,6 +1,7 @@
 """Coefficient-functional bounds: exact tables, case machinery, oracles."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -39,18 +40,25 @@ from gft.bounds import (
     polar_slabs,
     q_params_a2a3_a4,
     q_params_a4,
-    schwarz_functional_H,
     second_hankel,
     second_hankel_symmetric,
     sl_bound_table,
     sl_threshold_sign,
 )
-from gft.verify import caratheodory_point
+import gft.bounds
+from gft.verify import _class_coefficients, caratheodory_point
 
 ALPHA_STAR_FLOAT = (2 + math.sqrt(15)) / 11  # branch point of the h2 table
 
 #: exact alpha in [0, 1]
 RATIONAL_ALPHAS = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+# a point of the closed unit disk, drawn on the boundary about half the time
+DISK_POINTS = st.builds(
+    lambda r, phi: r * cmath.exp(1j * phi),
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
 
 
 class TestClassParams:
@@ -212,8 +220,8 @@ class TestSecondHankel:
     @settings(max_examples=100, deadline=None)
     def test_counterpart_parity(self, alpha, c):
         # B_i = (-1)^i C_i.  The Hankel polynomials only see b1^2, b1^4, b1 b3
-        # and b2, so the sign convention cannot change the bound; the cubic
-        # functional's q1 flips sign and q2 does not, and H(q1, q2) is even in q1
+        # and b2, so the sign convention cannot change the bound; in the
+        # reduction c3 + q1 c1 c2 + q2 c1^3, q1 flips sign and q2 does not
         params = alpha_class_params(alpha)
         b = PhiCoeffs.from_counterpart(*c)
         assert (b.b1, b.b2, b.b3) == (-c[0], c[1], -c[2])
@@ -347,44 +355,105 @@ class TestQParams:
         )
 
 
-class TestSchwarzFunctionalH:
-    def test_a4_input(self):
-        h = schwarz_functional_H(-2.5, 19 / 12, 64)
-        assert abs(h.value - 19 / 12) < 1e-4
-        assert h.xi == pytest.approx(1.0)
+def _schur_coefficients(xi, eta, zeta):
+    """(c1, c2, c3) of the Schwarz function with Schur parameters xi, eta, zeta."""
+    s = 1 - abs(xi) ** 2
+    return xi, s * eta, s * ((1 - abs(eta) ** 2) * zeta - xi.conjugate() * eta**2)
 
-    def test_a2a3a4_input(self):
-        h = schwarz_functional_H(-1.0, -2 / 3, 64)
-        assert abs(h.value - 1.0) < 1e-4
-        assert h.xi == pytest.approx(0.0)
 
-    def test_trivial_input(self):
-        assert abs(schwarz_functional_H(0.0, 0.0, 64).value - 1.0) < 1e-9
+class TestReductionAgainstRecurrence:
+    """The paper's reduction (q_params_*) against the coefficient recurrence."""
 
-    def test_even_in_q1(self):
-        a = schwarz_functional_H(-2.5, 19 / 12, 64)
-        b = schwarz_functional_H(2.5, 19 / 12, 64)
-        assert abs(a.value - b.value) < 1e-12
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        b1=st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1)),
+        b2=st.floats(-3.0, 3.0),
+        b3=st.floats(-3.0, 3.0),
+        xi=DISK_POINTS,
+        eta=DISK_POINTS,
+        zeta=DISK_POINTS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_q_reduction_is_the_recurrence(self, alpha, b1, b2, b3, xi, eta, zeta):
+        params = alpha_class_params(alpha)
+        c1, c2, c3 = _schur_coefficients(complex(xi), complex(eta), complex(zeta))
+        a2, a3, a4 = (complex(a[0, 0]) for a in _class_coefficients(
+            np.array([[0, c1, c2, c3]]), [1.0, b1, b2, b3], [1.0, params.h2, params.h3],
+            [params.u, params.v, params.w]))
+        for functional, q_params in ((a4, q_params_a4), (a4 - a2 * a3, q_params_a2a3_a4)):
+            q1, q2 = q_params(params, (b1, b2, b3))
+            reduced = b1 / params.w * (c3 + q1 * c1 * c2 + q2 * c1**3)
+            assert abs(functional - reduced) < 1e-12
+
+
+class TestCubicOracles:
+    """``a4_bound`` and ``a2a3_a4_bound``: grid maxima over the coefficient recurrence."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                                       Fraction(3, 4), Fraction(1)])
+    @pytest.mark.parametrize("coeffs", [PSI_COEFFS, (1.0, 0.5, 1.0 / 3.0)])
+    def test_independent_of_the_closed_forms(self, monkeypatch, alpha, coeffs):
+        # neither the paper's q-reduction nor the polish is on the cubic path
+        def banned(*args, **kwargs):
+            raise AssertionError("the cubic oracles must not call this")
+
+        for name in ("q_params_a4", "q_params_a2a3_a4", "minimize", "grid_then_polish"):
+            monkeypatch.setattr(gft.bounds, name, banned)
+        params = alpha_class_params(alpha)
+        for oracle, closed, xi in ((a4_bound, a4_bound_sl, 1.0), (a2a3_a4_bound, a2a3_a4_bound_sl, 0.0)):
+            rep = oracle(params, coeffs)
+            assert abs(rep.value - float(closed(alpha).value)) < 1e-12
+            # the witness: omega = z for a4, omega = z^3 (xi = rho = 0) for a2a3a4
+            assert rep.inputs["xi"] == xi
+            assert xi == 1.0 or rep.inputs["rho"] == 0.0
+            assert all(type(v) is float for v in rep.inputs.values())
+            assert json.loads(json.dumps(rep.as_dict()))["inputsEcho"] == rep.inputs
+
+    @pytest.mark.parametrize("oracle, functional", [
+        (a4_bound, lambda a2, a3, a4: a4), (a2a3_a4_bound, lambda a2, a3, a4: a2 * a3 - a4)])
+    def test_grid_is_the_functional_at_each_schur_point(self, argmax_calls, oracle, functional):
+        # at a grid point (xi, eta) the functional is F0 + F1 zeta, so its
+        # maximum over the disk is |F0| + |F1|; the recurrence gives it at the
+        # Schwarz coefficients of zeta = 0 and zeta = 1, not through A, B, C
+        params, coeffs = alpha_class_params(0.3), (0.7, -1.3, 2.1)
+        oracle(params, coeffs, 32)
+        (call,) = argmax_calls
+        t, _, _, x = polar_grid(1.0, 32)
+        xi, eta = np.broadcast_arrays(t, x)
+        s = 1 - xi**2
+        at = []
+        for zeta in (0, 1):
+            c = (0 * eta, xi + 0j, s * eta, s * ((1 - abs(eta) ** 2) * zeta - xi * eta**2))
+            at.append(functional(*_class_coefficients(
+                np.stack(c, axis=-1).reshape(-1, 4), [1.0, *coeffs],
+                [1.0, params.h2, params.h3], [params.u, params.v, params.w])).reshape(xi.shape))
+        np.testing.assert_allclose(call.full(), np.abs(at[0]) + np.abs(at[1] - at[0]),
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_trivial_generator(self):
+        # h = 0 and phi = 1 + z: f * G = z (1 + omega), so a4 = c3 / 4
+        rep = a4_bound(ClassParams(2, 3, 4, 0, 0, 0), (1, 0, 0))
+        assert rep.value == 0.25
 
     def test_density_validated(self):
-        with pytest.raises(ValueError):
-            schwarz_functional_H(0, 0, 16)
+        for oracle in (a4_bound, a2a3_a4_bound):
+            with pytest.raises(ValueError):
+                oracle(alpha_class_params(0.5), PSI_COEFFS, 16)
 
     # 33 and 37 leave a ragged last slab; at 96 a slab is a single row
     @pytest.mark.parametrize("density", [32, 33, 37, 48, 96])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("q_params", [q_params_a4, q_params_a2a3_a4])
-    def test_slabbed_grid_equals_full_tensor(self, grid_calls, q_params, alpha, density):
-        q1, q2 = q_params(alpha_class_params(alpha), (1.0, 0.5, 1.0 / 3.0))
-        schwarz_functional_H(float(q1), float(q2), density)
-        (call,) = grid_calls
-        t, _, _, x = polar_grid(1.0, density)
-        full = call.on_grid(t, x)
+    @pytest.mark.parametrize("oracle", [a4_bound, a2a3_a4_bound])
+    def test_slabbed_grid_equals_full_tensor(self, argmax_calls, oracle, alpha, density):
+        rep = oracle(alpha_class_params(alpha), (1.0, 0.5, 1.0 / 3.0), density)
+        (call,) = argmax_calls
+        full = call.full()
         slabbed = call.assembled()
         assert len(call.slabs) == len(polar_slabs(density)) > 1
         assert np.array_equal(slabbed.view(np.uint64), full.view(np.uint64))
         assert np.argmax(slabbed) == np.argmax(full)
-        assert repr(call.result) == repr(call.unslabbed(full))
+        assert call.result == call.unslabbed(full)
+        assert call.result == (rep.value, (rep.inputs["xi"], rep.inputs["rho"], rep.inputs["phi"]))
 
 
 class TestMinimizeMatchesScipy:
@@ -444,7 +513,7 @@ class TestFourthCoefficientBounds:
 
     def test_a4_counterpart_equivalence(self):
         # negative- and positive-slope coefficient triples give the same
-        # bound: the cubic functional maximum is even in its first parameter
+        # bound: their class members are f(z) and -f(-z)
         params = alpha_class_params(Fraction(1, 2))
         from_c = a4_bound(params, PSI_COEFFS)
         from_b = a4_bound(params, (Fraction(1), Fraction(1, 2), Fraction(1, 3)))
@@ -638,14 +707,6 @@ class TestDerivedTable:
     @settings(max_examples=40, deadline=None)
     def test_at_drawn_rational(self, check, alpha):
         check(alpha)
-
-
-# a point of the closed unit disk, drawn on the boundary about half the time
-DISK_POINTS = st.builds(
-    lambda r, phi: r * cmath.exp(1j * phi),
-    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
-    st.floats(0.0, 2 * math.pi, exclude_max=True),
-)
 
 
 class TestBoundsDominateFunctionals:

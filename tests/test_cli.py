@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,10 @@ from gft.cli import (
     SL_BOUNDS,
     SUITES,
     build_parser,
+    finite,
     load_config,
     main,
+    rational,
 )
 
 
@@ -138,6 +141,25 @@ class TestBoundCommand:
     def test_alpha_out_of_range_rejected(self):
         code, _ = run_cli(["bound", "--class", "sl", "--alpha", "2", "--which", "h2"])
         assert code == EXIT_REJECTED
+
+    @pytest.mark.parametrize("text", ["0.3", "3/10", "0.30"])
+    def test_alpha_is_parsed_exactly(self, text):
+        code, out = run_cli(["bound", "--class", "sl", "--alpha", text, "--which", "a4"])
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["inputsEcho"]["alpha"] == "3/10"
+        assert payload["value"] == float(Fraction(19, 36) / (1 + 3 * Fraction(3, 10)))
+
+    @pytest.mark.parametrize("text", ["0.3x", "1/0", "1e-100000000", "1e100", "1e"])
+    def test_alpha_not_rational_is_usage_error(self, text, capsys):
+        code, out = run_cli(["bound", "--class", "sl", "--alpha", text, "--which", "a4"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --alpha: invalid rational value: '{text}'" in capsys.readouterr().err
+
+    def test_alpha_exponent_below_100_accepted(self):
+        code, out = run_cli(["bound", "--class", "sl", "--alpha", "25e-2", "--which", "a4"])
+        assert code == EXIT_OK
+        assert json.loads(out)["inputsEcho"]["alpha"] == "1/4"
 
 
 class TestExtremalCommand:
@@ -403,7 +425,39 @@ class TestContracts:
         assert out == "value: 0.1111111111111111\ncase: sl-star\n"
 
 
+# every float flag (and --alpha of bound, an exact rational) with a command that reads it
+NUMBER_FLAGS = [
+    ("alpha", ["radius", "--problem", "starlike-order"]),
+    ("beta", ["radius", "--problem", "m-beta"]),
+    ("gamma", ["radius", "--problem", "strongly-starlike"]),
+    ("k", ["--format", "text", "radius", "--problem", "k-starlike"]),
+    ("alpha", ["bound", "--class", "sl", "--which", "a4"]),
+    ("t", ["--format", "text", "bound", "--class", "sl", "--alpha", "0.5", "--which", "fekete"]),
+    ("b1", ["bound", "--class", "symmetric-starlike", "--which", "h2"]),
+    ("b2", ["bound", "--class", "symmetric-starlike", "--which", "h2"]),
+    ("b3", ["bound", "--class", "symmetric-convex", "--which", "h2"]),
+]
+
+
 class TestOutputContracts:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity"])
+    @pytest.mark.parametrize("flag, argv", NUMBER_FLAGS, ids=[
+        f"{flag}-{argv[argv.index('--class') + 1] if '--class' in argv else argv[-1]}"
+        for flag, argv in NUMBER_FLAGS])
+    def test_non_finite_flag_is_usage_error(self, flag, argv, value, capsys):
+        code, out = run_cli([*argv, f"--{flag}={value}"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --{flag}: invalid" in capsys.readouterr().err
+
+    def test_number_flags_cover_every_float_flag(self):
+        # a number flag added to the parser without a NUMBER_FLAGS entry fails here
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+        numbers = {(name, action.dest) for name, p in sub.items() for action in p._actions
+                   if action.type in (float, finite, rational)}
+        assert numbers == {("bound" if "bound" in argv else "radius", flag)
+                           for flag, argv in NUMBER_FLAGS}
+        assert not any(action.type is float for p in sub.values() for action in p._actions)
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_membership_sample_count_below_one_rejected(self, samples):
         code, out = run_cli(["verify", "--suite", "membership", "--samples", samples])

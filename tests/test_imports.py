@@ -8,9 +8,11 @@ Every check runs in a fresh interpreter, because the test process itself has
 long since loaded them all.
 """
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -46,6 +48,18 @@ def test_package_binds_t_series_once_extremal_loads():
             "from gft import extremal\n"
             "print(json.dumps([before, gft.t_series is extremal.t_series]))\n")
     assert run_fresh(code) == [False, True]
+
+
+def test_bounds_import_loads_neither_numpy_nor_verify():
+    # the grid oracles import numpy and gft.verify when they first run
+    assert run_fresh(f"import sys, gft.bounds; print(__import__('json').dumps({LOADED}))") == [
+        "gft", "gft.bounds"]
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(gft.__path__)))
+def test_every_export_exists(name):
+    module = importlib.import_module(f"gft.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_cli_import_loads_no_heavy_module():
@@ -97,10 +111,12 @@ def test_oracles_load_no_scipy_and_minimize_stays_the_polish_hook():
         "calls = []\n"
         "polish = bounds.minimize\n"
         "bounds.minimize = lambda *a, **k: calls.append(1) or polish(*a, **k)\n"
-        "bounds.schwarz_functional_H(1.0, 0.5, 32)\n"
+        "bounds.a4_bound(bounds.alpha_class_params(0.5), (1.0, 0.5, 1 / 3), 32)\n"
+        "bounds.a2a3_a4_bound(bounds.alpha_class_params(0.5), (1.0, 0.5, 1 / 3), 32)\n"
         "verify.maximize_second_hankel_oracle(bounds.alpha_class_params(0.5), (1.0, 0.5, 1 / 3), 32)\n"
         "verify.bloch_seminorm_bound()\n"
         "print(json.dumps([len(calls), [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
     )
-    # the polish looks the module global up at call time
-    assert run_fresh(code) == [2, []]
+    # the polish looks the module global up at call time; only the Hankel
+    # oracle polishes
+    assert run_fresh(code) == [1, []]

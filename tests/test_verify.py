@@ -569,7 +569,8 @@ def test_class_coefficients_keep_the_bits_of_the_series_route(seed):
     alphas = (0.0, 0.25, 0.5, 1.0)
     psi4 = make_spec("psi").series(4, exact=False)
     omega4 = np.array([omega.series.padded(4).coeffs for omega in samples], dtype=complex)
-    got = verify._class_coefficients(omega4, np.array(alphas))
+    h = [1 + k * np.array(alphas) for k in range(5)]
+    got = verify._class_coefficients(omega4, psi4.coeffs, h[:4], [k * h[k] for k in range(1, 5)])
     for idx, omega in enumerate(samples):
         q = psi4.compose(omega.series.padded(4), 4)
         for i, alpha in enumerate(alphas):
