@@ -20,7 +20,7 @@ entries of that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any
@@ -64,27 +64,20 @@ __all__ = [
 PSI_COEFFS = (Fraction(-1), Fraction(1, 2), Fraction(-1, 3))
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(namedtuple("ClassParams", "g2 g3 g4 h2 h3 h4")):
     """Convolution weights of the two kernels (n = 2, 3, 4 terms)."""
 
-    g2: Any
-    g3: Any
-    g4: Any
-    h2: Any
-    h3: Any
-    h4: Any
+    __slots__ = ()
 
-    def __post_init__(self):
-        for n, (g, h) in enumerate(
-            ((self.g2, self.h2), (self.g3, self.h3), (self.g4, self.h4)), start=2
-        ):
+    def __new__(cls, g2: Any, g3: Any, g4: Any, h2: Any, h3: Any, h4: Any):
+        for n, (g, h) in enumerate(((g2, h2), (g3, h3), (g4, h4)), start=2):
             if not g > 0:
                 raise ValueError(f"g{n} must be positive, got {g}")
             if h < 0:
                 raise ValueError(f"h{n} must be nonnegative, got {h}")
             if not g - h > 0:
                 raise ValueError(f"g{n} - h{n} must be positive, got {g} - {h}")
+        return super().__new__(cls, g2, g3, g4, h2, h3, h4)
 
     @property
     def u(self):  # g2 - h2
@@ -118,17 +111,15 @@ SYMMETRIC_STARLIKE_PARAMS = ClassParams(2, 3, 4, 0, 1, 0)
 SYMMETRIC_CONVEX_PARAMS = ClassParams(4, 9, 16, 0, 3, 0)
 
 
-@dataclass(frozen=True)
-class PhiCoeffs:
+class PhiCoeffs(namedtuple("PhiCoeffs", "b1 b2 b3")):
     """First three expansion coefficients of a generator with B1 > 0."""
 
-    b1: Any
-    b2: Any
-    b3: Any
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.b1 > 0:
-            raise ValueError(f"leading coefficient must be positive, got {self.b1}")
+    def __new__(cls, b1: Any, b2: Any, b3: Any):
+        if not b1 > 0:
+            raise ValueError(f"leading coefficient must be positive, got {b1}")
+        return super().__new__(cls, b1, b2, b3)
 
     @classmethod
     def from_counterpart(cls, c1, c2, c3) -> "PhiCoeffs":
@@ -138,12 +129,14 @@ class PhiCoeffs:
         return cls(-c1, c2, -c3)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    value: Any
-    case_label: str
-    inputs: dict = field(default_factory=dict)
-    extremal_hint: str | None = None
+class BoundReport(namedtuple("BoundReport", "value case_label inputs extremal_hint")):
+    __slots__ = ()
+
+    def __new__(cls, value: Any, case_label: str, inputs: dict | None = None,
+                extremal_hint: str | None = None):
+        # a fresh dict per report, never one shared default
+        return super().__new__(cls, value, case_label, {} if inputs is None else inputs,
+                               extremal_hint)
 
     def as_dict(self) -> dict:
         return {

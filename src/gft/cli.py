@@ -39,14 +39,11 @@ only runtime dependency.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import CATALOG_NAMES, CURVE_IDS
 
@@ -68,10 +65,10 @@ FORMATS = {
 }
 
 
-@dataclass
 class Config:
-    seed: int = 42
-    output_format: str | None = None  # None: the subcommand's default
+    def __init__(self, seed: int = 42, output_format: str | None = None):
+        self.seed = seed
+        self.output_format = output_format  # None: the subcommand's default
 
     def validate(self) -> "Config":
         if self.seed < 0:
@@ -312,6 +309,8 @@ def _cmd_curves(args, cfg: Config, out) -> int:
         }
         _emit_json(payload, out)
     else:
+        import csv
+
         writer = csv.writer(out)
         writer.writerow(["re", "im"])
         for p in points:
@@ -364,6 +363,24 @@ def finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(text)
     return value
+
+
+def _parameters(entry) -> dict[str, bool]:
+    """The parameters of a selector entry, in order, each mapped to whether it is
+    required (has no default).
+
+    An entry is a function of positional-or-keyword parameters, or a
+    ``functools.partial`` of one; the arguments a partial binds are not
+    parameters of the entry.
+    """
+    bound, fixed = (), {}
+    if isinstance(entry, functools.partial):
+        entry, bound, fixed = entry.func, entry.args, entry.keywords
+    code = entry.__code__
+    names = code.co_varnames[:code.co_argcount]
+    first_default = len(names) - len(entry.__defaults__ or ())
+    return {name: i < first_default for i, name in enumerate(names)
+            if i >= len(bound) and name not in fixed}
 
 
 def _selected_flags(p, select, **types):
@@ -441,7 +458,7 @@ def main(argv: list[str] | None = None, stream=None) -> int:
             run = args.select(args) if "select" in args else None
         except LookupError as exc:  # a selector combination without an entry
             parser.error(str(exc))
-        reads = inspect.signature(run).parameters if run else {}
+        reads = _parameters(run) if run else {}
         for flag in ("seed", *getattr(args, "optional", ())):
             if flag in args and flag not in reads:
                 known = ", ".join("--" + name for name in reads) or "no optional flag"
@@ -466,12 +483,12 @@ def main(argv: list[str] | None = None, stream=None) -> int:
             )
         if run:  # an unset flag takes the GFT_CONFIG value of the same name, if any
             kwargs = {k: v for k, v in {**vars(cfg), **vars(args)}.items() if k in reads}
-            for name, param in reads.items():
-                if param.default is param.empty and name not in kwargs:
+            for name, required in reads.items():
+                if required and name not in kwargs:
                     raise ValueError(f"--{name} required for this {args.command} run")
             args.run = functools.partial(run, **kwargs)
         return args.handler(args, cfg, out)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

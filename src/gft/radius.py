@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from . import CURVE_IDS
@@ -41,13 +41,10 @@ BISECT_WIDTH = 1e-14
 BISECT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class RadiusResult:
-    equation_id: str
-    bracket: tuple[float, float]
-    root: float
-    residual: float
-    iterations: int
+class RadiusResult(namedtuple("RadiusResult", "equation_id bracket root residual iterations")):
+    """A bisection root with its bracket (lo, hi), |residual| and iteration count."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -177,14 +174,15 @@ def _argument_stationarity(theta: float) -> float:
     return -2.0 + math.log(2.0 * (1.0 + math.cos(theta))) + theta * math.tan(theta / 2.0)
 
 
-@dataclass(frozen=True)
-class InclusionConstants:
-    alpha_max: float      # largest starlikeness order contained
-    theta0: float         # stationary boundary angle for the argument
-    f_theta0: float       # maximal boundary argument |arg w|
-    gamma_min: float      # smallest strongly-starlike order containing the class
-    alpha_parabolic: float  # largest parabolic-class offset contained
-    c0: float             # largest c with sqrt(1+cz)-class contained
+class InclusionConstants(namedtuple("InclusionConstants", [
+    "alpha_max",        # largest starlikeness order contained
+    "theta0",           # stationary boundary angle for the argument
+    "f_theta0",         # maximal boundary argument |arg w|
+    "gamma_min",        # smallest strongly-starlike order containing the class
+    "alpha_parabolic",  # largest parabolic-class offset contained
+    "c0",               # largest c with sqrt(1+cz)-class contained
+])):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -299,10 +299,6 @@ def schur_parameters(p1: complex, p2: complex, p3: complex) -> tuple[complex, co
 # -- second-Hankel brute force ------------------------------------------------------
 
 
-def _float_params(params: ClassParams) -> ClassParams:
-    return ClassParams(*(float(getattr(params, f)) for f in ("g2", "g3", "g4", "h2", "h3", "h4")))
-
-
 def _hankel_halves(params: ClassParams, coeffs, p1, x):
     """|a2 a4 - a3^2| split as E0 + E1*y (affine in the free parameter y).
 
@@ -320,18 +316,21 @@ def _hankel_halves(params: ClassParams, coeffs, p1, x):
     return e0, e1
 
 
+def _check_density(density: int) -> None:
+    """Reject grids too coarse to stand for the sup: density 1 sweeps p1 = 0 only."""
+    if density < 32:
+        raise ValueError("density must be at least 32")
+
+
 def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> float:
     """Lower bound for sup |a2 a4 - a3^2| over the class, by grid + polish.
 
     The grid covers p1 in [0,2] and x in the closed unit disk; the third
     parameter is maximized in closed form (the functional is affine in it).
-    ``b`` is a :class:`PhiCoeffs` or a plain coefficient triple.
+    ``b`` is a :class:`PhiCoeffs` or any coefficient triple.
     """
-    if density < 32:
-        raise ValueError("density must be at least 32")
-    fp = _float_params(params)
-    if isinstance(b, PhiCoeffs):
-        b = (b.b1, b.b2, b.b3)
+    _check_density(density)
+    fp = ClassParams(*map(float, params))
     coeffs = tuple(float(c) for c in b)
 
     def on_grid(p1, x):
@@ -537,6 +536,7 @@ def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
     Each slab of the polar grid contributes its own maxima; a maximum of
     maxima is the maximum, so the report holds the bits of a full sweep.
     """
+    _check_density(grid_density)
     if v <= 0:
         bound = -4 * v + 2
     elif v <= 1:
@@ -583,6 +583,7 @@ def eq_p31_check(grid_density: int = 64) -> dict:
     it is checked on power-map samples w(z) = lam z^m where all p_k are
     available in closed form (p_k = 2 lam^(k/m) when m | k, else 0).
     """
+    _check_density(grid_density)
     p1, _, _, x = polar_grid(2.0, grid_density)
     x = x[..., None]
     ys = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))

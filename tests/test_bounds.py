@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gft.bounds import (
     PSI_COEFFS,
+    BoundReport,
     ClassParams,
     PhiCoeffs,
     SYMMETRIC_CONVEX_PARAMS,
@@ -86,6 +87,19 @@ class TestClassParams:
     def test_symmetric_params_allow_zero_weights(self):
         assert SYMMETRIC_STARLIKE_PARAMS.h2 == 0
         assert SYMMETRIC_CONVEX_PARAMS.h4 == 0
+
+    def test_value_classes_are_immutable_with_value_equality(self):
+        params = ClassParams(2, 3, 4, 1, 1, 1)
+        assert params == ClassParams(2, 3, 4, 1, 1, 1)
+        assert repr(params) == "ClassParams(g2=2, g3=3, g4=4, h2=1, h3=1, h4=1)"
+        with pytest.raises(AttributeError):
+            params.g2 = 5
+        with pytest.raises(ValueError, match="leading coefficient must be positive, got 0"):
+            PhiCoeffs(0, 1, 1)
+        first, second = BoundReport(1, "a"), BoundReport(1, "a")
+        assert first == second
+        first.inputs["t"] = 1  # each report has its own inputs dict
+        assert second.inputs == {}
 
 
 class TestFeketeSzego:

@@ -17,6 +17,7 @@ from gft.cli import (
     RADIUS_PROBLEMS,
     SL_BOUNDS,
     SUITES,
+    _parameters,
     build_parser,
     finite,
     load_config,
@@ -61,6 +62,9 @@ UNREAD_FLAGS = [
     ({"samples": "5"}, ["verify", "--suite", "conjecture"]),
     ({"samples": "3"}, ["verify", "--suite", "hankel", "--density", "32"]),
 ]
+
+USAGE = ("usage: gft [-h] [--format {json,csv,text}] [--seed SEED]\n"
+         "           {radius,bound,extremal,curves,verify,classify} ...\n")
 
 # every entry of the three selector tables, and two valid values of each flag
 SELECTIONS = [
@@ -378,6 +382,36 @@ class TestContracts:
                 outputs.append(out)
             assert outputs[0] != outputs[1], flag
 
+    # the CLI reads parameters from __code__ and __defaults__, so a cold process
+    # need not import inspect; inspect.signature is the reference
+    @pytest.mark.parametrize("argv", SELECTIONS, ids=" ".join)
+    def test_flag_rule_reads_the_parameters_signature_gives(self, argv):
+        args = build_parser().parse_args(argv)
+        entry = args.select(args)
+        expected = [(name, param.default is param.empty)
+                    for name, param in inspect.signature(entry).parameters.items()]
+        assert list(_parameters(entry).items()) == expected
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["radius", "--problem", "majorization", "--alpha", "0.5"], EXIT_USAGE,
+         USAGE + "gft: error: --alpha is not read by this radius run "
+                 "(it reads no optional flag)\n"),
+        (["radius", "--problem", "convex"], EXIT_REJECTED,
+         "error: --alpha required for this radius run\n"),
+        (["--seed", "3", "bound", "--class", "sl", "--which", "a4"], EXIT_USAGE,
+         USAGE + "gft: error: --seed is not read by this bound run (it reads --alpha)\n"),
+        (["bound", "--class", "symmetric-convex", "--which", "h2", "--alpha", "0.5"], EXIT_USAGE,
+         USAGE + "gft: error: --alpha is not read by this bound run "
+                 "(it reads --b1, --b2, --b3)\n"),
+        (["verify", "--suite", "membership", "--density", "3"], EXIT_USAGE,
+         USAGE + "gft: error: --density is not read by this verify run "
+                 "(it reads --seed, --samples)\n"),
+    ], ids=["unread-alpha", "missing-alpha", "unread-seed", "unread-partial", "unread-density"])
+    def test_flag_rule_messages(self, argv, code, err, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal
+        assert run_cli(argv) == (code, "")
+        assert capsys.readouterr().err == err
+
     def test_config_seed_is_a_default_for_unseeded_runs(self, tmp_path, monkeypatch):
         argv = ["radius", "--problem", "inclusion"]
         plain = run_cli(argv)
@@ -463,6 +497,21 @@ class TestOutputContracts:
         code, out = run_cli(["verify", "--suite", "membership", "--samples", samples])
         assert code == EXIT_REJECTED
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--class", "symmetric-convex", "--which", "h2", "--b1", "1e200"],
+        ["bound", "--class", "symmetric-convex", "--which", "h2", "--b2", "1e300"],
+        ["bound", "--class", "symmetric-starlike", "--which", "h2", "--b1", "1e200"],
+    ], ids=["convex-b1", "convex-b2", "starlike-b1"])
+    def test_overflow_is_rejected_without_traceback(self, argv, capsys):
+        assert run_cli(argv) == (EXIT_REJECTED, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("density", ["1", "31", "-5"])
+    def test_lemma_density_below_32_rejected(self, density, capsys):
+        code, out = run_cli(["verify", "--suite", "lemmas", "--density", density])
+        assert (code, out) == (EXIT_REJECTED, "")
+        assert capsys.readouterr().err == "error: density must be at least 32\n"
 
     def test_non_finite_payload_leaves_stdout_empty(self, monkeypatch):
         from gft import verify

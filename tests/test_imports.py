@@ -75,33 +75,42 @@ EXTREMAL = ["gft", "gft.catalog", "gft.cli", "gft.extremal", "gft.series"]
 NUMERIC = ["gft", "gft.bounds", "gft.catalog", "gft.cli", "gft.extremal", "gft.radius",
            "gft.series", "gft.verify", "numpy"]
 
+# the stdlib modules a cold process avoids where it can: dataclasses and the
+# inspect it pulls in cost about 12 ms, csv is needed only to write CSV
+OPTIONAL_STDLIB = ("csv", "dataclasses", "inspect")
+NONE = []
+DATACLASSES = ["dataclasses", "inspect"]  # gft.catalog defines dataclasses
+
 CASES = [
-    (["radius", "--problem", "inclusion"], RADIUS),
-    (["radius", "--problem", "k-starlike", "--k", "1"], RADIUS),
-    (["bound", "--class", "sl", "--alpha", "0.5", "--which", "a4"], BOUNDS),
-    (["bound", "--class", "symmetric-convex", "--which", "h2"], BOUNDS),
-    (["extremal", "--phi", "psi", "--n", "2", "--order", "8"], EXTREMAL),
-    (["--format", "text", "extremal", "--phi", "cos_sqrt_z", "--kind", "d"], EXTREMAL),
-    (["curves", "--id", "tau3", "--samples", "64"], RADIUS),
-    (["--format", "json", "curves", "--id", "tau", "--samples", "64"], RADIUS),
-    (["classify", "--phi", "sqrt_1_plus_z", "--grid", "64"], CLASSIFY),
-    (["verify", "--suite", "conjecture"], EXTREMAL),
-    (["verify", "--suite", "lemmas", "--density", "32"], NUMERIC),
-    (["verify", "--suite", "bloch"], NUMERIC),
-    (["verify", "--suite", "hankel", "--density", "32"], NUMERIC),
+    (["radius", "--problem", "inclusion"], RADIUS, NONE),
+    (["radius", "--problem", "k-starlike", "--k", "1"], RADIUS, NONE),
+    (["bound", "--class", "sl", "--alpha", "0.5", "--which", "a4"], BOUNDS, NONE),
+    (["bound", "--class", "symmetric-convex", "--which", "h2"], BOUNDS, NONE),
+    (["extremal", "--phi", "psi", "--n", "2", "--order", "8"], EXTREMAL, DATACLASSES),
+    (["--format", "text", "extremal", "--phi", "cos_sqrt_z", "--kind", "d"], EXTREMAL,
+     DATACLASSES),
+    (["curves", "--id", "tau3", "--samples", "64"], RADIUS, ["csv"]),
+    (["--format", "json", "curves", "--id", "tau", "--samples", "64"], RADIUS, NONE),
+    (["classify", "--phi", "sqrt_1_plus_z", "--grid", "64"], CLASSIFY, DATACLASSES),
+    (["verify", "--suite", "conjecture"], EXTREMAL, DATACLASSES),
+    (["verify", "--suite", "lemmas", "--density", "32"], NUMERIC, DATACLASSES),
+    (["verify", "--suite", "bloch"], NUMERIC, DATACLASSES),
+    (["verify", "--suite", "hankel", "--density", "32"], NUMERIC, DATACLASSES),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", CASES, ids=[" ".join(argv) for argv, _ in CASES])
-def test_subcommand_loads_only_what_it_runs(argv, loaded):
+@pytest.mark.parametrize("argv, loaded, stdlib", CASES,
+                         ids=[" ".join(argv) for argv, _, _ in CASES])
+def test_subcommand_loads_only_what_it_runs(argv, loaded, stdlib):
     code = (
         "import io, json, sys\n"
         "from gft import cli\n"
         f"before = {LOADED}\n"
         f"status = cli.main({argv!r}, stream=io.StringIO())\n"
-        f"print(json.dumps([status, before, {LOADED}]))\n"
+        f"stdlib = [m for m in {OPTIONAL_STDLIB!r} if m in sys.modules]\n"
+        f"print(json.dumps([status, before, {LOADED}, stdlib]))\n"
     )
-    assert run_fresh(code) == [0, CLI, loaded]
+    assert run_fresh(code) == [0, CLI, loaded, stdlib]
 
 
 def test_oracles_load_no_scipy_and_minimize_stays_the_polish_hook():

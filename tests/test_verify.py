@@ -876,11 +876,13 @@ class TestLemmaSweeps:
         for v in (-1.0, -0.5, 0.0, 0.25, 0.4, 0.5, 0.75, 23.0 / 24.0, 1.0, 1.5, 3.0):
             assert repr(lemma_p1p2_check(v, density)) == repr(_lemma_reference(v, density))
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            lemma_p1p2_check(0.0, 0)
-        with pytest.raises(ValueError):
-            eq_p31_check(0)
+    # density 1 sweeps p1 = 0, x = 0 only and would pass vacuously
+    @pytest.mark.parametrize("density", [0, 1, 31, -5])
+    def test_empty_grid_rejected(self, density):
+        with pytest.raises(ValueError, match="density must be at least 32"):
+            lemma_p1p2_check(0.0, density)
+        with pytest.raises(ValueError, match="density must be at least 32"):
+            eq_p31_check(density)
 
     def test_power_map_quartic_is_computed_once(self):
         # the reference: the power-map loop itself, uncached
