@@ -15,6 +15,7 @@ verification suites.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,8 +96,9 @@ if CATALOG_NAMES != tuple(sorted([*_CATALOG, *_BASE])):
     raise ImportError("gft.CATALOG_NAMES must list every catalog entry and mirror, sorted")
 
 
+@functools.cache
 def make_spec(name: str) -> MaMindaSpec:
-    """Look up a catalog entry by name; a mirror is the counterpart of its base."""
+    """The catalog entry of a name, one spec per name; a mirror is the counterpart of its base."""
     base = _BASE.get(name, name)
     try:
         coeff_exact, evaluator = _CATALOG[base]

@@ -310,7 +310,8 @@ class TruncatedSeries:
         down.  When every coefficient of both series is an ``int`` or a
         ``Fraction``, ``inner`` is turned into integer numerators once and the
         running result is kept as integer numerators over one denominator,
-        reduced by their gcd at each step.  A coefficient is then a ``Fraction``
+        reduced by their gcd at each step; the step for c_k is kept only to
+        z^(order - k), since inner^k starts at z^k.  A coefficient is then a ``Fraction``
         exactly where the steps through ``mul`` would make it one.
         """
         if inner.coeffs[0] != 0:
@@ -325,10 +326,11 @@ class TruncatedSeries:
                 result = result.mul(inner, order) + outer[k]
             return result
         g, dg = _integer_numerators(inner.coeffs)
-        num, den = [outer[-1].numerator] + [0] * order, outer[-1].denominator
-        for c in reversed(outer[:-1]):
+        top = min(self.order, order)
+        num, den = [outer[top].numerator] + [0] * (order - top), outer[top].denominator
+        for k, c in reversed(tuple(enumerate(outer[:top]))):
             # g[0] == 0, so coefficient n of num * g is sum_{j<n} num[j] * g[n-j]
-            num = [sum(map(operator.mul, num[:n], g[n:0:-1])) for n in range(order + 1)]
+            num = [sum(map(operator.mul, num[:n], g[n:0:-1])) for n in range(order - k + 1)]
             new_den = math.lcm(den * dg, c.denominator)
             scale = new_den // (den * dg)
             num = [x * scale for x in num]

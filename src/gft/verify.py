@@ -183,8 +183,13 @@ def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
 # Each function takes one point or an array of points. A scalar gives a Python
 # complex; an array gives a complex array of its shape.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_S = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1]: t = s z, dt = z ds
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64 Gauss-Legendre nodes mapped to [0, 1] (t = s z, dt = z ds), and weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    s = 0.5 * (nodes + 1.0)
+    s.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return s, weights
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -202,15 +207,16 @@ def _log_ratio_integral(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     w(s z) = sum_k (c_k z^k) s^k at all (point, node) pairs one product with
     the node powers s_j^k, k <= N; log(1 + w) is log|1 + w| + i arg(1 + w).
     """
+    s, weights = _gauss_legendre()
     n = coeffs.shape[-1]
-    u = (coeffs * _powers(z, n - 1)) @ _GL_S ** np.arange(n)[:, None]
+    u = (coeffs * _powers(z, n - 1)) @ s ** np.arange(n)[:, None]
     u += 1
     # -log(u)/s in place of u: u / -s rounds as -u / s does
     log_abs = np.log(np.abs(u))
     u.imag = np.angle(u)
     u.real = log_abs
-    u /= -_GL_S
-    return 0.5 * (u @ _GL_WEIGHTS)
+    u /= -s
+    return 0.5 * (u @ weights)
 
 
 def structural_eval(omega: SchwarzSample, z):
@@ -471,7 +477,7 @@ def verify_class_membership_bounds(
     growth_lo, growth_hi = np.array(_growth_reference()).T[:, :, None]
     worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
     env_bad, growth_bad = [], []  # failing points per (sample, radius)
-    block = max(1, SLAB_POINTS // (z_growth.size * _GL_S.size))
+    block = max(1, SLAB_POINTS // (z_growth.size * _gauss_legendre()[0].size))
     for lo in range(0, len(samples), block):
         rows = coeffs[lo : lo + block]
         ratio = 1 - np.log(1 + (rows @ env_powers).reshape((-1,) + z_env.shape))

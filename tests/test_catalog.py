@@ -73,8 +73,14 @@ class TestMakeSpec:
             assert abs(spec.coeff(k) - oracle[k]) < 1e-9, (name, k)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_spec("koebe")
+        for _ in range(2):  # a failed lookup is not cached
+            with pytest.raises(ValueError, match="unknown generator 'koebe'"):
+                make_spec("koebe")
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_one_spec_per_name(self, name):
+        assert make_spec(name) is make_spec(name)
+        assert make_spec(name).name == name
 
 
 class TestCounterpart:

@@ -3,7 +3,8 @@
 ``import gft`` loads no submodule, and the CLI imports each gft module when a
 subcommand first runs it. numpy comes in only with :mod:`gft.verify`, so the
 closed-form subcommands and the exact conjecture suite start without it, and
-no subcommand loads scipy.
+no subcommand loads scipy. ``numpy.polynomial`` comes in only with the first
+Gauss-Legendre quadrature, so the sweep suites start without it.
 Every check runs in a fresh interpreter, because the test process itself has
 long since loaded them all.
 """
@@ -33,8 +34,9 @@ def run_fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# every gft module loaded, and numpy or scipy if loaded
-LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'gft' or m in ('numpy', 'scipy'))"
+# every gft module loaded, and numpy, numpy.polynomial or scipy if loaded
+LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] == 'gft'"
+          " or m in ('numpy', 'numpy.polynomial', 'scipy'))")
 
 
 def test_package_import_loads_no_submodule():
@@ -74,6 +76,7 @@ CLASSIFY = ["gft", "gft.catalog", "gft.cli", "gft.series"]
 EXTREMAL = ["gft", "gft.catalog", "gft.cli", "gft.extremal", "gft.series"]
 NUMERIC = ["gft", "gft.bounds", "gft.catalog", "gft.cli", "gft.extremal", "gft.radius",
            "gft.series", "gft.verify", "numpy"]
+QUADRATURE = NUMERIC + ["numpy.polynomial"]  # the Gauss-Legendre nodes are built on first use
 
 # the stdlib modules a cold process avoids where it can: dataclasses and the
 # inspect it pulls in cost about 12 ms, csv is needed only to write CSV
@@ -95,6 +98,7 @@ CASES = [
     (["verify", "--suite", "conjecture"], EXTREMAL, DATACLASSES),
     (["verify", "--suite", "lemmas", "--density", "32"], NUMERIC, DATACLASSES),
     (["verify", "--suite", "bloch"], NUMERIC, DATACLASSES),
+    (["verify", "--suite", "membership", "--samples", "10"], QUADRATURE, DATACLASSES),
     (["verify", "--suite", "hankel", "--density", "32"], NUMERIC, DATACLASSES),
 ]
 

@@ -302,14 +302,11 @@ def same_bits(got, expected):
     assert [repr(c) for c in got] == [repr(c) for c in expected]
 
 
-exact_lists = st.lists(
-    st.one_of(
-        st.integers(min_value=-40, max_value=40),
-        st.fractions(min_value=-5, max_value=5, max_denominator=24),
-    ),
-    min_size=1,
-    max_size=8,
+exact_numbers = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-5, max_value=5, max_denominator=24),
 )
+exact_lists = st.lists(exact_numbers, min_size=1, max_size=8)
 complex_lists = st.lists(
     st.one_of(
         st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
@@ -330,11 +327,24 @@ class TestProductAgainstSchoolbook:
         order = max(0, max(a.order, b.order) + offset)
         same_bits(a.mul(b, order).coeffs, schoolbook_mul(a, b, order))
 
-    @given(exact_lists, exact_lists, order_offsets)
-    @settings(max_examples=80, deadline=None)
-    def test_exact_compose(self, u, v, offset):
-        f, g = TruncatedSeries(u), TruncatedSeries([0] + v[:5])
-        order = max(0, max(f.order, g.order) + offset)
+    # outer orders far above and below ``order``, ints and Fractions mixed in
+    # both series: the exact Horner step for c_k stops at z^(order - k)
+    @given(st.lists(exact_numbers, min_size=1, max_size=16), exact_lists,
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_compose(self, u, v, order):
+        f, g = TruncatedSeries(u), TruncatedSeries([0] + v)
+        same_bits(f.compose(g, order).coeffs, schoolbook_compose(f, g, order))
+
+    @pytest.mark.parametrize("outer, inner, order", [
+        (list(range(1, 13)), [0, 1, -2], 4),  # ints only, outer order 11 above 4
+        ([1] * 9 + [Fraction(1, 3)] + [2, 5], [0, 1, 1], 4),  # a Fraction only above order
+        ([Fraction(1, 2), 3, -1], [0, 2, 0, Fraction(1, 3), 1], 9),  # outer order 2 below 9
+        ([4, -3, 2, 1], [0, Fraction(0), 5], 6),  # a Fraction zero inside inner
+        ([7, 2], [0, 3], 0),
+    ])
+    def test_exact_compose_types_above_and_below_order(self, outer, inner, order):
+        f, g = TruncatedSeries(outer), TruncatedSeries(inner)
         same_bits(f.compose(g, order).coeffs, schoolbook_compose(f, g, order))
 
     @given(exact_lists, exact_lists, order_offsets)

@@ -264,7 +264,7 @@ class TestStructuralEval:
 # One point and one Gauss-Legendre node at a time, Horner in plain Python and
 # cmath throughout: the formulas the array path replaced.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_S, _GL_WEIGHTS = verify._gauss_legendre()
 
 
 def _horner(series, z):
@@ -278,14 +278,20 @@ def _ref_log_ratio(omega, z):
     if z == 0:
         return 0j
     total = 0j
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        s = 0.5 * (node + 1.0)
+    for s, weight in zip(_GL_S, _GL_WEIGHTS):
         total += weight * (-cmath.log(1 + _horner(omega.series, s * z)) / s)
     return 0.5 * total
 
 
 def _ref_eval(omega, z):
     return z * cmath.exp(_ref_log_ratio(omega, z))
+
+
+def test_gauss_legendre_nodes_are_built_once_on_the_unit_interval():
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    assert verify._gauss_legendre() is verify._gauss_legendre()
+    assert np.array_equal(_GL_S, 0.5 * (nodes + 1.0))
+    assert np.array_equal(_GL_WEIGHTS, weights)
 
 
 def _ref_deriv(omega, z):
@@ -484,8 +490,8 @@ def _ref_class_coefficients(q, alpha):
 
 
 def _ref_structural_eval(omega, z):
-    w = omega(z[..., None] * verify._GL_S)
-    return z * np.exp(0.5 * ((-np.log(1 + w) / verify._GL_S) @ verify._GL_WEIGHTS))
+    w = omega(z[..., None] * _GL_S)
+    return z * np.exp(0.5 * ((-np.log(1 + w) / _GL_S) @ _GL_WEIGHTS))
 
 
 def _ref_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
