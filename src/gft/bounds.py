@@ -43,7 +43,6 @@ __all__ = [
     "polar_grid",
     "polar_slabs",
     "grid_argmax",
-    "grid_then_polish",
     "a4_bound",
     "a2a3_a4_bound",
     "PSI_COEFFS",
@@ -428,8 +427,8 @@ def minimize(fun, x0, xatol: float, fatol: float):
     simplex is sorted twice after the first evaluations and once after every
     step; the search stops, with no further sort, once every vertex lies
     within ``xatol`` and every value within ``fatol`` of the best, or after
-    1999 steps (``maxiter`` 2000).  :func:`grid_then_polish` looks this name
-    up at call time, so a wrapper assigned to it sees every polish.
+    1999 steps (``maxiter`` 2000).  The Hankel oracle looks this name up at
+    call time, so a wrapper assigned to it sees every polish.
     """
     import numpy as np
 
@@ -536,20 +535,6 @@ def grid_argmax(on_grid, top: float, density: int, *row_data):
         vals[rows] = on_grid(t[rows], x, *(data[rows] for data in row_data))
     i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     return float(vals[i, j, k]), (float(t[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k]))
-
-
-def grid_then_polish(on_grid, neg, top: float, density: int, xatol: float, fatol: float):
-    """Maximum of a function of (t, x) by :func:`grid_argmax` and a simplex polish.
-
-    ``neg((t, rho, phi))`` is the negation of the function at one point,
-    clamping the point into the region itself.  Returns (value, point) of the
-    better of the grid argmax and the Nelder-Mead polish started from it.
-    """
-    best, start = grid_argmax(on_grid, top, density)
-    res = minimize(neg, start, xatol=xatol, fatol=fatol)
-    if -res.fun > best:
-        return -res.fun, res.x
-    return best, start
 
 
 def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) -> BoundReport:

@@ -411,7 +411,7 @@ class TestCubicOracles:
         def banned(*args, **kwargs):
             raise AssertionError("the cubic oracles must not call this")
 
-        for name in ("q_params_a4", "q_params_a2a3_a4", "minimize", "grid_then_polish"):
+        for name in ("q_params_a4", "q_params_a2a3_a4", "minimize"):
             monkeypatch.setattr(gft.bounds, name, banned)
         params = alpha_class_params(alpha)
         for oracle, closed, xi in ((a4_bound, a4_bound_sl, 1.0), (a2a3_a4_bound, a2a3_a4_bound_sl, 0.0)):

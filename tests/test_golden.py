@@ -12,9 +12,9 @@ the exit code, byte count and sha256 of its stdout, recorded in
 ``bench/reference.json``; ``test_cli_cold_reference`` replays every one of
 those commands in process.  ``test_inproc_reference`` replays every pool
 entry of the in-process ``membership`` workload and of the ``oracles``
-workload's ``bloch`` sub-op, the two that build Schwarz samples, with the
-runners, ``compare`` and tolerances of ``bench/inproc.py``.  Both only read
-``bench/``.
+workload's ``bloch`` sub-op, the two that build Schwarz samples, and of its
+``hankel`` sub-op, the screened grid oracle, with the runners, ``compare``
+and tolerances of ``bench/inproc.py``.  Both only read ``bench/``.
 """
 
 import hashlib
@@ -100,7 +100,7 @@ def test_cli_cold_reference(command, monkeypatch):
 
 
 REPLAYED = [("membership", "membership", params) for params in inproc.KINDS["membership"][1]] + [
-    ("oracles", "bloch", params) for params in inproc.KINDS["bloch"][1]
+    ("oracles", kind, params) for kind in ("bloch", "hankel") for params in inproc.KINDS[kind][1]
 ]
 
 

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gft.bounds
 from gft import verify
 from gft.bounds import (
     PhiCoeffs,
@@ -18,7 +19,6 @@ from gft.bounds import (
     caratheodory_to_coeffs,
     h2_bound_sl,
     polar_grid,
-    polar_slabs,
     second_hankel,
 )
 from gft.catalog import in_psi_image, make_spec
@@ -679,6 +679,56 @@ def _hankel_grid_reference(params, coeffs, density):
     return np.abs(a2 * a4_0 - a3**2) + np.abs(a2 * (a4_1 - a4_0))
 
 
+def _screened_oracle(params, coeffs, density):
+    """The Hankel oracle's value, (p1, x, |E0| + |E1|) of each of its calls
+    of the expression tree on arrays, and (objective, start, xatol, fatol)
+    of each polish."""
+    tree, polish = [], []
+    halves, minimize = verify._hankel_halves, gft.bounds.minimize
+
+    def recording_halves(params, coeffs, p1, x):
+        e0, e1 = halves(params, coeffs, p1, x)
+        if np.ndim(x):
+            tree.append((p1, x, np.abs(e0) + np.abs(e1)))
+        return e0, e1
+
+    def recording_minimize(fun, x0, xatol, fatol):
+        polish.append((fun, x0, xatol, fatol))
+        return minimize(fun, x0, xatol=xatol, fatol=fatol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_hankel_halves", recording_halves)
+        mp.setattr(gft.bounds, "minimize", recording_minimize)
+        value = maximize_second_hankel_oracle(params, coeffs, density)
+    return value, tree, polish
+
+
+def _assert_screen_keeps_the_full_sweep(params, coeffs, density, full):
+    """The screened oracle gathers its survivors in grid order and polishes
+    from the first argmax of the full grid values ``full``, with its value
+    bits; it returns what the full sweep's polish returns."""
+    value, (_, (p1, x, survivors)), ((neg, start, xatol, fatol),) = _screened_oracle(
+        params, coeffs, density)
+    # grid indices of the survivors; at rho = 0 every phi gives x = 0, read as phi = 0
+    i = np.rint(p1.real * (density - 1) / 2).astype(int)
+    j = np.rint(np.abs(x) * (density - 1)).astype(int)
+    m = np.where(j > 0, np.rint(np.angle(x) / (2 * np.pi) * density) % density, 0).astype(int)
+    assert np.all(np.diff(np.ravel_multi_index((i, j, m), full.shape)) >= 0)
+    t, rho, phi, _ = polar_grid(2.0, density)
+    i, j, k = np.unravel_index(int(np.argmax(full)), full.shape)
+    assert start == (t[i, 0, 0], rho[0, j, 0], phi[0, 0, k])
+    assert survivors.max().view(np.uint64) == full[i, j, k].view(np.uint64)
+    best = float(full[i, j, k])
+    res = gft.bounds.minimize(neg, start, xatol=xatol, fatol=fatol)
+    assert repr(value) == repr(float(-res.fun) if -res.fun > best else best)
+
+
+def _planted_halves(params, coeffs, p1, x):
+    """Halves of the tree's shape, E0 quadratic in x and E1 = K(p1) (1 - |x|^2),
+    whose maximum |E0| + |E1| lies inside the disk, near p1 = 1, x = 1/3."""
+    return (p1 - 0.7) + 2 * x - 0.2 * x**2, 3 * p1 * (2 - p1) * (1 - np.abs(x) ** 2)
+
+
 class TestHankelOracle:
     def test_sharp_at_starlike_end(self):
         val = maximize_second_hankel_oracle(alpha_class_params(0.0), B_PSI, 64)
@@ -715,16 +765,44 @@ class TestHankelOracle:
 
     @pytest.mark.parametrize("density", SLAB_DENSITIES)
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_slabbed_grid_equals_two_call_full_tensor(self, grid_calls, alpha, density):
+    def test_screened_grid_equals_full_tensor(self, alpha, density):
         params = alpha_class_params(alpha)
-        value = maximize_second_hankel_oracle(params, B_PSI, density)
-        (call,) = grid_calls
         full = _hankel_grid_reference(params, PSI_FLOATS, density)
-        slabbed = call.assembled()
-        assert len(call.slabs) == len(polar_slabs(density)) > 1
-        assert np.array_equal(slabbed.view(np.uint64), full.view(np.uint64))
-        assert np.argmax(slabbed) == np.argmax(full)
-        assert repr(value) == repr(float(call.unslabbed(full)[0]))
+        _assert_screen_keeps_the_full_sweep(params, PSI_FLOATS, density, full)
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.tuples(*[st.just(0.0) | st.floats(-3.0, 3.0)] * 3),
+        st.integers(32, 64),
+    )
+    # b1 = 0 leaves a function of p1 alone: the whole p1 = 2 row ties for the maximum
+    @example(0.5, (0.0, 1.0, 0.0), 40)
+    @settings(max_examples=25, deadline=None)
+    def test_screened_grid_equals_full_tensor_for_any_triple(self, alpha, coeffs, density):
+        params = alpha_class_params(alpha)
+        full = _hankel_grid_reference(params, coeffs, density)
+        _assert_screen_keeps_the_full_sweep(params, coeffs, density, full)
+
+    @pytest.mark.parametrize("density", [32, 33, 48])
+    def test_screen_keeps_an_interior_maximum(self, monkeypatch, density):
+        # the class's maxima sit where E1 = 0 (p1 = 0, p1 = 2 or |x| = 1) in
+        # every case tried, so only a functional of the same shape with an
+        # interior maximum shows that the screen carries K
+        monkeypatch.setattr(verify, "_hankel_halves", _planted_halves)
+        t, _, _, x = polar_grid(2.0, density)
+        e0, e1 = _planted_halves(None, None, t + 0j, x)
+        full = np.abs(e0) + np.abs(e1)
+        i, j, _ = np.unravel_index(int(np.argmax(full)), full.shape)
+        assert 0 < t[i, 0, 0] < 2 and 0 < j < density - 1 and np.abs(e1).max() > 1
+        _assert_screen_keeps_the_full_sweep(alpha_class_params(0.5), PSI_FLOATS, density, full)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_screen_leaves_few_points_to_the_tree(self, alpha):
+        # the suite's grids: the tree runs on the d x 3 row coefficients and
+        # the survivors, never on the whole grid
+        _, tree, _ = _screened_oracle(alpha_class_params(alpha), PSI_FLOATS, 48)
+        assert len(tree) == 2
+        assert sum(values.size for _, _, values in tree) < 0.01 * 48**3
 
     @given(
         st.floats(0.0, 2.0),
