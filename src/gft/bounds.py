@@ -37,12 +37,12 @@ __all__ = [
     "max_quadratic_0_4",
     "second_hankel",
     "second_hankel_symmetric",
-    "caratheodory_to_coeffs",
     "q_params_a4",
     "q_params_a2a3_a4",
     "polar_grid",
     "polar_slabs",
-    "grid_argmax",
+    "check_density",
+    "disk_quadratic",
     "a4_bound",
     "a2a3_a4_bound",
     "PSI_COEFFS",
@@ -334,53 +334,6 @@ def second_hankel_symmetric(kind: str, b: PhiCoeffs) -> BoundReport:
     )
 
 
-# -- coefficients from Caratheodory data -------------------------------------------
-
-
-def caratheodory_to_coeffs(params: ClassParams, coeffs, p1, p2, p3):
-    """(a2, a3, a4) of the class member induced by Caratheodory data p1, p2, p3.
-
-    ``coeffs`` is the generator coefficient triple in either sign convention;
-    the formulas are polynomial and array-friendly (numpy arrays broadcast).
-    """
-    a2, a3, head, tail = _p3_free_coeffs(params, coeffs, p1, p2)
-    return a2, a3, _a4(params, coeffs, head, tail, p3)
-
-
-def _p3_free_coeffs(params: ClassParams, coeffs, p1, p2):
-    """(a2, a3, head, tail): all of :func:`caratheodory_to_coeffs` but p3.
-
-    ``head`` and ``tail`` are the p3-free parts of a4, which :func:`_a4`
-    completes; a caller that needs a4 at several p3 computes them once.
-    """
-    g2, g3 = params.g2, params.g3
-    h2, h3 = params.h2, params.h3
-    u, v = params.u, params.v
-    b1, b2, b3 = coeffs
-    a2 = b1 * p1 / (2 * u)
-    a3 = (b2 * p1**2 * u - b1 * (p1**2 - 2 * p2) * u + b1**2 * p1**2 * h2) / (4 * u * v)
-    head = (
-        p1 * (-2 * b2 * p1**2 + b3 * p1**2 + 4 * b2 * p2) * u * v
-        + b1**3 * p1**3 * h2 * h3
-        - b1**2 * p1 * (p1**2 - 2 * p2) * (g3 * h2 + (g2 - 2 * h2) * h3)
-    )
-    tail = (
-        p1**3
-        * (
-            g2 * (g3 + (b2 - 1) * h3)
-            + h2 * ((b2 - 1) * g3 + h3 - 2 * b2 * h3)
-        )
-        - 4 * p1 * p2 * u * v
-    )
-    return a2, a3, head, tail
-
-
-def _a4(params: ClassParams, coeffs, head, tail, p3):
-    """a4 = (head + b1 (tail + 4 p3 u v)) / (8 u v w) from :func:`_p3_free_coeffs`."""
-    u, v = params.u, params.v
-    return (head + coeffs[0] * (tail + 4 * p3 * u * v)) / (8 * u * v * params.w)
-
-
 # -- fourth-coefficient machinery ----------------------------------------------------
 
 
@@ -518,23 +471,27 @@ def polar_slabs(density: int) -> list[slice]:
     return [slice(lo, min(lo + rows, density)) for lo in range(0, density, rows)]
 
 
-def grid_argmax(on_grid, top: float, density: int, *row_data):
-    """(value, (t, rho, phi)) of the first maximum of a function on a polar grid.
+def check_density(density: int) -> None:
+    """Reject grids too coarse to stand for the sup: density 1 sweeps one point."""
+    if density < 32:
+        raise ValueError("density must be at least 32")
 
-    ``on_grid(t, x, *data)`` evaluates it on :func:`polar_grid` arrays, ``t``
-    restricted to a slab of rows; each array of ``row_data`` has the shape
-    (d, 1, 1) of ``t`` and reaches ``on_grid`` restricted to the same rows.
-    The slabs fill one (d, d, d) array and a single argmax runs over it, so
-    the first maximum in grid order wins ties as over one full-grid evaluation.
+
+def disk_quadratic(a0, a1, a2, k, density: int):
+    """|a0 + a1 x + a2 x^2| + k (1 - |x|^2) at the disk points x of :func:`polar_grid`.
+
+    The row coefficients have the shape (d, 1, 1) of its ``t``; the (d, d, d)
+    result is filled in :func:`polar_slabs`, with x^2 and 1 - |x|^2 computed
+    once, and holds the bits of one evaluation on the full broadcast arrays.
     """
     import numpy as np
 
-    t, rho, phi, x = polar_grid(top, density)
+    x = polar_grid(1.0, density)[3]
+    x2, flat = x**2, 1 - np.abs(x) ** 2
     vals = np.empty((density, density, density))
     for rows in polar_slabs(density):
-        vals[rows] = on_grid(t[rows], x, *(data[rows] for data in row_data))
-    i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return float(vals[i, j, k]), (float(t[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k]))
+        vals[rows] = np.abs(a0[rows] + a1[rows] * x + a2[rows] * x2) + k[rows] * flat
+    return vals
 
 
 def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) -> BoundReport:
@@ -545,32 +502,29 @@ def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) 
     with s = 1 - xi^2.  At fixed xi the functional is affine in (c2, c3),
     A + B c2 + C c3; :func:`gft.verify._class_coefficients` gives it at
     (c2, c3) = (0, 0), (1, 0), (0, 1).  The best zeta leaves
-    |A + B s eta - C s xi eta^2| + |C| s (1 - |eta|^2), maximized over the
+    |A + B s eta - C s xi eta^2| + |C| s (1 - |eta|^2), a :func:`disk_quadratic`
+    in eta whose first maximum in grid order is taken over the
     :func:`polar_grid` of (xi, eta): an attained value, exact when a
     maximizer is a grid vertex.
     """
-    if grid_density < 32:
-        raise ValueError("grid_density must be at least 32")
+    check_density(grid_density)
     import numpy as np
 
     from .verify import _class_coefficients
 
-    xi = polar_grid(1.0, grid_density)[0]
+    xi, rho, phi, _ = polar_grid(1.0, grid_density)
     omega = np.zeros((3,) + xi.shape + (4,), dtype=complex)  # (c2, c3) = 0, (1, 0), (0, 1)
     omega[..., 1] = xi
     omega[1, ..., 2] = omega[2, ..., 3] = 1
-    at = functional(*_class_coefficients(
+    a, b, c = functional(*_class_coefficients(
         omega.reshape(-1, 4), [1.0] + [float(c) for c in coeffs],
         [1.0, float(params.h2), float(params.h3)],
         [float(params.u), float(params.v), float(params.w)])).reshape(omega.shape[:-1])
-
-    def on_grid(xi, eta, a, b, c):
-        s = 1 - xi**2
-        return np.abs(a + b * s * eta - c * s * xi * eta**2) + np.abs(c) * s * (1 - np.abs(eta) ** 2)
-
-    value, (xi_b, rho_b, phi_b) = grid_argmax(on_grid, 1.0, grid_density,
-                                              at[0], at[1] - at[0], at[2] - at[0])
-    return BoundReport(value, label, {"xi": xi_b, "rho": rho_b, "phi": phi_b})
+    b, c, s = b - a, c - a, 1 - xi**2  # A, B, C and s per row
+    vals = disk_quadratic(a, b * s, -(c * s * xi), np.abs(c) * s, grid_density)
+    i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return BoundReport(float(vals[i, j, k]), label,
+                       {"xi": float(xi[i, 0, 0]), "rho": float(rho[0, j, 0]), "phi": float(phi[0, 0, k])})
 
 
 def a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -138,7 +138,7 @@ class ClassificationRecord:
     typically_real_shift: bool
     positive_real_part: bool
     real_coefficients: bool
-    min_real_part: float = field(repr=True, default=float("nan"))
+    min_real_part: float
 
 
 _CLASSIFY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)

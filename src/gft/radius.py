@@ -279,8 +279,6 @@ def curve_points(curve_id: str, samples: int) -> list[complex]:
             fn = lambda rho, cos=cos: (1 + rho * cos) - rho - alpha
             res = bisect_root(fn, 0.0, 2 * rho_closed + 1.0, f"tau3@{theta:.3f}")
             pts.append(1 + res.root * cmath.exp(1j * theta))
-        if not pts:
-            pts.append(complex((1 + alpha) / 2.0, 0.0))  # vertex fallback
         return pts
     if curve_id == "tau4":
         return [

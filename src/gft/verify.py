@@ -25,8 +25,8 @@ from .bounds import (
     ClassParams,
     PhiCoeffs,
     alpha_class_params,
-    _a4,
-    _p3_free_coeffs,
+    check_density,
+    disk_quadratic,
     polar_grid,
     polar_slabs,
     second_hankel,
@@ -130,9 +130,9 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
     if unread:
         raise ValueError(f"Schwarz sample kind {kind!r} reads no params key {', '.join(unread)}")
     if kind == "monomial":
-        m = int(params.get("m", 1))
-        if m < 1:
-            raise ValueError("monomial exponent must be >= 1")
+        m = params.get("m", 1)
+        if type(m) is not int or m < 1:  # an int: 2.5, "3" or True would build another power
+            raise ValueError(f"monomial exponent must be an int >= 1, got {m!r}")
         series = TruncatedSeries([0] * m + [1]).padded(max(SAMPLE_ORDER, m))
     elif kind == "mobius_eta":
         eta = float(params.get("eta", 0.5))
@@ -308,24 +308,30 @@ def schur_parameters(p1: complex, p2: complex, p3: complex) -> tuple[complex, co
 def _hankel_halves(params: ClassParams, coeffs, p1, x):
     """|a2 a4 - a3^2| split as E0 + E1*y (affine in the free parameter y).
 
-    a2, a3 and the p3-free part of a4 are computed once and a4 is completed
-    at p3 = base and at p3 = base + bump.  That is the expression tree of two
-    :func:`caratheodory_to_coeffs` calls with their shared subexpressions
-    evaluated once, so E0 and E1 keep the bits of the two calls.
+    a2, a3 and the p3-free ``head`` and ``tail`` of a4 are computed once and
+    a4 is completed at p3 = base and at p3 = base + bump: the expression tree
+    of two whole-formula coefficient evaluations with their shared
+    subexpressions evaluated once, so E0 and E1 keep the bits of the two.
     """
     p2, base, bump = _p2_p3(p1, x)
-    a2, a3, head, tail = _p3_free_coeffs(params, coeffs, p1, p2)
-    a4_0 = _a4(params, coeffs, head, tail, base)
-    a4_1 = _a4(params, coeffs, head, tail, base + bump)
-    e0 = a2 * a4_0 - a3**2
-    e1 = a2 * (a4_1 - a4_0)
-    return e0, e1
-
-
-def _check_density(density: int) -> None:
-    """Reject grids too coarse to stand for the sup: density 1 sweeps p1 = 0 only."""
-    if density < 32:
-        raise ValueError("density must be at least 32")
+    g2, g3 = params.g2, params.g3
+    h2, h3 = params.h2, params.h3
+    u, v = params.u, params.v
+    b1, b2, b3 = coeffs
+    a2 = b1 * p1 / (2 * u)
+    a3 = (b2 * p1**2 * u - b1 * (p1**2 - 2 * p2) * u + b1**2 * p1**2 * h2) / (4 * u * v)
+    head = (
+        p1 * (-2 * b2 * p1**2 + b3 * p1**2 + 4 * b2 * p2) * u * v
+        + b1**3 * p1**3 * h2 * h3
+        - b1**2 * p1 * (p1**2 - 2 * p2) * (g3 * h2 + (g2 - 2 * h2) * h3)
+    )
+    tail = (
+        p1**3 * (g2 * (g3 + (b2 - 1) * h3) + h2 * ((b2 - 1) * g3 + h3 - 2 * b2 * h3))
+        - 4 * p1 * p2 * u * v
+    )
+    a4_0, a4_1 = ((head + b1 * (tail + 4 * p3 * u * v)) / (8 * u * v * params.w)
+                  for p3 in (base, base + bump))
+    return a2 * a4_0 - a3**2, a2 * (a4_1 - a4_0)
 
 
 def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> float:
@@ -336,11 +342,12 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     ``b`` is a :class:`PhiCoeffs` or any coefficient triple.  With p1 and ``b``
     real, E0 of :func:`_hankel_halves` is a0 + a1 x + a2 x^2 on each p1 row,
     read off the tree at x = 0, 1, -1, and E1 = K (1 - |x|^2).  The screen
-    S = |a0 + a1 x + a2 x^2| + |K| (1 - |x|^2) is swept in :func:`polar_slabs`,
-    the tree runs only where S may reach the maximum, and its first maximum in
-    grid order starts the polish, :func:`gft.bounds.minimize` at call time.
+    S = |a0 + a1 x + a2 x^2| + |K| (1 - |x|^2) is the :func:`disk_quadratic`
+    of these rows, the tree runs only where S may reach the maximum, and its
+    first maximum in grid order starts the polish, :func:`gft.bounds.minimize`
+    at call time.
     """
-    _check_density(density)
+    check_density(density)
     fp = ClassParams(*map(float, params))
     coeffs = tuple(float(c) for c in b)
     t, rho, phi, x = polar_grid(2.0, density)
@@ -354,10 +361,7 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     e0, e1 = _hankel_halves(fp, coeffs, t[:, 0] + 0j, np.array([0.0, 1.0, -1.0]))
     a0, at_1, at_m1 = e0.T[:, :, None, None]
     a1, a2, k = (at_1 - at_m1) / 2, (at_1 + at_m1) / 2 - a0, np.abs(e1[:, :1, None])
-    x2, flat = x**2, 1 - np.abs(x) ** 2
-    screen = np.empty((density, density, density))
-    for rows in polar_slabs(density):
-        screen[rows] = np.abs(a0[rows] + a1[rows] * x + a2[rows] * x2) + k[rows] * flat
+    screen = disk_quadratic(a0, a1, a2, k, density)
     # S differs from the tree's value F by rounding alone, by at most 7.8e-15
     # on whole density-48 grids, for the suite's generator and for random
     # triples b in [-3, 3]^3.  A point whose S falls short of max S by the
@@ -565,7 +569,7 @@ def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
     Each slab of the polar grid contributes its own maxima; a maximum of
     maxima is the maximum, so the report holds the bits of a full sweep.
     """
-    _check_density(grid_density)
+    check_density(grid_density)
     if v <= 0:
         bound = -4 * v + 2
     elif v <= 1:
@@ -612,7 +616,7 @@ def eq_p31_check(grid_density: int = 64) -> dict:
     it is checked on power-map samples w(z) = lam z^m where all p_k are
     available in closed form (p_k = 2 lam^(k/m) when m | k, else 0).
     """
-    _check_density(grid_density)
+    check_density(grid_density)
     p1, _, _, x = polar_grid(2.0, grid_density)
     x = x[..., None]
     ys = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))

@@ -7,52 +7,50 @@ import gft.bounds
 from gft.bounds import polar_grid
 
 
-class GridCall:
-    """One ``grid_argmax`` call: its arguments, the slabs it evaluated (in
-    order) and its result."""
+class QuadraticCall:
+    """One ``disk_quadratic`` call: its row coefficients, the slabs it swept
+    (in order) and the grid values it returned."""
 
-    def __init__(self, on_grid, top, density, row_data):
-        self.on_grid, self.row_data = on_grid, row_data
-        self.top, self.density = top, density
+    def __init__(self, a0, a1, a2, k, density):
+        self.rows = a0, a1, a2, k
+        self.density = density
         self.slabs = []
         self.result = None
 
-    def assembled(self) -> np.ndarray:
-        return np.concatenate(self.slabs)
-
     def full(self) -> np.ndarray:
-        """The function on the whole grid, as one full-tensor evaluation."""
-        t, _, _, x = polar_grid(self.top, self.density)
-        return self.on_grid(t, x, *self.row_data)
+        """The disk quadratic on the whole grid, as one full-tensor evaluation."""
+        a0, a1, a2, k = self.rows
+        x = polar_grid(1.0, self.density)[3]
+        return np.abs(a0 + a1 * x + a2 * x**2) + k * (1 - np.abs(x) ** 2)
 
-    def unslabbed(self, vals):
-        """(value, point) of the first argmax of grid values ``vals``, as a
-        single full-tensor evaluation gives them."""
-        t, rho, phi, _ = polar_grid(self.top, self.density)
+    def first_argmax(self, vals, top):
+        """(value, (t, rho, phi)) of the first maximum of grid values ``vals``
+        on the :func:`polar_grid` with t in [0, ``top``]."""
+        t, rho, phi, _ = polar_grid(top, self.density)
         i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return float(vals[i, j, k]), (float(t[i, 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, k]))
 
 
-def _recording(call, on_grid):
-    def recording(*args):
-        out = on_grid(*args)
-        call.slabs.append(out)
-        return out
-
-    return recording
-
-
 @pytest.fixture
-def argmax_calls(monkeypatch):
-    """The list of every ``grid_argmax`` call that the cubic oracles make."""
+def quadratic_calls(monkeypatch):
+    """The list of every ``disk_quadratic`` call that the cubic oracles make;
+    each records the slabs of ``polar_slabs`` that its sweep took."""
     calls = []
-    real = gft.bounds.grid_argmax
+    real, real_slabs = gft.bounds.disk_quadratic, gft.bounds.polar_slabs
 
-    def spy(on_grid, top, density, *row_data):
-        call = GridCall(on_grid, top, density, row_data)
-        call.result = real(_recording(call, on_grid), top, density, *row_data)
+    def spy(a0, a1, a2, k, density):
+        call = QuadraticCall(a0, a1, a2, k, density)
+
+        def recording_slabs(d):
+            for rows in real_slabs(d):
+                call.slabs.append(rows)
+                yield rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gft.bounds, "polar_slabs", recording_slabs)
+            call.result = real(a0, a1, a2, k, density)
         calls.append(call)
         return call.result
 
-    monkeypatch.setattr(gft.bounds, "grid_argmax", spy)
+    monkeypatch.setattr(gft.bounds, "disk_quadratic", spy)
     return calls

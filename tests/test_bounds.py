@@ -27,7 +27,6 @@ from gft.bounds import (
     a4_bound_sl,
     a5_bound_sl,
     alpha_class_params,
-    caratheodory_to_coeffs,
     fekete_szego,
     fekete_szego_positive,
     fekete_szego_sl,
@@ -47,7 +46,7 @@ from gft.bounds import (
     sl_threshold_sign,
 )
 import gft.bounds
-from gft.verify import _class_coefficients, caratheodory_point
+from gft.verify import _class_coefficients
 
 ALPHA_STAR_FLOAT = (2 + math.sqrt(15)) / 11  # branch point of the h2 table
 
@@ -313,23 +312,26 @@ class TestSymmetricCorollaries:
             second_hankel_symmetric("spiral", PhiCoeffs(1, 0, 0))
 
 
-class TestCaratheodoryToCoeffs:
+class TestRecurrenceAtCaratheodoryData:
+    """a2..a4 of the recurrence at Libera-Zlotkiewicz data (p1, x, y)."""
+
     def test_full_boundary_gives_structural_coefficients(self):
-        params = alpha_class_params(Fraction(0))
-        a2, a3, a4 = caratheodory_to_coeffs(params, PSI_COEFFS, 2, 2, 2)
-        assert (a2, a3, a4) == (Fraction(-1), Fraction(3, 4), Fraction(-19, 36))
+        # p1 = 2 is omega = z, whatever x and y
+        a2, a3, a4 = _lz_coefficients(alpha_class_params(0.0), PSI_COEFFS, 2.0, 0.3 - 0.4j, 1j)
+        for got, want in ((a2, -1), (a3, 3 / 4), (a4, -19 / 36)):
+            assert abs(got - want) < 1e-15
 
     def test_even_datum(self):
-        params = alpha_class_params(Fraction(0))
-        a2, a3, a4 = caratheodory_to_coeffs(params, PSI_COEFFS, 0, 2, 0)
-        assert a2 == 0
-        assert a3 == PSI_COEFFS[0] / params.v
-        assert abs(a3) == Fraction(1, 2)
-        assert a4 == 0
+        # p1 = 0, x = 1 is omega = z^2
+        params = alpha_class_params(0.0)
+        a2, a3, a4 = _lz_coefficients(params, PSI_COEFFS, 0.0, 1.0, 0.5j)
+        assert abs(a2) < 1e-15 and abs(a4) < 1e-15
+        assert abs(a3 - PSI_COEFFS[0] / params.v) < 1e-15
+        assert abs(abs(a3) - 1 / 2) < 1e-15
 
     def test_zero_datum(self):
-        params = alpha_class_params(Fraction(1, 2))
-        assert caratheodory_to_coeffs(params, PSI_COEFFS, 0, 0, 0) == (0, 0, 0)
+        params = alpha_class_params(0.5)
+        assert _lz_coefficients(params, PSI_COEFFS, 0.0, 0.0, 0.0) == (0, 0, 0)
 
 
 class TestQParams:
@@ -373,6 +375,16 @@ def _schur_coefficients(xi, eta, zeta):
     """(c1, c2, c3) of the Schwarz function with Schur parameters xi, eta, zeta."""
     s = 1 - abs(xi) ** 2
     return xi, s * eta, s * ((1 - abs(eta) ** 2) * zeta - xi.conjugate() * eta**2)
+
+
+def _lz_coefficients(params, coeffs, p1, x, y):
+    """(a2, a3, a4) of the recurrence at the Schwarz coefficients of
+    Libera-Zlotkiewicz data: Schur parameters p1/2, x, y."""
+    c1, c2, c3 = _schur_coefficients(complex(p1 / 2), complex(x), complex(y))
+    return tuple(complex(a[0, 0]) for a in _class_coefficients(
+        np.array([[0, c1, c2, c3]]), [1.0, *map(float, coeffs)],
+        [1.0, float(params.h2), float(params.h3)],
+        [float(params.u), float(params.v), float(params.w)]))
 
 
 class TestReductionAgainstRecurrence:
@@ -425,13 +437,13 @@ class TestCubicOracles:
 
     @pytest.mark.parametrize("oracle, functional", [
         (a4_bound, lambda a2, a3, a4: a4), (a2a3_a4_bound, lambda a2, a3, a4: a2 * a3 - a4)])
-    def test_grid_is_the_functional_at_each_schur_point(self, argmax_calls, oracle, functional):
+    def test_grid_is_the_functional_at_each_schur_point(self, quadratic_calls, oracle, functional):
         # at a grid point (xi, eta) the functional is F0 + F1 zeta, so its
         # maximum over the disk is |F0| + |F1|; the recurrence gives it at the
         # Schwarz coefficients of zeta = 0 and zeta = 1, not through A, B, C
         params, coeffs = alpha_class_params(0.3), (0.7, -1.3, 2.1)
         oracle(params, coeffs, 32)
-        (call,) = argmax_calls
+        (call,) = quadratic_calls
         t, _, _, x = polar_grid(1.0, 32)
         xi, eta = np.broadcast_arrays(t, x)
         s = 1 - xi**2
@@ -451,23 +463,22 @@ class TestCubicOracles:
 
     def test_density_validated(self):
         for oracle in (a4_bound, a2a3_a4_bound):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="density must be at least 32"):
                 oracle(alpha_class_params(0.5), PSI_COEFFS, 16)
 
     # 33 and 37 leave a ragged last slab; at 96 a slab is a single row
     @pytest.mark.parametrize("density", [32, 33, 37, 48, 96])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("oracle", [a4_bound, a2a3_a4_bound])
-    def test_slabbed_grid_equals_full_tensor(self, argmax_calls, oracle, alpha, density):
+    def test_slabbed_grid_equals_full_tensor(self, quadratic_calls, oracle, alpha, density):
         rep = oracle(alpha_class_params(alpha), (1.0, 0.5, 1.0 / 3.0), density)
-        (call,) = argmax_calls
+        (call,) = quadratic_calls
         full = call.full()
-        slabbed = call.assembled()
-        assert len(call.slabs) == len(polar_slabs(density)) > 1
-        assert np.array_equal(slabbed.view(np.uint64), full.view(np.uint64))
-        assert np.argmax(slabbed) == np.argmax(full)
-        assert call.result == call.unslabbed(full)
-        assert call.result == (rep.value, (rep.inputs["xi"], rep.inputs["rho"], rep.inputs["phi"]))
+        assert call.slabs == polar_slabs(density) and len(call.slabs) > 1
+        assert np.array_equal(call.result.view(np.uint64), full.view(np.uint64))
+        assert np.argmax(call.result) == np.argmax(full)
+        witness = (rep.inputs["xi"], rep.inputs["rho"], rep.inputs["phi"])
+        assert call.first_argmax(full, 1.0) == (rep.value, witness)
 
 
 class TestMinimizeMatchesScipy:
@@ -735,10 +746,7 @@ class TestBoundsDominateFunctionals:
     def test_bound_at_least_functional(self, alpha, p1, x, y, t):
         # admissible Caratheodory data (p1 real by rotation) give a member of
         # the class; each bound must hold for it, up to rounding
-        cp = caratheodory_point(p1, x, y)
-        psi = tuple(float(c) for c in PSI_COEFFS)
-        a2, a3, a4 = caratheodory_to_coeffs(
-            alpha_class_params(float(alpha)), psi, cp.p1, cp.p2, cp.p3)
+        a2, a3, a4 = _lz_coefficients(alpha_class_params(float(alpha)), PSI_COEFFS, p1, x, y)
         params = alpha_class_params(alpha)
         pairs = [
             (a2 * a4 - a3**2, second_hankel(params, B_PSI)),

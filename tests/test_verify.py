@@ -16,7 +16,6 @@ from gft import verify
 from gft.bounds import (
     PhiCoeffs,
     alpha_class_params,
-    caratheodory_to_coeffs,
     h2_bound_sl,
     polar_grid,
     second_hankel,
@@ -49,6 +48,13 @@ B_PSI = PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
 PSI_FLOATS = (1.0, 0.5, 1.0 / 3.0)
 # 33 and 37 leave a ragged last slab; at 96 a slab is a single row
 SLAB_DENSITIES = [32, 33, 37, 48, 96]
+
+# a point of the closed unit disk, drawn on the boundary about half the time
+DISK_POINTS = st.builds(
+    lambda r, phi: r * cmath.exp(1j * phi),
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
 
 
 class TestCaratheodoryPoint:
@@ -146,6 +152,12 @@ class TestSampleSchwarz:
     ])
     def test_read_params_keys_accepted(self, kind, params):
         assert sample_schwarz(kind, params, seed=3).kind == kind
+
+    # int() would read 2.5 as 2, "3" as 3 and True as 1
+    @pytest.mark.parametrize("m", [2.5, 2.0, "3", True, False, None, 0, -1])
+    def test_monomial_exponent_must_be_a_positive_int(self, m):
+        with pytest.raises(ValueError, match="monomial exponent must be an int >= 1"):
+            sample_schwarz("monomial", {"m": m})
 
 
 # -- the Cauchy-product sample construction that the closed forms replaced -----------
@@ -816,14 +828,31 @@ class TestHankelOracle:
         params = alpha_class_params(alpha)
         p1, x = complex(p), np.float64(r) * cmath.exp(1j * phi)
         p2, base, bump = verify._p2_p3(p1, x)
-        calls = [caratheodory_to_coeffs(params, PSI_FLOATS, p1, p2, p3) for p3 in (base, base + bump)]
-        for p3, got in zip((base, base + bump), calls):
-            ref = _coeffs_reference(params, PSI_FLOATS, p1, p2, p3)
-            assert np.array(got).view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
-        (a2, a3, a4_0), (_, _, a4_1) = calls
+        (a2, a3, a4_0), (_, _, a4_1) = (
+            _coeffs_reference(params, PSI_FLOATS, p1, p2, p3) for p3 in (base, base + bump))
         want = np.array([a2 * a4_0 - a3**2, a2 * (a4_1 - a4_0)])
         got = np.array(verify._hankel_halves(params, PSI_FLOATS, p1, x))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.tuples(*[st.just(0.0) | st.floats(-3.0, 3.0)] * 3),
+        st.floats(0.0, 2.0),
+        DISK_POINTS,
+        DISK_POINTS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_halves_are_the_recurrence_hankel(self, alpha, coeffs, p1, x, y):
+        # the tree against an independent coefficient body: a2 a4 - a3^2 of
+        # the recurrence at the Schwarz coefficients of the data (p1, x, y)
+        params = alpha_class_params(alpha)
+        s = 1 - p1**2 / 4
+        c = [0, p1 / 2, s * x, s * ((1 - abs(x) ** 2) * y - p1 / 2 * x**2)]
+        a2, a3, a4 = (complex(a[0, 0]) for a in verify._class_coefficients(
+            np.array([c], dtype=complex), [1.0, *coeffs], [1.0, params.h2, params.h3],
+            [params.u, params.v, params.w]))
+        e0, e1 = verify._hankel_halves(params, coeffs, complex(p1), x)
+        assert abs(e0 + e1 * y - (a2 * a4 - a3**2)) <= 1e-12 * (abs(a2 * a4) + abs(a3) ** 2)
 
 
 @pytest.fixture(scope="module")
