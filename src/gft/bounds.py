@@ -39,10 +39,6 @@ __all__ = [
     "second_hankel_symmetric",
     "q_params_a4",
     "q_params_a2a3_a4",
-    "polar_grid",
-    "polar_slabs",
-    "check_density",
-    "disk_quadratic",
     "a4_bound",
     "a2a3_a4_bound",
     "PSI_COEFFS",
@@ -437,94 +433,33 @@ def minimize(fun, x0, xatol: float, fatol: float):
     return SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev)
 
 
-#: points in one slab of a polar-grid sweep: the grid is evaluated a few
-#: leading rows at a time, so that the dozens of complex temporaries of a
-#: slab (128 KB each) stay in a 2 MB L2 cache instead of streaming through
-#: memory as full (d, d, d) arrays
-SLAB_POINTS = 8192
-
-
-def polar_grid(top: float, density: int):
-    """Grid t in [0, top] x rho in [0, 1] x phi in [0, 2 pi) as broadcastable axes.
-
-    Returns (t, rho, phi, x) with shapes (d,1,1), (1,d,1), (1,1,d) and the
-    disk points x = rho e^(i phi) of shape (1,d,d).  Sweeps evaluate the grid
-    slab by slab, ``t[rows]`` against the whole ``x`` for each ``rows`` of
-    :func:`polar_slabs`.  Every grid value comes from the same elementwise
-    operations on the same inputs whatever the slab, so a slabbed sweep holds
-    the bits of one evaluation on the full broadcast arrays.
-    """
-    import numpy as np
-
-    t = np.linspace(0.0, top, density)[:, None, None]
-    rho = np.linspace(0.0, 1.0, density)[None, :, None]
-    phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
-    return t, rho, phi, rho * np.exp(1j * phi)
-
-
-def polar_slabs(density: int) -> list[slice]:
-    """Slices of the t axis of a :func:`polar_grid`, in order: as many rows
-    as ``SLAB_POINTS`` points allow, at least one, and the last may be shorter."""
-    if density < 1:
-        raise ValueError(f"grid density must be at least 1, got {density}")
-    rows = max(1, SLAB_POINTS // density**2)
-    return [slice(lo, min(lo + rows, density)) for lo in range(0, density, rows)]
-
-
-def check_density(density: int) -> None:
-    """Reject grids too coarse to stand for the sup: density 1 sweeps one point."""
-    if density < 32:
-        raise ValueError("density must be at least 32")
-
-
-def disk_quadratic(a0, a1, a2, k, density: int):
-    """|a0 + a1 x + a2 x^2| + k (1 - |x|^2) at the disk points x of :func:`polar_grid`.
-
-    The row coefficients have the shape (d, 1, 1) of its ``t``; the (d, d, d)
-    result is filled in :func:`polar_slabs`, with x^2 and 1 - |x|^2 computed
-    once, and holds the bits of one evaluation on the full broadcast arrays.
-    """
-    import numpy as np
-
-    x = polar_grid(1.0, density)[3]
-    x2, flat = x**2, 1 - np.abs(x) ** 2
-    vals = np.empty((density, density, density))
-    for rows in polar_slabs(density):
-        vals[rows] = np.abs(a0[rows] + a1[rows] * x + a2[rows] * x2) + k[rows] * flat
-    return vals
-
-
 def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) -> BoundReport:
-    """Grid maximum of |functional(a2, a3, a4)| over the class, with its witness.
+    """|functional(a2, a3, a4)| maximized over the class on ``grid_density`` rows c1 = xi.
 
-    Rotate the Schwarz function so that c1 = xi lies in [0, 1]; its Schur
-    parameters eta, zeta give c2 = s eta, c3 = s ((1 - |eta|^2) zeta - xi eta^2)
-    with s = 1 - xi^2.  At fixed xi the functional is affine in (c2, c3),
-    A + B c2 + C c3; :func:`gft.verify._class_coefficients` gives it at
-    (c2, c3) = (0, 0), (1, 0), (0, 1).  The best zeta leaves
-    |A + B s eta - C s xi eta^2| + |C| s (1 - |eta|^2), a :func:`disk_quadratic`
-    in eta whose first maximum in grid order is taken over the
-    :func:`polar_grid` of (xi, eta): an attained value, exact when a
-    maximizer is a grid vertex.
+    Rotate the Schwarz function so that xi lies in [0, 1]; its Schur parameters
+    eta, zeta give c2 = s eta, c3 = s ((1 - |eta|^2) zeta - xi eta^2), s = 1 - xi^2.
+    At fixed xi the functional is A + B c2 + C c3, real for a real generator,
+    read off :func:`gft.verify._class_coefficients` at (c2, c3) = (0, 0),
+    (1, 0), (0, 1).  The best zeta leaves |A + B s eta - C s xi eta^2| +
+    |C| s (1 - |eta|^2), maximized over the eta disk by :func:`gft.verify.disk_max`.
     """
+    from .verify import _class_coefficients, check_density, disk_max
+
     check_density(grid_density)
     import numpy as np
 
-    from .verify import _class_coefficients
-
-    xi, rho, phi, _ = polar_grid(1.0, grid_density)
-    omega = np.zeros((3,) + xi.shape + (4,), dtype=complex)  # (c2, c3) = 0, (1, 0), (0, 1)
+    xi = np.linspace(0.0, 1.0, grid_density)
+    omega = np.zeros((3, grid_density, 4), dtype=complex)  # (c2, c3) = 0, (1, 0), (0, 1)
     omega[..., 1] = xi
-    omega[1, ..., 2] = omega[2, ..., 3] = 1
+    omega[1, :, 2] = omega[2, :, 3] = 1
     a, b, c = functional(*_class_coefficients(
         omega.reshape(-1, 4), [1.0] + [float(c) for c in coeffs],
         [1.0, float(params.h2), float(params.h3)],
-        [float(params.u), float(params.v), float(params.w)])).reshape(omega.shape[:-1])
+        [float(params.u), float(params.v), float(params.w)])).reshape(omega.shape[:-1]).real
     b, c, s = b - a, c - a, 1 - xi**2  # A, B, C and s per row
-    vals = disk_quadratic(a, b * s, -(c * s * xi), np.abs(c) * s, grid_density)
-    i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return BoundReport(float(vals[i, j, k]), label,
-                       {"xi": float(xi[i, 0, 0]), "rho": float(rho[0, j, 0]), "phi": float(phi[0, 0, k])})
+    vals = disk_max(a, b * s, -(c * s * xi), np.abs(c) * s)
+    i = int(np.argmax(vals))
+    return BoundReport(float(vals[i]), label, {"xi": float(xi[i])})
 
 
 def a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundReport:

@@ -21,14 +21,9 @@ import numpy as np
 
 from . import bounds
 from .bounds import (
-    SLAB_POINTS,
     ClassParams,
     PhiCoeffs,
     alpha_class_params,
-    check_density,
-    disk_quadratic,
-    polar_grid,
-    polar_slabs,
     second_hankel,
     sl_bound_table,
 )
@@ -43,6 +38,7 @@ __all__ = [
     "CaratheodoryPoint",
     "caratheodory_point",
     "schur_parameters",
+    "disk_max",
     "sample_schwarz",
     "sample_suite",
     "structural_eval",
@@ -135,10 +131,10 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
             raise ValueError(f"monomial exponent must be an int >= 1, got {m!r}")
         series = TruncatedSeries([0] * m + [1]).padded(max(SAMPLE_ORDER, m))
     elif kind == "mobius_eta":
-        eta = float(params.get("eta", 0.5))
-        if not 0 <= eta <= 1:
-            raise ValueError("eta must lie in [0, 1]")
-        series = _mobius_series(eta)
+        eta = params.get("eta", 0.5)
+        if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not 0 <= eta <= 1:
+            raise ValueError(f"eta must be an int or float in [0, 1], got {eta!r}")
+        series = _mobius_series(float(eta))
     elif kind == "scaled_blaschke":
         rng = np.random.default_rng(seed)
         # modest zero radii keep the series truncation far below the
@@ -302,6 +298,62 @@ def schur_parameters(p1: complex, p2: complex, p3: complex) -> tuple[complex, co
     return xi, eta, zeta
 
 
+# -- polar grids and disk maxima -----------------------------------------------------
+
+SLAB_POINTS = 8192  #: points per slab of a sweep: its temporaries (128 KB each) stay in L2
+
+
+def polar_grid(top: float, density: int):
+    """Grid t in [0, top] x rho in [0, 1] x phi in [0, 2 pi) as broadcastable axes.
+
+    Returns (t, rho, phi, x) with shapes (d,1,1), (1,d,1), (1,1,d) and the
+    disk points x = rho e^(i phi) of shape (1,d,d).  A sweep over the
+    :func:`polar_slabs` ``t[rows]`` against the whole ``x`` holds the bits of
+    one evaluation on the full broadcast arrays: the operations are elementwise.
+    """
+    t = np.linspace(0.0, top, density)[:, None, None]
+    rho = np.linspace(0.0, 1.0, density)[None, :, None]
+    phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
+    return t, rho, phi, rho * np.exp(1j * phi)
+
+
+def polar_slabs(density: int) -> list[slice]:
+    """A :func:`polar_grid`'s t axis in slices of as many rows as ``SLAB_POINTS`` allow."""
+    rows = max(1, SLAB_POINTS // density**2)
+    return [slice(lo, min(lo + rows, density)) for lo in range(0, density, rows)]
+
+
+def check_density(density: int) -> None:
+    """Reject grids too coarse to stand for the sup: density 1 sweeps one point."""
+    if density < 32:
+        raise ValueError("density must be at least 32")
+
+
+def disk_max(a0, a1, a2, k):
+    """max of |a0 + a1 x + a2 x^2| + k (1 - |x|^2) over |x| <= 1, per real row, k >= 0.
+
+    k Y(a0/k, a1/k, a2/k) for the k = 1 maximum Y(A, B, C) of Choi, Kim and
+    Sugawa (J. Math. Soc. Japan 59, 2007), each case multiplied through by k:
+    none divides by k, and a k = 0 row gets the maximum over the circle.  Each
+    row is scaled exactly by the power of 2 at its largest modulus, so that no
+    case test underflows (products of four coefficients do from 1e-77).
+    """
+    e = np.frexp(np.maximum(np.maximum(np.abs(a0), np.abs(a1)), np.maximum(np.abs(a2), k)))[1]
+    a0, a1, a2, k = (np.ldexp(v, -e) for v in (a0, a1, a2, k))
+    A, B, C = np.abs(a0), np.abs(a1), np.abs(a2)
+    g, sq, same = k - C, a1 * a1, a0 * a2 >= 0
+    q = -4 * a0 * a2 * (k * k - a2 * a2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.ldexp(np.select(
+            [same & (B >= 2 * g), same,
+             (B * B * C * C >= q) & (B < 2 * g), (B < 2 * (k + C)) & (B * B * C * C < q),
+             C * (B + 4 * A) <= A * B, A * B <= C * (B - 4 * A)],
+            [A + B + C, k + A + sq / (4 * g),
+             k - A + sq / (4 * g), k + A + sq / (4 * (k + C)),
+             A + B - C, -A + B + C],
+            (A + C) * np.sqrt(1 + sq / (4 * A * C))), e)  # a0 a2 = -A C there
+
+
 # -- second-Hankel brute force ------------------------------------------------------
 
 
@@ -341,11 +393,10 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     parameter is maximized in closed form (the functional is affine in it).
     ``b`` is a :class:`PhiCoeffs` or any coefficient triple.  With p1 and ``b``
     real, E0 of :func:`_hankel_halves` is a0 + a1 x + a2 x^2 on each p1 row,
-    read off the tree at x = 0, 1, -1, and E1 = K (1 - |x|^2).  The screen
-    S = |a0 + a1 x + a2 x^2| + |K| (1 - |x|^2) is the :func:`disk_quadratic`
-    of these rows, the tree runs only where S may reach the maximum, and its
-    first maximum in grid order starts the polish, :func:`gft.bounds.minimize`
-    at call time.
+    read off the tree at x = 0, 1, -1, and E1 = K (1 - |x|^2), so :func:`disk_max`
+    bounds each row.  The tree runs on the rows whose bound may reach the
+    maximum, and its first maximum in grid order starts the polish,
+    :func:`gft.bounds.minimize` at call time.
     """
     check_density(density)
     fp = ClassParams(*map(float, params))
@@ -359,22 +410,22 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
         return -(abs(e0_) + abs(e1_))
 
     e0, e1 = _hankel_halves(fp, coeffs, t[:, 0] + 0j, np.array([0.0, 1.0, -1.0]))
-    a0, at_1, at_m1 = e0.T[:, :, None, None]
-    a1, a2, k = (at_1 - at_m1) / 2, (at_1 + at_m1) / 2 - a0, np.abs(e1[:, :1, None])
-    screen = disk_quadratic(a0, a1, a2, k, density)
-    # S differs from the tree's value F by rounding alone, by at most 7.8e-15
-    # on whole density-48 grids, for the suite's generator and for random
-    # triples b in [-3, 3]^3.  A point whose S falls short of max S by the
-    # slack, some 1e5 times that, has F below F at the argmax of S: it is no
-    # maximum, and the first maximum of the survivors, gathered in grid
-    # order, is the full sweep's to the bit.
-    top = screen.max()
-    i, j, m = np.nonzero(screen >= top - 2e-9 * max(1.0, top))
-    e0, e1 = _hankel_halves(fp, coeffs, t[i, 0, 0] + 0j, x[0, j, m])
+    a0, at_1, at_m1 = e0.real.T
+    bound = disk_max(a0, (at_1 - at_m1) / 2, (at_1 + at_m1) / 2 - a0, np.abs(e1[:, 0]))
+    # S = |a0 + a1 x + a2 x^2| + |K| (1 - |x|^2) never exceeds its row's bound
+    # and is off the tree's value F by at most 7.8e-15 on whole density-48
+    # grids (the suite's generator, random b in [-3, 3]^3).  The maximum L of
+    # F on the row of the largest bound is attained, and a row whose bound
+    # falls short of L by the slack, some 1e5 times that, holds no F as large
+    # as L: the first maximum over the rows kept is the full sweep's to the bit.
+    e0, e1 = _hankel_halves(fp, coeffs, t[int(np.argmax(bound))] + 0j, x[0])
+    top = float((np.abs(e0) + np.abs(e1)).max())
+    rows = np.nonzero(bound >= top - 2e-9 * max(1.0, top))[0]
+    e0, e1 = _hankel_halves(fp, coeffs, t[rows] + 0j, x)
     values = np.abs(e0) + np.abs(e1)
-    n = int(np.argmax(values))
-    best = float(values[n])
-    start = (float(t[i[n], 0, 0]), float(rho[0, j[n], 0]), float(phi[0, 0, m[n]]))
+    i, j, m = np.unravel_index(int(np.argmax(values)), values.shape)
+    best = float(values[i, j, m])
+    start = (float(t[rows[i], 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, m]))
     res = bounds.minimize(neg, start, xatol=1e-10, fatol=1e-13)
     return float(-res.fun) if -res.fun > best else best
 

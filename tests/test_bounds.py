@@ -36,8 +36,6 @@ from gft.bounds import (
     hankel_quadratic_coefficients,
     max_quadratic_0_4,
     minimize,
-    polar_grid,
-    polar_slabs,
     q_params_a2a3_a4,
     q_params_a4,
     second_hankel,
@@ -46,7 +44,8 @@ from gft.bounds import (
     sl_threshold_sign,
 )
 import gft.bounds
-from gft.verify import _class_coefficients
+import gft.verify
+from gft.verify import _class_coefficients, polar_grid
 
 ALPHA_STAR_FLOAT = (2 + math.sqrt(15)) / 11  # branch point of the h2 table
 
@@ -412,6 +411,23 @@ class TestReductionAgainstRecurrence:
             assert abs(functional - reduced) < 1e-12
 
 
+def _cubic_rows(oracle, params, coeffs, density):
+    """The oracle's report and its one ``verify.disk_max`` call: the rows
+    (a0, a1, a2, k) and the row maxima."""
+    calls = []
+    real = gft.verify.disk_max
+
+    def spy(*rows):
+        calls.append((rows, real(*rows)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gft.verify, "disk_max", spy)
+        rep = oracle(params, coeffs, density)
+    (call,) = calls
+    return (rep, *call)
+
+
 class TestCubicOracles:
     """``a4_bound`` and ``a2a3_a4_bound``: grid maxima over the coefficient recurrence."""
 
@@ -429,32 +445,41 @@ class TestCubicOracles:
         for oracle, closed, xi in ((a4_bound, a4_bound_sl, 1.0), (a2a3_a4_bound, a2a3_a4_bound_sl, 0.0)):
             rep = oracle(params, coeffs)
             assert abs(rep.value - float(closed(alpha).value)) < 1e-12
-            # the witness: omega = z for a4, omega = z^3 (xi = rho = 0) for a2a3a4
-            assert rep.inputs["xi"] == xi
-            assert xi == 1.0 or rep.inputs["rho"] == 0.0
-            assert all(type(v) is float for v in rep.inputs.values())
+            # the witness row: omega = z for a4, omega = z^3 (xi = 0) for a2a3a4
+            assert rep.inputs == {"xi": xi}
+            assert type(rep.inputs["xi"]) is float
             assert json.loads(json.dumps(rep.as_dict()))["inputsEcho"] == rep.inputs
 
     @pytest.mark.parametrize("oracle, functional", [
         (a4_bound, lambda a2, a3, a4: a4), (a2a3_a4_bound, lambda a2, a3, a4: a2 * a3 - a4)])
-    def test_grid_is_the_functional_at_each_schur_point(self, quadratic_calls, oracle, functional):
-        # at a grid point (xi, eta) the functional is F0 + F1 zeta, so its
-        # maximum over the disk is |F0| + |F1|; the recurrence gives it at the
-        # Schwarz coefficients of zeta = 0 and zeta = 1, not through A, B, C
-        params, coeffs = alpha_class_params(0.3), (0.7, -1.3, 2.1)
-        oracle(params, coeffs, 32)
-        (call,) = quadratic_calls
-        t, _, _, x = polar_grid(1.0, 32)
-        xi, eta = np.broadcast_arrays(t, x)
+    def test_row_maximum_is_the_functional_over_the_eta_disk(self, oracle, functional):
+        # at a row xi and a point eta the functional is F0 + F1 zeta, so its
+        # maximum over the zeta disk is |F0| + |F1|; the recurrence gives it at
+        # the Schwarz coefficients of zeta = 0 and zeta = 1, not through A, B, C.
+        # Its maximum over a dense eta grid never exceeds the row's disk_max and
+        # falls short of it by at most the grid's resolution
+        params, coeffs, density = alpha_class_params(0.3), (0.7, -1.3, 2.1), 32
+        rep, (_, a1, a2, k), rows = _cubic_rows(oracle, params, coeffs, density)
+        assert rep.value == rows.max() and rep.inputs["xi"] == np.linspace(0, 1, density)[
+            int(np.argmax(rows))]
+        radii, angles = 41, 128
+        eta = (np.linspace(0.0, 1.0, radii)[:, None]
+               * np.exp(2j * np.pi * np.arange(angles) / angles)).ravel()
+        xi = np.linspace(0.0, 1.0, density)[:, None] + 0 * eta
         s = 1 - xi**2
         at = []
         for zeta in (0, 1):
-            c = (0 * eta, xi + 0j, s * eta, s * ((1 - abs(eta) ** 2) * zeta - xi * eta**2))
+            c = (0 * xi, xi + 0j, s * eta, s * ((1 - abs(eta) ** 2) * zeta - xi * eta**2))
             at.append(functional(*_class_coefficients(
                 np.stack(c, axis=-1).reshape(-1, 4), [1.0, *coeffs],
                 [1.0, params.h2, params.h3], [params.u, params.v, params.w])).reshape(xi.shape))
-        np.testing.assert_allclose(call.full(), np.abs(at[0]) + np.abs(at[1] - at[0]),
-                                   rtol=1e-12, atol=1e-15)
+        grid = (np.abs(at[0]) + np.abs(at[1] - at[0])).max(axis=1)
+        # the row function is Lipschitz with |a1| + 2|a2| + 2k in eta, and every
+        # point of the disk lies within half a radial step plus one angular
+        # step of the grid
+        resolution = (np.abs(a1) + 2 * np.abs(a2) + 2 * k) * (0.5 / (radii - 1) + np.pi / angles)
+        assert np.all(grid <= rows * (1 + 1e-12))
+        assert np.all(rows - grid <= resolution + 1e-12)
 
     def test_trivial_generator(self):
         # h = 0 and phi = 1 + z: f * G = z (1 + omega), so a4 = c3 / 4
@@ -466,19 +491,22 @@ class TestCubicOracles:
             with pytest.raises(ValueError, match="density must be at least 32"):
                 oracle(alpha_class_params(0.5), PSI_COEFFS, 16)
 
-    # 33 and 37 leave a ragged last slab; at 96 a slab is a single row
-    @pytest.mark.parametrize("density", [32, 33, 37, 48, 96])
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("oracle", [a4_bound, a2a3_a4_bound])
-    def test_slabbed_grid_equals_full_tensor(self, quadratic_calls, oracle, alpha, density):
-        rep = oracle(alpha_class_params(alpha), (1.0, 0.5, 1.0 / 3.0), density)
-        (call,) = quadratic_calls
-        full = call.full()
-        assert call.slabs == polar_slabs(density) and len(call.slabs) > 1
-        assert np.array_equal(call.result.view(np.uint64), full.view(np.uint64))
-        assert np.argmax(call.result) == np.argmax(full)
-        witness = (rep.inputs["xi"], rep.inputs["rho"], rep.inputs["phi"])
-        assert call.first_argmax(full, 1.0) == (rep.value, witness)
+    @given(
+        st.floats(0.0, 1.0),
+        st.tuples(*[st.just(0.0) | st.floats(-3.0, 3.0)] * 3),
+        st.integers(32, 64),
+        st.sampled_from([a4_bound, a2a3_a4_bound]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_never_below_the_full_tensor_grid(self, alpha, coeffs, density, oracle):
+        # the (xi, rho, phi) grid that the row maxima replaced, on the same rows:
+        # the exact row maximum reaches the grid's maximum up to rounding
+        rep, (a0, a1, a2, k), _ = _cubic_rows(oracle, alpha_class_params(alpha), coeffs, density)
+        x = polar_grid(1.0, density)[3]
+        rows = (a[:, None, None] for a in (a0, a1, a2, k))
+        full = max(float((np.abs(a0 + a1 * x + a2 * x**2) + k * (1 - np.abs(x) ** 2)).max())
+                   for a0, a1, a2, k in zip(*rows))
+        assert rep.value >= full * (1 - 1e-15)
 
 
 class TestMinimizeMatchesScipy:

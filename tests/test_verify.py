@@ -17,7 +17,6 @@ from gft.bounds import (
     PhiCoeffs,
     alpha_class_params,
     h2_bound_sl,
-    polar_grid,
     second_hankel,
 )
 from gft.catalog import in_psi_image, make_spec
@@ -29,10 +28,12 @@ from gft.verify import (
     bloch_seminorm_bound,
     caratheodory_point,
     conjecture_check,
+    disk_max,
     eq_p31_check,
     lambda_combination_check,
     lemma_p1p2_check,
     maximize_second_hankel_oracle,
+    polar_grid,
     sample_schwarz,
     sample_suite,
     schur_parameters,
@@ -147,6 +148,7 @@ class TestSampleSchwarz:
     @pytest.mark.parametrize("kind, params", [
         ("monomial", {"m": 3}),
         ("mobius_eta", {"eta": 0.25}),
+        ("mobius_eta", {"eta": 1}),
         ("scaled_blaschke", {}),
         ("random_poly_normalized", None),
     ])
@@ -158,6 +160,13 @@ class TestSampleSchwarz:
     def test_monomial_exponent_must_be_a_positive_int(self, m):
         with pytest.raises(ValueError, match="monomial exponent must be an int >= 1"):
             sample_schwarz("monomial", {"m": m})
+
+    # float() would read "0.5" as 1/2 and True as 1, which builds z
+    @pytest.mark.parametrize("eta", ["0.5", True, False, None, 0.5j, [0.5], -0.25, 1.5,
+                                     math.nan, math.inf])
+    def test_mobius_eta_must_be_a_real_number_in_the_unit_interval(self, eta):
+        with pytest.raises(ValueError, match=r"eta must be an int or float in \[0, 1\]"):
+            sample_schwarz("mobius_eta", {"eta": eta})
 
 
 # -- the Cauchy-product sample construction that the closed forms replaced -----------
@@ -677,6 +686,27 @@ def _coeffs_reference(params, coeffs, p1, p2, p3):
     return a2, a3, a4
 
 
+def _coeffs_majorants(params, coeffs, p1, p2, p3):
+    """Bounds on |a2|, |a3| and |a4| that add up the moduli of the summands of
+    :func:`_coeffs_reference` at p1 >= 0 and moduli p2, p3: a few ulps of
+    these bound its rounding, however much its sums cancel."""
+    g2, g3 = params.g2, params.g3
+    h2, h3 = params.h2, params.h3
+    u, v, w = params.u, params.v, params.w
+    b1, b2, b3 = map(abs, coeffs)
+    c = abs(coeffs[1] - 1)
+    a2 = b1 * p1 / (2 * u)
+    a3 = (b2 * p1**2 * u + b1 * (p1**2 + 2 * p2) * u + b1**2 * p1**2 * h2) / (4 * u * v)
+    a4 = (
+        p1 * (2 * b2 * p1**2 + b3 * p1**2 + 4 * b2 * p2) * u * v
+        + b1**3 * p1**3 * h2 * h3
+        + b1**2 * p1 * (p1**2 + 2 * p2) * (g3 * h2 + abs(g2 - 2 * h2) * h3)
+        + b1 * (p1**3 * (g2 * (g3 + c * h3) + h2 * (c * g3 + h3 + 2 * b2 * h3))
+                + 4 * p1 * p2 * u * v + 4 * p3 * u * v)
+    ) / (8 * u * v * w)
+    return a2, a3, a4
+
+
 def _hankel_grid_reference(params, coeffs, density):
     """The Hankel oracle's grid values on the full (d, d, d) tensor, by two
     whole-formula coefficient calls."""
@@ -693,8 +723,8 @@ def _hankel_grid_reference(params, coeffs, density):
 
 def _screened_oracle(params, coeffs, density):
     """The Hankel oracle's value, (p1, x, |E0| + |E1|) of each of its calls
-    of the expression tree on arrays, and (objective, start, xatol, fatol)
-    of each polish."""
+    of the expression tree on arrays (the row probes, the row of the largest
+    bound, the rows kept), and (objective, start, xatol, fatol) of each polish."""
     tree, polish = [], []
     halves, minimize = verify._hankel_halves, gft.bounds.minimize
 
@@ -716,11 +746,12 @@ def _screened_oracle(params, coeffs, density):
 
 
 def _assert_screen_keeps_the_full_sweep(params, coeffs, density, full):
-    """The screened oracle gathers its survivors in grid order and polishes
-    from the first argmax of the full grid values ``full``, with its value
-    bits; it returns what the full sweep's polish returns."""
-    value, (_, (p1, x, survivors)), ((neg, start, xatol, fatol),) = _screened_oracle(
-        params, coeffs, density)
+    """The screened oracle's last tree call takes whole rows in grid order; it
+    polishes from the first argmax of the full grid values ``full``, with its
+    value bits, and returns what the full sweep's polish returns."""
+    value, tree, ((neg, start, xatol, fatol),) = _screened_oracle(params, coeffs, density)
+    p1, x, survivors = tree[-1]
+    p1, x = (a.ravel() for a in np.broadcast_arrays(p1, x))
     # grid indices of the survivors; at rho = 0 every phi gives x = 0, read as phi = 0
     i = np.rint(p1.real * (density - 1) / 2).astype(int)
     j = np.rint(np.abs(x) * (density - 1)).astype(int)
@@ -739,6 +770,65 @@ def _planted_halves(params, coeffs, p1, x):
     """Halves of the tree's shape, E0 quadratic in x and E1 = K(p1) (1 - |x|^2),
     whose maximum |E0| + |E1| lies inside the disk, near p1 = 1, x = 1/3."""
     return (p1 - 0.7) + 2 * x - 0.2 * x**2, 3 * p1 * (2 - p1) * (1 - np.abs(x) ** 2)
+
+
+def _off_grid_halves(params, coeffs, p1, x):
+    """Halves of the tree's shape whose rows p1 > 0, 1.0001 |1 - x^2|, have the
+    largest bound 2.0002 at x = +-i, off the grid when 4 does not divide d, and
+    fall below the row p1 = 0, |1 + x|, which attains its bound 2 at x = 1."""
+    return np.where(p1 == 0, 1 + x, 1.0001 * (1 - x**2)), 0 * (p1 + x)
+
+
+# a real row coefficient: zero a fifth of the time, else of modulus in [1e-3, 3]
+ROW_COEFFS = st.just(0.0) | st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3)
+
+
+class TestDiskMax:
+    """``disk_max``: the closed-form maximum of |a0 + a1 x + a2 x^2| + k (1 - |x|^2)."""
+
+    RADII, ANGLES = 201, 512
+    X = (np.linspace(0.0, 1.0, RADII)[:, None]
+         * np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)).ravel()
+
+    def test_spot_values(self):
+        assert disk_max(1.0, 0.0, 0.0, 1.0) == 2.0  # 1 + (1 - |x|^2) at x = 0
+        assert disk_max(1.0, 2.0, 1.0, 0.0) == 4.0  # |1 + x|^2 at x = 1
+
+    def test_rows_are_independent(self):
+        rows = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0], [0.1, 0.9, -0.5, 1.0]])
+        want = [disk_max(*row) for row in rows]
+        assert disk_max(*rows.T).tolist() == want
+
+    @given(ROW_COEFFS, ROW_COEFFS, ROW_COEFFS, st.just(0.0) | st.floats(1e-3, 3.0),
+           st.integers(0, 900))
+    # at 2^-340 ~ 4.5e-103 the case tests' products of four coefficients underflow
+    @example(0.1, 0.2, -0.5, 1.0, 340)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_under_scaling_by_powers_of_two(self, a0, a1, a2, k, n):
+        row = np.ldexp([a0, a1, a2, k], -n)
+        assert np.ldexp(disk_max(*row), n) == disk_max(a0, a1, a2, k)
+
+    @given(ROW_COEFFS, ROW_COEFFS, ROW_COEFFS, st.just(0.0) | st.floats(1e-3, 3.0))
+    # one example per case, in the order disk_max tries them
+    @example(1.0, 2.0, 1.0, 1.0)  # a0 a2 >= 0, |a1| >= 2 (k - |a2|)
+    @example(1.0, 0.0, 0.0, 1.0)  # a0 a2 >= 0, interior vertex
+    @example(0.1, 0.9, -0.5, 1.0)  # a0 a2 < 0, k - |a0| + a1^2 / (4 (k - |a2|))
+    @example(0.1, 0.2, -0.5, 1.0)  # a0 a2 < 0, k + |a0| + a1^2 / (4 (k + |a2|))
+    @example(1.0, 1.0, -0.1, 0.0)  # |a0| + |a1| - |a2|
+    @example(0.1, 1.0, -1.0, 0.0)  # -|a0| + |a1| + |a2|
+    @example(1.0, 0.5, -1.0, 0.0)  # (|a0| + |a2|) sqrt(1 - a1^2 / (4 a0 a2))
+    @settings(max_examples=300, deadline=None)
+    def test_dense_disk_grid(self, a0, a1, a2, k):
+        # the grid never rises above the maximum but by rounding, and falls
+        # short of it by at most its resolution: the row function is Lipschitz
+        # with |a1| + 2|a2| + 2k, and every point of the disk lies within half
+        # a radial step plus one angular step of the grid
+        top = float(disk_max(a0, a1, a2, k))
+        x = self.X
+        grid = float((np.abs(a0 + a1 * x + a2 * x**2) + k * (1 - np.abs(x) ** 2)).max())
+        assert grid <= top * (1 + 1e-14)
+        step = 0.5 / (self.RADII - 1) + np.pi / self.ANGLES
+        assert top - grid <= (abs(a1) + 2 * abs(a2) + 2 * k) * step + 1e-14 * top
 
 
 class TestHankelOracle:
@@ -808,13 +898,23 @@ class TestHankelOracle:
         assert 0 < t[i, 0, 0] < 2 and 0 < j < density - 1 and np.abs(e1).max() > 1
         _assert_screen_keeps_the_full_sweep(alpha_class_params(0.5), PSI_FLOATS, density, full)
 
+    @pytest.mark.parametrize("density", [33, 37])
+    def test_screen_keeps_a_row_below_the_largest_bound(self, monkeypatch, density):
+        # the grid's maximum lies on a row other than the one of the largest
+        # bound, so the tree must also run on the rows that bound may reach
+        monkeypatch.setattr(verify, "_hankel_halves", _off_grid_halves)
+        t, _, _, x = polar_grid(2.0, density)
+        e0, e1 = _off_grid_halves(None, None, t + 0j, x)
+        full = np.abs(e0) + np.abs(e1)
+        assert full[1:].max() < full[0].max() == 2
+        _assert_screen_keeps_the_full_sweep(alpha_class_params(0.5), PSI_FLOATS, density, full)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_screen_leaves_few_points_to_the_tree(self, alpha):
-        # the suite's grids: the tree runs on the d x 3 row coefficients and
-        # the survivors, never on the whole grid
+        # the suite's grids: the tree runs on the d x 3 row probes, on the row
+        # of the largest bound and on the one row kept, never on the whole grid
         _, tree, _ = _screened_oracle(alpha_class_params(alpha), PSI_FLOATS, 48)
-        assert len(tree) == 2
-        assert sum(values.size for _, _, values in tree) < 0.01 * 48**3
+        assert [values.size for _, _, values in tree] == [3 * 48, 48**2, 48**2]
 
     @given(
         st.floats(0.0, 2.0),
@@ -841,10 +941,13 @@ class TestHankelOracle:
         DISK_POINTS,
         DISK_POINTS,
     )
+    @example(0.0, (3.0034475569827366e-99, 0.0, 0.0), 1.0, 4.6116780750780645e-26 + 0j, 0j)
     @settings(max_examples=300, deadline=None)
     def test_halves_are_the_recurrence_hankel(self, alpha, coeffs, p1, x, y):
         # the tree against an independent coefficient body: a2 a4 - a3^2 of
-        # the recurrence at the Schwarz coefficients of the data (p1, x, y)
+        # the recurrence at the Schwarz coefficients of the data (p1, x, y), to
+        # 1e-12 of the moduli of the tree's summands (at p1 = 1, x = 1e-26 the
+        # tree's p1^2 - 2 p2 cancels to 0 and a2 a4 - a3^2 to some 1e-249)
         params = alpha_class_params(alpha)
         s = 1 - p1**2 / 4
         c = [0, p1 / 2, s * x, s * ((1 - abs(x) ** 2) * y - p1 / 2 * x**2)]
@@ -852,7 +955,11 @@ class TestHankelOracle:
             np.array([c], dtype=complex), [1.0, *coeffs], [1.0, params.h2, params.h3],
             [params.u, params.v, params.w]))
         e0, e1 = verify._hankel_halves(params, coeffs, complex(p1), x)
-        assert abs(e0 + e1 * y - (a2 * a4 - a3**2)) <= 1e-12 * (abs(a2 * a4) + abs(a3) ** 2)
+        r, s4 = abs(x), 4 - p1**2
+        p2 = (p1**2 + r * s4) / 2  # moduli bounds: |p3| <= |base| + |bump|
+        p3 = (p1**3 + 2 * p1 * s4 * r + p1 * s4 * r**2 + 2 * s4 * (1 + r**2)) / 4
+        m2, m3, m4 = _coeffs_majorants(params, coeffs, p1, p2, p3)
+        assert abs(e0 + e1 * y - (a2 * a4 - a3**2)) <= 1e-12 * (m2 * m4 + m3**2)
 
 
 @pytest.fixture(scope="module")
