@@ -452,6 +452,28 @@ class TestCubicOracles:
 
     @pytest.mark.parametrize("oracle, functional", [
         (a4_bound, lambda a2, a3, a4: a4), (a2a3_a4_bound, lambda a2, a3, a4: a2 * a3 - a4)])
+    def test_grid_is_the_functional_at_each_schur_point(self, oracle, functional):
+        # at a grid point (xi, eta) the functional is F0 + F1 zeta, so its
+        # maximum over the disk is |F0| + |F1|; the recurrence gives it at the
+        # Schwarz coefficients of zeta = 0 and zeta = 1, not through A, B, C.
+        # The oracle's rows, evaluated on the polar grid, are that maximum
+        params, coeffs = alpha_class_params(0.3), (0.7, -1.3, 2.1)
+        _, rows, _ = _cubic_rows(oracle, params, coeffs, 32)
+        t, _, _, x = polar_grid(1.0, 32)
+        a0, a1, a2, k = (a[:, None, None] for a in rows)
+        xi, eta = np.broadcast_arrays(t, x)
+        s = 1 - xi**2
+        at = []
+        for zeta in (0, 1):
+            c = (0 * eta, xi + 0j, s * eta, s * ((1 - abs(eta) ** 2) * zeta - xi * eta**2))
+            at.append(functional(*_class_coefficients(
+                np.stack(c, axis=-1).reshape(-1, 4), [1.0, *coeffs],
+                [1.0, params.h2, params.h3], [params.u, params.v, params.w])).reshape(xi.shape))
+        np.testing.assert_allclose(np.abs(a0 + a1 * x + a2 * x**2) + k * (1 - np.abs(x) ** 2),
+                                   np.abs(at[0]) + np.abs(at[1] - at[0]), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("oracle, functional", [
+        (a4_bound, lambda a2, a3, a4: a4), (a2a3_a4_bound, lambda a2, a3, a4: a2 * a3 - a4)])
     def test_row_maximum_is_the_functional_over_the_eta_disk(self, oracle, functional):
         # at a row xi and a point eta the functional is F0 + F1 zeta, so its
         # maximum over the zeta disk is |F0| + |F1|; the recurrence gives it at
@@ -490,6 +512,29 @@ class TestCubicOracles:
         for oracle in (a4_bound, a2a3_a4_bound):
             with pytest.raises(ValueError, match="density must be at least 32"):
                 oracle(alpha_class_params(0.5), PSI_COEFFS, 16)
+
+    # odd densities put no phi grid point at +-pi/2; at 96 the grid is finest
+    @pytest.mark.parametrize("density", [32, 33, 37, 48, 96])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("oracle", [a4_bound, a2a3_a4_bound])
+    def test_row_maxima_against_the_full_tensor(self, oracle, alpha, density):
+        # the (xi, rho, phi) grid that the row maxima replaced, on the same
+        # rows: each row's grid maximum stays below its disk_max but by
+        # rounding and falls short of it by at most the grid's resolution; the
+        # report is the first largest row
+        rep, (a0, a1, a2, k), rows = _cubic_rows(
+            oracle, alpha_class_params(alpha), (1.0, 0.5, 1.0 / 3.0), density)
+        assert rep.value == rows.max()
+        assert rep.inputs["xi"] == np.linspace(0, 1, density)[int(np.argmax(rows))]
+        x = polar_grid(1.0, density)[3]
+        b0, b1, b2, bk = (a[:, None, None] for a in (a0, a1, a2, k))
+        full = (np.abs(b0 + b1 * x + b2 * x**2) + bk * (1 - np.abs(x) ** 2)).max(axis=(1, 2))
+        assert np.all(full <= rows * (1 + 1e-14))
+        # the Lipschitz bound of the row function times the largest distance
+        # from a disk point to the grid: half a radial step plus pi / d of arc
+        step = 0.5 / (density - 1) + np.pi / density
+        assert np.all(rows - full <= (np.abs(a1) + 2 * np.abs(a2) + 2 * k) * step + 1e-14 * rows)
+        assert rep.value >= full.max() * (1 - 1e-15)
 
     @given(
         st.floats(0.0, 1.0),

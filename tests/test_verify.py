@@ -148,9 +148,9 @@ class TestSampleSchwarz:
     @pytest.mark.parametrize("kind, params", [
         ("monomial", {"m": 3}),
         ("mobius_eta", {"eta": 0.25}),
-        ("mobius_eta", {"eta": 1}),
         ("scaled_blaschke", {}),
         ("random_poly_normalized", None),
+        ("mobius_eta", {"eta": 1}),
     ])
     def test_read_params_keys_accepted(self, kind, params):
         assert sample_schwarz(kind, params, seed=3).kind == kind
