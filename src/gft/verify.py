@@ -300,16 +300,22 @@ def schur_parameters(p1: complex, p2: complex, p3: complex) -> tuple[complex, co
 
 # -- polar grids and disk maxima -----------------------------------------------------
 
-SLAB_POINTS = 8192  #: points per slab of a sweep: its temporaries (128 KB each) stay in L2
+#: points in one slab of a polar-grid sweep: the grid is evaluated a few
+#: leading rows at a time, so that the dozens of complex temporaries of a
+#: slab (128 KB each) stay in a 2 MB L2 cache instead of streaming through
+#: memory as full (d, d, d) arrays
+SLAB_POINTS = 8192
 
 
 def polar_grid(top: float, density: int):
     """Grid t in [0, top] x rho in [0, 1] x phi in [0, 2 pi) as broadcastable axes.
 
     Returns (t, rho, phi, x) with shapes (d,1,1), (1,d,1), (1,1,d) and the
-    disk points x = rho e^(i phi) of shape (1,d,d).  A sweep over the
-    :func:`polar_slabs` ``t[rows]`` against the whole ``x`` holds the bits of
-    one evaluation on the full broadcast arrays: the operations are elementwise.
+    disk points x = rho e^(i phi) of shape (1,d,d).  Sweeps evaluate the grid
+    slab by slab, ``t[rows]`` against the whole ``x`` for each ``rows`` of
+    :func:`polar_slabs`.  Every grid value comes from the same elementwise
+    operations on the same inputs whatever the slab, so a slabbed sweep holds
+    the bits of one evaluation on the full broadcast arrays.
     """
     t = np.linspace(0.0, top, density)[:, None, None]
     rho = np.linspace(0.0, 1.0, density)[None, :, None]
@@ -318,7 +324,8 @@ def polar_grid(top: float, density: int):
 
 
 def polar_slabs(density: int) -> list[slice]:
-    """A :func:`polar_grid`'s t axis in slices of as many rows as ``SLAB_POINTS`` allow."""
+    """Slices of the t axis of a :func:`polar_grid`, in order: as many rows
+    as ``SLAB_POINTS`` points allow, at least one, and the last may be shorter."""
     rows = max(1, SLAB_POINTS // density**2)
     return [slice(lo, min(lo + rows, density)) for lo in range(0, density, rows)]
 
@@ -418,11 +425,14 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     # F on the row of the largest bound is attained, and a row whose bound
     # falls short of L by the slack, some 1e5 times that, holds no F as large
     # as L: the first maximum over the rows kept is the full sweep's to the bit.
-    e0, e1 = _hankel_halves(fp, coeffs, t[int(np.argmax(bound))] + 0j, x[0])
-    top = float((np.abs(e0) + np.abs(e1)).max())
-    rows = np.nonzero(bound >= top - 2e-9 * max(1.0, top))[0]
-    e0, e1 = _hankel_halves(fp, coeffs, t[rows] + 0j, x)
+    r = int(np.argmax(bound))
+    e0, e1 = _hankel_halves(fp, coeffs, t[r : r + 1] + 0j, x)
     values = np.abs(e0) + np.abs(e1)
+    top = float(values.max())
+    rows = np.nonzero(bound >= top - 2e-9 * max(1.0, top))[0]
+    if rows.tolist() != [r]:  # else the values of the one row kept are at hand
+        e0, e1 = _hankel_halves(fp, coeffs, t[rows] + 0j, x)
+        values = np.abs(e0) + np.abs(e1)
     i, j, m = np.unravel_index(int(np.argmax(values)), values.shape)
     best = float(values[i, j, m])
     start = (float(t[rows[i], 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, m]))
