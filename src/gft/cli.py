@@ -19,11 +19,8 @@ entry of ``RADIUS_PROBLEMS``, ``SL_BOUNDS`` (or the symmetric-class ``h2``)
 and ``SUITES``.  An entry's parameters are the optional flags it reads, with
 their defaults; an explicit flag the picked entry does not read is a usage
 error, and so is ``--seed``, read only by ``verify --suite membership``,
-anywhere else.  Configuration precedence: command-line flags > key=value file
-named by $GFT_CONFIG > built-in defaults; a file ``output_format`` the
-subcommand does not render is rejected, while a file ``seed`` is a default
-that unseeded runs ignore.  Exit codes: 0 success, 1 computation rejected,
-2 usage error.
+anywhere else.  Options come from the flags alone.  Exit codes: 0 success,
+1 computation rejected, 2 usage error.
 
 Each subcommand imports the library modules it runs, when it runs them:
 ``radius`` and ``curves`` load :mod:`gft.radius`, ``bound`` loads
@@ -42,19 +39,18 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from . import CATALOG_NAMES, CURVE_IDS
 
-__all__ = ["Config", "load_config", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
-# output formats each subcommand renders, its default first; an explicit
-# --format outside the tuple is a usage error, a config-file one is rejected
+# output formats each subcommand renders, its default first; a --format
+# outside the tuple is a usage error
 FORMATS = {
     "radius": ("json", "text"),
     "bound": ("json", "text"),
@@ -63,49 +59,6 @@ FORMATS = {
     "verify": ("json",),
     "classify": ("json",),
 }
-
-
-class Config:
-    def __init__(self, seed: int = 42, output_format: str | None = None):
-        self.seed = seed
-        self.output_format = output_format  # None: the subcommand's default
-
-    def validate(self) -> "Config":
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        return self
-
-
-_CONFIG_KEYS = {"seed": int, "output_format": str}
-
-
-def load_config(env: dict | None = None) -> Config:
-    """Defaults, overlaid with the key=value file named by $GFT_CONFIG.
-
-    Blank lines and ``#`` comments are skipped; any other line must set one
-    of the known keys, so a misspelt or retired key is an error.
-    """
-    env = os.environ if env is None else env
-    cfg = Config()
-    path = env.get("GFT_CONFIG")
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for n, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, eq, value = line.partition("=")
-                    key = key.strip()
-                    if not eq or key not in _CONFIG_KEYS:
-                        raise ValueError(
-                            f"GFT_CONFIG line {n}: expected one of "
-                            f"{', '.join(_CONFIG_KEYS)} as key=value, got {line!r}"
-                        )
-                    setattr(cfg, key, _CONFIG_KEYS[key](value.strip()))
-        except OSError as exc:
-            raise ValueError(f"cannot read GFT_CONFIG file {path!r}: {exc}") from exc
-    return cfg
 
 
 def _emit_json(payload, stream) -> None:
@@ -168,9 +121,11 @@ def _select_bound(args):
 # The numeric suites import gft.verify (and so numpy) when they run.
 
 
-def _membership(seed, samples=200):  # seed: --seed, else the GFT_CONFIG value
+def _membership(seed=42, samples=200):
     from . import verify
 
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     payload = verify.verify_class_membership_bounds(samples, seed=seed).as_dict()
     worst = min(v for k, v in payload.items() if k.startswith("worst"))
     payload["failed"] = min(worst, *payload["coeffMargins"].values()) < -1e-6
@@ -247,12 +202,12 @@ SUITES = {
 # radius, bound and verify call ``args.run``: the selected entry with its flags bound
 
 
-def _cmd_radius(args, cfg: Config, out) -> int:
+def _cmd_radius(args, out) -> int:
     global radius
     from . import radius
 
     payload = dict(args.run(), problem=args.problem)
-    if cfg.output_format == "text":
+    if args.format == "text":
         for key in sorted(payload):
             out.write(f"{key}: {payload[key]}\n")
     else:
@@ -260,19 +215,19 @@ def _cmd_radius(args, cfg: Config, out) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(args, cfg: Config, out) -> int:
+def _cmd_bound(args, out) -> int:
     global bounds
     from . import bounds
 
     payload = args.run().as_dict()
-    if cfg.output_format == "text":
+    if args.format == "text":
         out.write(f"value: {payload['value']}\ncase: {payload['caseLabel']}\n")
     else:
         _emit_json(payload, out)
     return EXIT_OK
 
 
-def _cmd_extremal(args, cfg: Config, out) -> int:
+def _cmd_extremal(args, out) -> int:
     from fractions import Fraction
 
     from . import catalog, extremal
@@ -289,7 +244,7 @@ def _cmd_extremal(args, cfg: Config, out) -> int:
         "coefficients": [_finite(float(c)) for c in coeffs],
         "rational": [str(Fraction(c)) for c in coeffs],
     }
-    if cfg.output_format == "text":
+    if args.format == "text":
         for k, c in enumerate(coeffs):
             out.write(f"a_{k} = {float(c):+.12f}  ({Fraction(c)})\n")
     else:
@@ -297,11 +252,11 @@ def _cmd_extremal(args, cfg: Config, out) -> int:
     return EXIT_OK
 
 
-def _cmd_curves(args, cfg: Config, out) -> int:
+def _cmd_curves(args, out) -> int:
     from . import radius
 
     points = radius.curve_points(args.id, args.samples)
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "id": args.id,
             "samples": len(points),
@@ -318,13 +273,13 @@ def _cmd_curves(args, cfg: Config, out) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg: Config, out) -> int:
+def _cmd_verify(args, out) -> int:
     payload = args.run()
     _emit_json(payload, out)
     return EXIT_REJECTED if payload["failed"] else EXIT_OK
 
 
-def _cmd_classify(args, cfg: Config, out) -> int:
+def _cmd_classify(args, out) -> int:
     from . import catalog
 
     spec = catalog.make_spec(args.phi)
@@ -449,11 +404,12 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.format is not None and args.format not in FORMATS[args.command]:
-            parser.error(
-                f"--format {args.format} is not rendered by {args.command} "
-                f"(choose from {', '.join(FORMATS[args.command])})"
-            )
+        rendered = FORMATS[args.command]
+        if args.format is None:
+            args.format = rendered[0]
+        elif args.format not in rendered:
+            parser.error(f"--format {args.format} is not rendered by {args.command} "
+                         f"(choose from {', '.join(rendered)})")
         try:
             run = args.select(args) if "select" in args else None
         except LookupError as exc:  # a selector combination without an entry
@@ -467,27 +423,13 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = load_config()
-        if args.format is not None:
-            cfg.output_format = args.format
-        if "seed" in args:
-            cfg.seed = args.seed
-        cfg.validate()
-        rendered = FORMATS[args.command]
-        if cfg.output_format is None:
-            cfg.output_format = rendered[0]
-        elif cfg.output_format not in rendered:  # only a GFT_CONFIG value gets here
-            raise ValueError(
-                f"GFT_CONFIG output_format={cfg.output_format} is not rendered by "
-                f"{args.command} (choose from {', '.join(rendered)})"
-            )
-        if run:  # an unset flag takes the GFT_CONFIG value of the same name, if any
-            kwargs = {k: v for k, v in {**vars(cfg), **vars(args)}.items() if k in reads}
+        if run:
+            kwargs = {k: v for k, v in vars(args).items() if k in reads}
             for name, required in reads.items():
                 if required and name not in kwargs:
                     raise ValueError(f"--{name} required for this {args.command} run")
             args.run = functools.partial(run, **kwargs)
-        return args.handler(args, cfg, out)
+        return args.handler(args, out)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED

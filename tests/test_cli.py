@@ -20,7 +20,6 @@ from gft.cli import (
     _parameters,
     build_parser,
     finite,
-    load_config,
     main,
     rational,
 )
@@ -198,8 +197,11 @@ class TestCurvesCommand:
         assert len(lines) == 17  # header + 16 samples
 
     def test_rfc4180_line_endings(self):
-        _, out = run_cli(["curves", "--id", "tau4", "--samples", "16"])
-        assert "\r\n" in out
+        argv = ["curves", "--id", "tau4", "--samples", "16"]
+        _, out = run_cli(argv)
+        assert out.startswith("re,im\r\n")
+        # an explicit --format csv is the default
+        assert run_cli(["--format", "csv", *argv]) == (EXIT_OK, out)
 
     def test_json_format(self):
         code, out = run_cli(["--format", "json", "curves", "--id", "tau1", "--samples", "32"])
@@ -311,40 +313,18 @@ class TestContracts:
         assert code == EXIT_USAGE
         assert out == ""
 
-    def test_config_file_and_flag_precedence(self, tmp_path, monkeypatch):
-        cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("seed=7\noutput_format=json\n")
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
-        cfg = load_config()
-        assert cfg.seed == 7
-        # file value reaches the suite when no flag is given
-        code, out = run_cli(["verify", "--suite", "membership", "--samples", "15"])
-        assert code == EXIT_OK
-        assert json.loads(out)["seed"] == 7
-        # an explicit flag beats the file
-        code, out = run_cli(
-            ["--seed", "11", "verify", "--suite", "membership", "--samples", "15"]
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["seed"] == 11
+    def test_negative_seed_rejected(self, capsys):
+        argv = ["--seed", "-1", "verify", "--suite", "membership", "--samples", "5"]
+        assert run_cli(argv) == (EXIT_REJECTED, "")
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
-    def test_config_validation(self, tmp_path, monkeypatch):
+    def test_environment_sets_no_option(self, tmp_path, monkeypatch):
+        argv = ["verify", "--suite", "membership", "--samples", "15"]
+        plain = run_cli(argv)
         cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("seed=-1\n")
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
-        code, _ = run_cli(["radius", "--problem", "majorization"])
-        assert code == EXIT_REJECTED
-
-    @pytest.mark.parametrize(
-        "text", ["tolerance=1e-6\n", "truncation_order=16\n", "seed=7\nverbose\n"]
-    )
-    def test_config_unknown_key_or_bare_line_rejected(self, tmp_path, monkeypatch, text):
-        cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("# comment\n\n" + text)
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
-        code, out = run_cli(["radius", "--problem", "majorization"])
-        assert code == EXIT_REJECTED
-        assert out == ""
+        cfg_file.write_text("seed=7\noutput_format=text\n")
+        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))  # a file the CLI once read
+        assert run_cli(argv) == plain
 
     @pytest.mark.parametrize(
         "argv",
@@ -411,52 +391,6 @@ class TestContracts:
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal
         assert run_cli(argv) == (code, "")
         assert capsys.readouterr().err == err
-
-    def test_config_seed_is_a_default_for_unseeded_runs(self, tmp_path, monkeypatch):
-        argv = ["radius", "--problem", "inclusion"]
-        plain = run_cli(argv)
-        cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("seed=5\n")
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
-        assert run_cli(argv) == plain
-
-    @pytest.mark.parametrize(
-        "fmt, argv",
-        [
-            ("csv", ["radius", "--problem", "inclusion"]),
-            ("text", ["verify", "--suite", "bloch"]),
-            ("csv", ["classify", "--phi", "psi", "--grid", "64"]),
-            ("text", ["curves", "--id", "tau", "--samples", "32"]),
-        ],
-    )
-    def test_config_format_not_rendered_rejected(self, tmp_path, monkeypatch, fmt, argv):
-        cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text(f"output_format={fmt}\n")
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
-        code, out = run_cli(argv)
-        assert code == EXIT_REJECTED
-        assert out == ""
-
-    def test_config_format_reaches_curves(self, tmp_path, monkeypatch):
-        argv = ["curves", "--id", "tau", "--samples", "32"]
-        cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("output_format=json\n")
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
-        code, out = run_cli(argv)
-        assert code == EXIT_OK
-        assert json.loads(out)["samples"] == 32
-        # the explicit flag beats the file
-        code, out = run_cli(["--format", "csv", *argv])
-        assert code == EXIT_OK
-        assert out.startswith("re,im\r\n")
-
-    def test_config_format_reaches_text_renderers(self, tmp_path, monkeypatch):
-        cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("output_format=text\n")
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
-        code, out = run_cli(["bound", "--class", "sl", "--alpha", "0", "--which", "h3"])
-        assert code == EXIT_OK
-        assert out == "value: 0.1111111111111111\ncase: sl-star\n"
 
 
 # every float flag (and --alpha of bound, an exact rational) with a command that reads it

@@ -90,8 +90,7 @@ COLD = REFERENCE["cli-cold"]
 
 
 @pytest.mark.parametrize("command", sorted(COLD))
-def test_cli_cold_reference(command, monkeypatch):
-    monkeypatch.delenv("GFT_CONFIG", raising=False)
+def test_cli_cold_reference(command):
     stream = io.StringIO()
     code = main(command.split(" "), stream=stream)
     stdout = stream.getvalue().encode("utf-8")

@@ -686,6 +686,27 @@ def _coeffs_reference(params, coeffs, p1, p2, p3):
     return a2, a3, a4
 
 
+def _coeffs_majorants(params, coeffs, p1, p2, p3):
+    """Bounds on |a2|, |a3| and |a4| that add up the moduli of the summands of
+    :func:`_coeffs_reference` at p1 >= 0 and moduli p2, p3: a few ulps of
+    these bound its rounding, however much its sums cancel."""
+    g2, g3 = params.g2, params.g3
+    h2, h3 = params.h2, params.h3
+    u, v, w = params.u, params.v, params.w
+    b1, b2, b3 = map(abs, coeffs)
+    c = abs(coeffs[1] - 1)
+    a2 = b1 * p1 / (2 * u)
+    a3 = (b2 * p1**2 * u + b1 * (p1**2 + 2 * p2) * u + b1**2 * p1**2 * h2) / (4 * u * v)
+    a4 = (
+        p1 * (2 * b2 * p1**2 + b3 * p1**2 + 4 * b2 * p2) * u * v
+        + b1**3 * p1**3 * h2 * h3
+        + b1**2 * p1 * (p1**2 + 2 * p2) * (g3 * h2 + abs(g2 - 2 * h2) * h3)
+        + b1 * (p1**3 * (g2 * (g3 + c * h3) + h2 * (c * g3 + h3 + 2 * b2 * h3))
+                + 4 * p1 * p2 * u * v + 4 * p3 * u * v)
+    ) / (8 * u * v * w)
+    return a2, a3, a4
+
+
 def _hankel_grid_reference(params, coeffs, density):
     """The Hankel oracle's grid values on the full (d, d, d) tensor, by two
     whole-formula coefficient calls."""
@@ -924,10 +945,16 @@ class TestHankelOracle:
         DISK_POINTS,
         DISK_POINTS,
     )
+    @example(0.0, (3.0034475569827366e-99, 0.0, 0.0), 1.0, 4.6116780750780645e-26 + 0j, 0j)
+    @example(0.0, (1.0883198580943672e-158, 0.0, 0.0), 0.5, 0.5 + 0j, 1 + 0j)
     @settings(max_examples=300, deadline=None)
     def test_halves_are_the_recurrence_hankel(self, alpha, coeffs, p1, x, y):
         # the tree against an independent coefficient body: a2 a4 - a3^2 of
-        # the recurrence at the Schwarz coefficients of the data (p1, x, y)
+        # the recurrence at the Schwarz coefficients of the data (p1, x, y), to
+        # 1e-12 of the moduli of the tree's summands (at p1 = 1, x = 4.6e-26 the
+        # tree's p1^2 - 2 p2 cancels to 0 and a2 a4 - a3^2 to some 1e-249),
+        # plus the smallest normal float: subnormals (b1 = 1e-158 makes a2 a4
+        # one) carry no relative precision
         params = alpha_class_params(alpha)
         s = 1 - p1**2 / 4
         c = [0, p1 / 2, s * x, s * ((1 - abs(x) ** 2) * y - p1 / 2 * x**2)]
@@ -935,7 +962,11 @@ class TestHankelOracle:
             np.array([c], dtype=complex), [1.0, *coeffs], [1.0, params.h2, params.h3],
             [params.u, params.v, params.w]))
         e0, e1 = verify._hankel_halves(params, coeffs, complex(p1), x)
-        assert abs(e0 + e1 * y - (a2 * a4 - a3**2)) <= 1e-12 * (abs(a2 * a4) + abs(a3) ** 2)
+        r, s4 = abs(x), 4 - p1**2
+        p2 = (p1**2 + r * s4) / 2  # moduli bounds: |p3| <= |base| + |bump|
+        p3 = (p1**3 + 2 * p1 * s4 * r + p1 * s4 * r**2 + 2 * s4 * (1 + r**2)) / 4
+        m2, m3, m4 = _coeffs_majorants(params, coeffs, p1, p2, p3)
+        assert abs(e0 + e1 * y - (a2 * a4 - a3**2)) <= 1e-12 * (m2 * m4 + m3**2) + 2.0**-1022
 
 
 @pytest.fixture(scope="module")
