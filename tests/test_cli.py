@@ -14,6 +14,7 @@ from gft.cli import (
     EXIT_OK,
     EXIT_REJECTED,
     EXIT_USAGE,
+    FORMATS,
     RADIUS_PROBLEMS,
     SL_BOUNDS,
     SUITES,
@@ -318,13 +319,46 @@ class TestContracts:
         assert run_cli(argv) == (EXIT_REJECTED, "")
         assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
-    def test_environment_sets_no_option(self, tmp_path, monkeypatch):
-        argv = ["verify", "--suite", "membership", "--samples", "15"]
+    # (contents of a file the CLI once read as $GFT_CONFIG, a command it would
+    # have changed or rejected): each format is one the command renders but
+    # not its default, or one it does not render; the last three lines were
+    # rejected as an unknown key, a bare line and a negative seed
+    @pytest.mark.parametrize("text, argv", [
+        ("seed=7\noutput_format=text\n", ["verify", "--suite", "membership", "--samples", "15"]),
+        ("output_format=text\n", ["radius", "--problem", "inclusion"]),
+        ("output_format=text\n", ["bound", "--class", "sl", "--alpha", "0", "--which", "h3"]),
+        ("output_format=text\n", ["extremal", "--phi", "psi"]),
+        ("output_format=json\n", ["curves", "--id", "tau", "--samples", "32"]),
+        ("output_format=csv\n", ["classify", "--phi", "psi", "--grid", "64"]),
+        ("output_format=text\n", ["verify", "--suite", "bloch"]),
+        ("tolerance=1e-6\n", ["radius", "--problem", "majorization"]),
+        ("seed=7\nverbose\n", ["radius", "--problem", "majorization"]),
+        ("seed=-1\n", ["radius", "--problem", "majorization"]),
+    ], ids=["membership-text", "radius-text", "bound-text", "extremal-text", "curves-json",
+            "classify-csv", "verify-text", "unknown-key", "bare-line", "negative-seed"])
+    def test_environment_sets_no_option(self, tmp_path, monkeypatch, text, argv):
         plain = run_cli(argv)
+        assert plain[0] == EXIT_OK
         cfg_file = tmp_path / "gft.cfg"
-        cfg_file.write_text("seed=7\noutput_format=text\n")
-        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))  # a file the CLI once read
+        cfg_file.write_text(text)
+        monkeypatch.setenv("GFT_CONFIG", str(cfg_file))
         assert run_cli(argv) == plain
+
+    # with no --format, each command renders the first format FORMATS lists for it
+    @pytest.mark.parametrize("argv", [
+        ["radius", "--problem", "inclusion"],
+        ["bound", "--class", "sl", "--which", "h2"],
+        ["extremal", "--phi", "psi"],
+        ["curves", "--id", "tau", "--samples", "32"],
+        ["verify", "--suite", "bloch"],
+        ["classify", "--phi", "psi", "--grid", "64"],
+    ], ids=lambda argv: argv[0])
+    def test_default_format_is_the_first_rendered(self, argv):
+        plain = run_cli(argv)
+        assert plain[0] == EXIT_OK
+        assert run_cli(["--format", FORMATS[argv[0]][0], *argv]) == plain
+        for fmt in FORMATS[argv[0]][1:]:
+            assert run_cli(["--format", fmt, *argv])[1] != plain[1]
 
     @pytest.mark.parametrize(
         "argv",
