@@ -156,11 +156,11 @@ def classify(spec: MaMindaSpec, grid_size: int = 256) -> ClassificationRecord:
     """
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
+    circle = [cmath.exp(1j * (2 * math.pi * j / grid_size)) for j in range(grid_size)]
     min_re = math.inf
     for r in _CLASSIFY_RADII:
-        for j in range(grid_size):
-            theta = 2 * math.pi * j / grid_size
-            w = spec.eval(r * cmath.exp(1j * theta))
+        for e in circle:
+            w = spec.eval(r * e)
             if w.real < min_re:
                 min_re = w.real
     max_imag = max(

@@ -300,34 +300,21 @@ def schur_parameters(p1: complex, p2: complex, p3: complex) -> tuple[complex, co
 
 # -- polar grids and disk maxima -----------------------------------------------------
 
-#: points in one slab of a polar-grid sweep: the grid is evaluated a few
-#: leading rows at a time, so that the dozens of complex temporaries of a
-#: slab (128 KB each) stay in a 2 MB L2 cache instead of streaming through
-#: memory as full (d, d, d) arrays
-SLAB_POINTS = 8192
-
 
 def polar_grid(top: float, density: int):
     """Grid t in [0, top] x rho in [0, 1] x phi in [0, 2 pi) as broadcastable axes.
 
     Returns (t, rho, phi, x) with shapes (d,1,1), (1,d,1), (1,1,d) and the
-    disk points x = rho e^(i phi) of shape (1,d,d).  Sweeps evaluate the grid
-    slab by slab, ``t[rows]`` against the whole ``x`` for each ``rows`` of
-    :func:`polar_slabs`.  Every grid value comes from the same elementwise
-    operations on the same inputs whatever the slab, so a slabbed sweep holds
-    the bits of one evaluation on the full broadcast arrays.
+    disk points x = rho e^(i phi) of shape (1,d,d).  A sweep that evaluates
+    only some of the grid's points gathers its inputs from these arrays.  Every
+    grid value comes from the same elementwise operations on the same inputs
+    whatever points are evaluated with it, so such a sweep holds the bits of
+    one evaluation on the full broadcast arrays.
     """
     t = np.linspace(0.0, top, density)[:, None, None]
     rho = np.linspace(0.0, 1.0, density)[None, :, None]
     phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
     return t, rho, phi, rho * np.exp(1j * phi)
-
-
-def polar_slabs(density: int) -> list[slice]:
-    """Slices of the t axis of a :func:`polar_grid`, in order: as many rows
-    as ``SLAB_POINTS`` points allow, at least one, and the last may be shorter."""
-    rows = max(1, SLAB_POINTS // density**2)
-    return [slice(lo, min(lo + rows, density)) for lo in range(0, density, rows)]
 
 
 def check_density(density: int) -> None:
@@ -350,7 +337,9 @@ def disk_max(a0, a1, a2, k):
     A, B, C = np.abs(a0), np.abs(a1), np.abs(a2)
     g, sq, same = k - C, a1 * a1, a0 * a2 >= 0
     q = -4 * a0 * a2 * (k * k - a2 * a2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # np.select evaluates every case: one not taken may divide by a zero or
+    # subnormal g or A C and overflow, which the case taken never does
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.ldexp(np.select(
             [same & (B >= 2 * g), same,
              (B * B * C * C >= q) & (B < 2 * g), (B < 2 * (k + C)) & (B * B * C * C < q),
@@ -506,6 +495,11 @@ class MembershipReport:
         }
 
 
+#: (point, node) pairs in one block of the membership growth quadrature: the
+#: samples are checked a few rows at a time, so that the complex temporaries
+#: of a block (128 KB each) stay in a 2 MB L2 cache instead of streaming
+#: through memory as arrays over every sample
+SLAB_POINTS = 8192
 _MEMBERSHIP_RADII = (0.3, 0.6, 0.9)
 _MEMBERSHIP_ANGLES = 64
 _GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
@@ -622,17 +616,37 @@ def verify_class_membership_bounds(
 
 
 # -- Caratheodory lemma sweeps ---------------------------------------------------------
+#
+# Both sweeps cover the polar (p1, x) grid of :func:`polar_grid`, with p1 = t and
+# s = 4 - t^2, and screen it in closed form. A screen bounds the swept
+# expression from above; the expression runs on one ring or point where the
+# maximum is likely and gives an attained value L, and then only where the
+# screen reaches L less a slack, some 1e4 times the rounding of screen and
+# expression. A point left out holds no value as large as L, so each maximum
+# is the full sweep's to the bit, and as rounding is monotone, so is each
+# violation, a maximum less its bound.
+
+
+def _p2_ring_bound(v, t, rho):
+    """max over phi of |p2 - v t^2| on the rings (t, rho) of p1 = t and |x| = rho.
+
+    There p2 - v t^2 is c + (s/2) rho e^(i phi) with the real
+    c = t^2 (1/2 - v), so the maximum is |c| + s rho / 2.
+    """
+    return np.abs(t * t * (0.5 - v)) + (4 - t * t) / 2 * rho
 
 
 def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
     """Sweep |p2 - v p1^2| against its three-branch bound and the refinements.
 
-    Each slab of the polar grid contributes its own maxima; a maximum of
-    maxima is the maximum, so the report holds the bits of a full sweep.
-    Rounding is monotone, so each violation, its maximum less the bound, is
-    also the maximum of the pointwise violations to the bit.
+    A refinement adds w t^2 to the :func:`_p2_ring_bound` of each ring. For the
+    plain value and each refinement, L is the expression's maximum on the ring
+    of the largest bound, and the rings whose bound reaches L less the slack are
+    kept; the expression runs on the union of the rings kept.
     """
     check_density(grid_density)
+    if not math.isfinite(4 * v):  # else the bound, 4|v| + 2 at most, overflows
+        raise ValueError(f"v must be finite, as must 4 v; got {v!r}")
     if v <= 0:
         bound = -4 * v + 2
     elif v <= 1:
@@ -644,14 +658,27 @@ def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
         weights["refined1"] = v
     if 0.5 <= v < 1:
         weights["refined2"] = 1 - v
-    p1, _, _, x = polar_grid(2.0, grid_density)
-    peaks = {}
-    for rows in polar_slabs(grid_density):
-        t = p1[rows]
-        lhs = np.abs(_p2(t, x) - v * t**2)
-        slab = {"lhs": lhs} | {name: lhs + w * np.abs(t) ** 2 for name, w in weights.items()}
-        for key, values in slab.items():
-            peaks[key] = max(peaks.get(key, -math.inf), values.max())
+    p1, rho, _, x = polar_grid(2.0, grid_density)
+    t = p1[:, :, 0]
+    ring = _p2_ring_bound(v, t, rho[:, :, 0])
+
+    def sweep(i, j):
+        """Each report value on the rings (t[i], rho[j]), one row of phi per ring."""
+        t_ = p1[i, 0]
+        lhs = np.abs(_p2(t_, x[0, j]) - v * t_**2)
+        return {"lhs": lhs} | {name: lhs + w * np.abs(t_) ** 2 for name, w in weights.items()}
+
+    # Bounds and values act on magnitudes of at most m = 4|v| + 8 and round off
+    # by some 1e-15 m. The largest bound is at least max(2, |4v - 2|) >= m/6,
+    # and L at least cos(pi/d) > 0.99 of it, as the grid's phi come within pi/d
+    # of the direction of c: the slack 1e-9 L dwarfs the rounding.
+    keep = np.zeros(ring.shape, dtype=bool)
+    for name, w in {"lhs": 0.0, **weights}.items():
+        ring_bound = ring + w * t * t
+        i, j = np.unravel_index(np.argmax(ring_bound), ring_bound.shape)
+        top = float(sweep([i], [j])[name].max())
+        keep |= ring_bound >= top - 1e-9 * top
+    peaks = {key: values.max() for key, values in sweep(*keep.nonzero()).items()}
     report = {"v": v, "bound": float(bound), "max_lhs": float(peaks.pop("lhs"))}
     report["max_violation"] = float(report["max_lhs"] - bound)
     for name, peak in peaks.items():
@@ -660,49 +687,78 @@ def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
     return report
 
 
+def _cubic_rings(t, rho):
+    """(P, Q, R, bump) of the cubic combination on the rings (t, rho), p1 = t, |x| = rho.
+
+    The combination is A + bump y with A = a0 + a1 x + a2 x^2 for a0 = t^3/4,
+    a1 = -t s/2, a2 = -t s/4 and bump = s (1 - rho^2)/2, and on each ring
+    |A|^2 = P + Q cos(phi) + R cos(phi)^2.
+    """
+    s = 4 - t * t
+    a0, a1, a2 = t**3 / 4, -t * s / 2, -t * s / 4
+    r2 = rho * rho
+    P = a0 * a0 + a1 * a1 * r2 + a2 * a2 * (r2 * r2) - 2 * a0 * a2 * r2
+    Q = 2 * rho * a1 * (a0 + a2 * r2)
+    R = 4 * a0 * a2 * r2
+    return P, Q, R, s * (1 - r2) / 2
+
+
+def _cubic_screen(P, Q, R, bump, c):
+    """sqrt(P + Q c + R c^2 + 1e-12) + bump, an upper bound of |A| + bump at cos(phi) = c.
+
+    For p1 in [0, 2] the terms of |A|^2 have moduli summing to less than 8, so
+    the computed P + Q c + R c^2 is off |A|^2 by less than 1e-13, inside the
+    1e-12 allowance: the screen is never below |A| + bump by more than its last
+    roundings, some 1e-15. The allowance raises it by at most 1e-6, near A = 0.
+    """
+    q = (R * c + Q) * c + P
+    return np.sqrt(np.maximum(q, 0) + 1e-12) + bump
+
+
+def _vertex_cos(Q, R):
+    """The c in [-1, 1] that maximizes P + Q c + R c^2: the vertex -Q/(2R),
+    clipped, where R < 0, else the end sign(Q). Rounding moves c by some
+    1e-14/|R| and so lowers the maximum by some 1e-28/|R|, never more than
+    4|R|: less than 1e-13 either way."""
+    return np.clip(np.divide(-Q, 2 * R, out=np.copysign(1.0, Q), where=R < 0), -1.0, 1.0)
+
+
 def eq_p31_check(grid_density: int = 64) -> dict:
     """Sweep the cubic Caratheodory combination |p3 - 2 p1 p2 + p1^3| <= 2.
 
     The sweep covers the polar (p1, x) grid times 16 unimodular y. With
     p3 = base + bump y, the combination is A + bump y for the y-free
-    A = base - 2 p1 p2 + p1^3, so |A| + bump bounds it over all y. The grid
-    is swept in :func:`polar_slabs`, with a running lower bound L: the
-    largest value at the first y seen so far. In each slab only the points
-    with |A| + bump >= L - 1e-9 are evaluated at all 16 y, by the same
-    expression as the full sweep. L never exceeds its final value, the
-    largest value at the first y over the whole grid, so the evaluated points
-    include every point of a pruning by that final value: the point attaining
-    it, and every point that can reach the maximum. Any point left out has
-    all 16 values below the final L, and the maximum is the full sweep's to
-    the bit.
+    A = base - 2 p1 p2 + p1^3, so |A| + bump bounds it over all y, and
+    :func:`_cubic_screen` bounds that in real arithmetic. L is the largest
+    value at p1 = 0, x = 0, where A = 0 and bump = 2, the bound itself: any
+    grid point would do, and this one leaves the fewest points. The screen at
+    each ring's maximizing cos(phi) drops the rings that fall short of L by the
+    slack, the screen at each point of the rings left drops points, and the
+    expression runs at all 16 y on the points left.
 
     The quartic combination involving p4 has no three-parameter formula, so
     it is checked on power-map samples w(z) = lam z^m where all p_k are
     available in closed form (p_k = 2 lam^(k/m) when m | k, else 0).
     """
     check_density(grid_density)
-    p1, _, _, x = polar_grid(2.0, grid_density)
-    x = x[..., None]
+    p1, rho, phi, x = polar_grid(2.0, grid_density)
     ys = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-    lower = max_cubic = -math.inf
-    for rows in polar_slabs(grid_density):
-        t = p1[rows][..., None]
-        p2, base, bump = _p2_p3(t, x)
-        two_p1_p2 = 2 * t * p2
-        p1_cubed = np.broadcast_to(t**3, p2.shape)
 
-        def cubic(at, y):
-            return np.abs(base[at] + bump[at] * y - two_p1_p2[at] + p1_cubed[at])
+    def cubic(i, j, m):
+        """The values at the grid points (p1[i], x[j, m]), one row of 16 y each."""
+        t = p1[i, 0]
+        p2, base, bump = _p2_p3(t, x[0, j, m][:, None])
+        return np.abs(base + bump * ys - 2 * t * p2 + t**3)
 
-        lower = max(lower, cubic(..., ys[0]).max())
-        # The few operations behind |A| + bump and behind each computed
-        # |A + bump y| act on magnitudes of at most 40, so each rounds off by
-        # less than 1e-13: a point whose bound falls short of L by the 1e-9
-        # slack holds no value as large as L, let alone the maximum.
-        keep = np.abs(base - two_p1_p2 + p1_cubed) + bump >= lower - 1e-9
-        if keep.any():
-            values = cubic(tuple(i[:, None] for i in keep.nonzero()), ys)  # (survivor, y)
-            max_cubic = max(max_cubic, values.max())
+    # each value acts on magnitudes of at most 40 and rounds off by less than
+    # 1e-13, and no screen falls below |A| + bump by 1e-14: a point whose screen
+    # falls short of L by the 1e-9 slack holds no value as large as L
+    cut = cubic([0], [0], [0]).max() - 1e-9
+    P, Q, R, bump = _cubic_rings(p1[:, :, 0], rho[:, :, 0])
+    i, j = (_cubic_screen(P, Q, R, bump, _vertex_cos(Q, R)) >= cut).nonzero()
+    on_rings = (a[i, j, None] for a in (P, Q, R, bump))
+    k, m = (_cubic_screen(*on_rings, np.cos(phi[0, 0])) >= cut).nonzero()
+    max_cubic = cubic(i[k], j[k], m).max()
     worst_quartic = _max_quartic_on_power_maps()
     return {
         "max_cubic": float(max_cubic),

@@ -542,6 +542,8 @@ class TestCubicOracles:
         st.integers(32, 64),
         st.sampled_from([a4_bound, a2a3_a4_bound]),
     )
+    # a subnormal b1 makes a case that disk_max does not take overflow
+    @example(0.0, (2.225073858507203e-309, 1.0, 0.0), 32, a4_bound)
     @settings(max_examples=25, deadline=None)
     def test_never_below_the_full_tensor_grid(self, alpha, coeffs, density, oracle):
         # the (xi, rho, phi) grid that the row maxima replaced, on the same rows:

@@ -140,6 +140,20 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(make_spec("psi"), grid_size=32)
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("grid_size", [64, 100, 128, 255, 256, 1000])
+    def test_min_real_part_is_the_point_by_point_scan(self, name, grid_size):
+        # the reference builds each circle point afresh for every radius
+        spec = make_spec(name)
+        min_re = math.inf
+        for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
+            for j in range(grid_size):
+                theta = 2 * math.pi * j / grid_size
+                w = spec.eval(r * cmath.exp(1j * theta))
+                if w.real < min_re:
+                    min_re = w.real
+        assert repr(classify(spec, grid_size).min_real_part) == repr(min_re)
+
 
 class TestPsiImage:
     def test_center(self):

@@ -47,8 +47,8 @@ from gft.series import TruncatedSeries
 
 B_PSI = PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
 PSI_FLOATS = (1.0, 0.5, 1.0 / 3.0)
-# 33 and 37 leave a ragged last slab; at 96 a slab is a single row
-SLAB_DENSITIES = [32, 33, 37, 48, 96]
+# odd and even sizes (phi = pi is a grid angle only at even densities), up to 96
+GRID_DENSITIES = [32, 33, 37, 48, 96]
 
 # a point of the closed unit disk, drawn on the boundary about half the time
 DISK_POINTS = st.builds(
@@ -869,7 +869,7 @@ class TestHankelOracle:
         with pytest.raises(ValueError):
             maximize_second_hankel_oracle(alpha_class_params(0.0), B_PSI, 16)
 
-    @pytest.mark.parametrize("density", SLAB_DENSITIES)
+    @pytest.mark.parametrize("density", GRID_DENSITIES)
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_screened_grid_equals_full_tensor(self, alpha, density):
         params = alpha_class_params(alpha)
@@ -1025,19 +1025,27 @@ class TestMembership:
         assert -1e-6 <= report.coeff_margins["h2_general@alpha=1.0"] <= 1e-3
 
 
-def _full_p31_tensor(density):
-    """|p3 - 2 p1 p2 + p1^3| over the whole (d, d, d, 16) sweep, unpruned."""
+def _full_p31_values(density):
+    """max over the 16 y of |p3 - 2 p1 p2 + p1^3| at every (p1, rho, phi) point.
+
+    The unpruned (d, d, d, 16) sweep, evaluated one p1 row at a time so that
+    density 96 stays small; each value is the same elementwise expression.
+    """
     t = np.linspace(0.0, 2.0, density)[:, None, None, None]
     rho = np.linspace(0.0, 1.0, density)[None, :, None, None]
     phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :, None]
-    p1, x = t, rho * np.exp(1j * phi)
+    x = rho * np.exp(1j * phi)
     y = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-    s = 4 - p1**2
-    p2 = (p1**2 + x * s) / 2
-    base = (p1**3 + 2 * p1 * s * x - p1 * s * x**2) / 4
-    bump = 2 * s * (1 - np.abs(x) ** 2) / 4
-    p3 = base + bump * y
-    return np.abs(p3 - 2 * p1 * p2 + p1**3)
+    rows = []
+    for i in range(density):
+        p1 = t[i : i + 1]
+        s = 4 - p1**2
+        p2 = (p1**2 + x * s) / 2
+        base = (p1**3 + 2 * p1 * s * x - p1 * s * x**2) / 4
+        bump = 2 * s * (1 - np.abs(x) ** 2) / 4
+        p3 = base + bump * y
+        rows.append(np.abs(p3 - 2 * p1 * p2 + p1**3).max(axis=-1))
+    return np.concatenate(rows)
 
 
 def _lemma_reference(v, density):
@@ -1057,6 +1065,10 @@ def _lemma_reference(v, density):
         report["max_refined2"] = float(refined.max())
         report["max_violation_refined2"] = float((refined - 2).max())
     return report
+
+
+LEMMA_VS = (-1.0, -0.5, 0.0, 0.25, 0.4, 0.5, 0.75, 23.0 / 24.0, 1.0, 1.5, 3.0)
+SWEEP_DENSITIES = [32, 33, 37, 47, 48, 96]
 
 
 class TestLemmaSweeps:
@@ -1091,17 +1103,65 @@ class TestLemmaSweeps:
         assert rep["max_violation_cubic"] <= 1e-9
         assert rep["max_violation_quartic"] <= 1e-9
 
-    @pytest.mark.parametrize("density", [32, 33, 37, 48])
+    @pytest.mark.parametrize("density", SWEEP_DENSITIES)
     def test_pruned_cubic_sweep_equals_full_tensor(self, density):
         rep = eq_p31_check(density)
-        full = _full_p31_tensor(density)
+        full = _full_p31_values(density)
         assert rep["max_cubic"] == float(full.max())
         assert rep["max_violation_cubic"] == float((full - 2).max())
 
-    @pytest.mark.parametrize("density", SLAB_DENSITIES)
-    def test_slabbed_p1p2_sweep_equals_full_tensor(self, density):
-        for v in (-1.0, -0.5, 0.0, 0.25, 0.4, 0.5, 0.75, 23.0 / 24.0, 1.0, 1.5, 3.0):
+    @pytest.mark.parametrize("density", SWEEP_DENSITIES)
+    def test_screened_p1p2_sweep_equals_full_tensor(self, density):
+        for v in LEMMA_VS:
             assert repr(lemma_p1p2_check(v, density)) == repr(_lemma_reference(v, density))
+
+    @pytest.mark.parametrize("density", [32, 33, 37, 48, 64])
+    def test_screens_bound_every_grid_value(self, density):
+        t, rho, phi, x = polar_grid(2.0, density)
+        t, rho = t[:, :, 0], rho[:, :, 0]
+        for v in LEMMA_VS:
+            p1 = t[..., None]
+            lhs = np.abs((p1**2 + x * (4 - p1**2)) / 2 - v * p1**2)
+            assert (verify._p2_ring_bound(v, t, rho)[..., None] >= lhs - 1e-12).all(), v
+        values = _full_p31_values(density)
+        P, Q, R, bump = verify._cubic_rings(t, rho)
+        per_point = (c[..., None] for c in (P, Q, R, bump))
+        at_points = verify._cubic_screen(*per_point, np.cos(phi[0, 0]))
+        assert (at_points >= values - 1e-12).all()
+        on_rings = verify._cubic_screen(P, Q, R, bump, verify._vertex_cos(Q, R))
+        assert (on_rings >= values.max(axis=-1) - 1e-12).all()
+
+    @pytest.mark.parametrize("v, density, sizes", [
+        (0.0, 48, [48, 95 * 48]),  # the rings |x| = 1 and p1 = 2 tie at the bound 2
+        (3.0, 48, [48, 48 * 48]),  # only the rings p1 = 2 (s = 0) reach the bound 10
+        # refined2 ties at 2 on the same rings, and its largest computed bound
+        # lies on a ring p1 > 0 where phi = 0 does not attain the maximum
+        (0.9, 47, [47, 47, 93 * 47]),
+    ])
+    def test_p1p2_screen_leaves_few_rings(self, monkeypatch, v, density, sizes):
+        seen = []
+        p2 = verify._p2
+        monkeypatch.setattr(
+            verify, "_p2", lambda p1, x: seen.append(np.broadcast(p1, x).size) or p2(p1, x)
+        )
+        lemma_p1p2_check(v, density)
+        assert seen == sizes  # the ring of each largest bound, then the rings kept
+
+    def test_cubic_screen_leaves_few_points(self, monkeypatch):
+        seen = []
+        p2_p3 = verify._p2_p3
+        monkeypatch.setattr(
+            verify, "_p2_p3", lambda p1, x: seen.append(np.broadcast(p1, x).size) or p2_p3(p1, x)
+        )
+        eq_p31_check(48)
+        assert seen == [1, 2356]  # the point of L, then the points kept, of 48^3
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 5e307, -1e308])
+    def test_non_finite_v_rejected(self, v):
+        # a nan violation never exceeds the 1e-9 tolerance, so it would pass;
+        # past about 4.5e307 the bound 4|v| - 2 overflows and the violation is nan too
+        with pytest.raises(ValueError, match="v must be finite"):
+            lemma_p1p2_check(v, 32)
 
     # density 1 sweeps p1 = 0, x = 0 only and would pass vacuously
     @pytest.mark.parametrize("density", [0, 1, 31, -5])
