@@ -443,9 +443,10 @@ def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) 
     (1, 0), (0, 1).  The best zeta leaves |A + B s eta - C s xi eta^2| +
     |C| s (1 - |eta|^2), maximized over the eta disk by :func:`gft.verify.disk_max`.
     """
-    from .verify import _class_coefficients, check_density, disk_max
+    from .verify import _class_coefficients, check_density, disk_max, finite_coefficients
 
     check_density(grid_density)
+    phi = [1.0, *finite_coefficients(coeffs)]
     import numpy as np
 
     xi = np.linspace(0.0, 1.0, grid_density)
@@ -453,7 +454,7 @@ def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) 
     omega[..., 1] = xi
     omega[1, :, 2] = omega[2, :, 3] = 1
     a, b, c = functional(*_class_coefficients(
-        omega.reshape(-1, 4), [1.0] + [float(c) for c in coeffs],
+        omega.reshape(-1, 4), phi,
         [1.0, float(params.h2), float(params.h3)],
         [float(params.u), float(params.v), float(params.w)])).reshape(omega.shape[:-1]).real
     b, c, s = b - a, c - a, 1 - xi**2  # A, B, C and s per row
@@ -475,21 +476,11 @@ def a2a3_a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundR
 # -- closed-form table for the logarithmic family -------------------------------------
 
 
-def _as_exact(alpha):
-    """Lift int/float alpha to Fraction when it is exactly representable."""
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
-    if isinstance(alpha, float) and float(Fraction(alpha)) == alpha:
-        return Fraction(alpha)
-    return alpha
-
-
 def _check_alpha(alpha):
+    """alpha in [0, 1], an int or float lifted to the Fraction of its exact value."""
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return _as_exact(alpha)
+    return Fraction(alpha) if isinstance(alpha, (int, float)) else alpha
 
 
 def sl_threshold_sign(alpha):

@@ -125,11 +125,12 @@ def d_series(spec, n: int, order: int, exact: bool = False) -> ExtremalFunction:
 
 
 def f_from_q(q: TruncatedSeries, order: int) -> ExtremalFunction:
-    """z * exp(integral (q(t)-1)/t dt) for a series q with q(0) = 1."""
+    """z * exp(integral (q(t)-1)/t dt) for a series q with q(0) = 1: the route of
+    :func:`t_series` at n = 1, with q's coefficients as the generator's."""
     _check_order(order)
-    integral = q.integrate_over_t().padded(order - 1)
-    u = integral.exp(order - 1)
-    return ExtremalFunction(u.shifted(1).padded(order))
+    if q[0] != 1:
+        raise ValueError("integrand (q-1)/t has a pole unless q(0) = 1")
+    return ExtremalFunction(_structural_exp(q.__getitem__, 1, order).shifted(1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -171,6 +172,8 @@ def growth_constant(terms: int = 1000) -> float:
     This is the logarithmic growth constant of the boundary envelope for the
     logarithmic generator; the exact value is pi^2/12.
     """
+    if terms < 1:  # else the odd tail below adds 1/terms^2 to an empty sum
+        raise ValueError(f"terms must be at least 1, got {terms!r}")
     total = 0.0
     j = 1
     while 2 * j <= terms:

@@ -6,14 +6,14 @@ near the origin.  Everything in this package (generator functions, extremal
 functions, subordination witnesses) is carried by this type.
 
 Coefficients may be ``int``, ``float``, ``complex`` or
-:class:`fractions.Fraction`.  The ring operations and the exp/log/compose
-recurrences only ever divide by small integers, so feeding exact rationals in
-gives exact rationals out; that is the "exact path" used for the fixed
-rational fixtures in the tests.  On that path the Cauchy product (and so
-``divide`` and ``log1p``), the ``exp`` and ``reciprocal`` recurrences and
-``compose`` run on integer numerators over a common denominator and build one
-``Fraction`` per output coefficient, with the values and per-coefficient types
-(``int`` or ``Fraction``) that the term-by-term rational arithmetic gives.
+:class:`fractions.Fraction`.  The ring operations and the exp, reciprocal and
+compose recurrences only ever divide by small integers or the constant term,
+so feeding exact rationals in gives exact rationals out; that is the "exact
+path" used for the fixed rational fixtures in the tests.  On that path ``exp``
+and ``compose`` run on integer numerators over a common denominator and build
+one ``Fraction`` per output coefficient, with the values and per-coefficient
+types (``int`` or ``Fraction``) that the term-by-term rational arithmetic
+gives; the Cauchy product and ``reciprocal`` run term by term on every input.
 Instances are immutable and every operation is a pure function, so values
 can be shared freely across threads.
 """
@@ -26,7 +26,6 @@ import operator
 import sys
 import warnings
 from fractions import Fraction
-from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -77,27 +76,6 @@ def _integer_numerators(coeffs: tuple) -> tuple[list[int], int]:
     ``d``: ``coeffs[k] == n[k] / d``."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
-def _exact_recurrence(first: int | Fraction, weights: list[int], divisor, order: int) -> list:
-    """``b_0 = first`` and ``b_m = sum_{j=1..m} weights[j] * b_{m-j} / divisor(m)``.
-
-    ``weights`` are ints and ``divisor(m)`` is a nonzero int.  The earlier
-    ``b_i`` are kept as integer numerators over the running lcm ``L`` of their
-    denominators, rescaled only when ``L`` grows, so each ``b_m`` is one integer
-    sum and one ``Fraction``.
-    """
-    out = [first]
-    numerators, den = [first.numerator], first.denominator
-    for m in range(1, order + 1):
-        b = Fraction(sum(map(operator.mul, weights[m:0:-1], numerators)), divisor(m) * den)
-        out.append(b)
-        grow = b.denominator // math.gcd(den, b.denominator)
-        if grow > 1:
-            numerators = [x * grow for x in numerators]
-            den *= grow
-        numerators.append(b.numerator * (den // b.denominator))
-    return out
 
 
 class TruncatedSeries:
@@ -169,35 +147,19 @@ class TruncatedSeries:
     def mul(self, other: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
         """Cauchy product truncated at ``order`` (default: max of the inputs).
 
-        Coefficient n is the sum over j = lo..hi of ``self[j] * other[n-j]``,
-        in that order.  When every coefficient of both inputs is an ``int`` or
-        a ``Fraction`` the sum runs on integer numerators over the product of
-        the two common denominators and is divided once at the end; it is an
-        ``int`` when no ``Fraction`` enters its terms, a ``Fraction``
-        otherwise, exactly as summing the terms one by one would give.
+        Coefficient n is the sum of ``self[j] * other[n-j]`` over the j where
+        both factors exist, in increasing j; on exact input it is an ``int``
+        when no ``Fraction`` enters its terms, a ``Fraction`` otherwise.
         """
         if order is None:
             order = max(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        exact = _all_exact(a + b)
-        if exact:
-            # fa[k], fb[k]: how many Fraction coefficients precede index k
-            fa, fb = (list(accumulate((isinstance(c, Fraction) for c in x), initial=0))
-                      for x in (a, b))
-            a, da = _integer_numerators(a)
-            b, db = _integer_numerators(b)
-            d = da * db
         top_a, top_b = len(a) - 1, len(b) - 1
         out = []
         for n in range(order + 1):
-            lo = max(0, n - top_b)
-            hi = min(n, top_a)
             acc = 0
-            for j in range(lo, hi + 1):
+            for j in range(max(0, n - top_b), min(n, top_a) + 1):
                 acc = acc + a[j] * b[n - j]
-            if exact:
-                has_fraction = lo <= hi and (fa[hi + 1] > fa[lo] or fb[n - lo + 1] > fb[n - hi])
-                acc = Fraction(acc, d) if has_fraction else acc // d
             out.append(acc)
         return TruncatedSeries(out)
 
@@ -234,8 +196,11 @@ class TruncatedSeries:
         Uses the recurrence (exp a)' = a' * exp a, i.e.
         b_m = (1/m) * sum_{j=1..m} j * a_j * b_{m-j},  b_0 = 1.
         When every a_j is an ``int`` or a ``Fraction`` the sums run on integer
-        numerators (``_exact_recurrence``) and give ``1`` then ``Fraction``
-        coefficients; otherwise they run term by term, left to right.
+        numerators and give ``1`` then ``Fraction`` coefficients: the earlier
+        b_i are kept as integer numerators over the running lcm ``den`` of their
+        denominators, rescaled only when ``den`` grows, so each b_m is one
+        integer sum and one ``Fraction``.  Otherwise the sums run term by term,
+        left to right.
         """
         if self.coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
@@ -243,10 +208,19 @@ class TruncatedSeries:
             order = self.order
         a = self.padded(order).coeffs
         weights = [j * c for j, c in enumerate(a)]
+        b: list[Number] = [1]
         if _all_exact(a):
             weights, d = _integer_numerators(weights)
-            return TruncatedSeries(_exact_recurrence(1, weights, lambda m: d * m, order))
-        b: list[Number] = [1]
+            numerators, den = [1], 1
+            for m in range(1, order + 1):
+                c = Fraction(sum(map(operator.mul, weights[m:0:-1], numerators)), d * m * den)
+                b.append(c)
+                grow = c.denominator // math.gcd(den, c.denominator)
+                if grow > 1:
+                    numerators = [x * grow for x in numerators]
+                    den *= grow
+                numerators.append(c.numerator * (den // c.denominator))
+            return TruncatedSeries(b)
         for m in range(1, order + 1):
             acc = 0
             for j in range(1, m + 1):  # no sum(): it rounds floats differently from 3.12 on
@@ -254,37 +228,17 @@ class TruncatedSeries:
             b.append(_div_int(acc, m))
         return TruncatedSeries(b)
 
-    def log1p(self, order: int | None = None) -> "TruncatedSeries":
-        """log(1 + a) for a with zero constant term (principal branch).
-
-        Computed from L' = a' / (1 + a); the constant term of the result is 0.
-        """
-        if self.coeffs[0] != 0:
-            raise ValueError("log1p needs a zero constant term")
-        if order is None:
-            order = self.order
-        a = self.padded(order)
-        inv = (1 + a).reciprocal(order)
-        integrand = a.derivative().mul(inv, order - 1 if order > 0 else 0)
-        return integrand.antiderivative().padded(order)
-
     def reciprocal(self, order: int | None = None) -> "TruncatedSeries":
         """1 / a for a with nonzero constant term.
 
-        r_m = -(1/a_0) * sum_{j=1..m} a_j * r_{m-j}.  When every a_j is an ``int``
-        or a ``Fraction`` the sums run on integer numerators
-        (``_exact_recurrence``) and every r_m is a ``Fraction``.
+        r_m = -(1/a_0) * sum_{j=1..m} a_j * r_{m-j}, summed left to right.  For an
+        ``int`` or ``Fraction`` a_0 every r_m of exact input is a ``Fraction``.
         """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
         if order is None:
             order = self.order
         a = self.padded(order)
-        if _all_exact(a.coeffs):
-            numerators, d = _integer_numerators(a.coeffs)
-            a0 = numerators[0]
-            first = Fraction(d, a0)
-            return TruncatedSeries(_exact_recurrence(first, numerators, lambda m: -a0, order))
         c0 = a.coeffs[0]
         if isinstance(c0, (int, Fraction)):
             r: list[Number] = [Fraction(1) / c0]
@@ -350,18 +304,6 @@ class TruncatedSeries:
             else x // den
             for n, x in enumerate(num)
         )
-
-    def integrate_over_t(self) -> "TruncatedSeries":
-        """For q with q(0) = 1: the integral of (q(t) - 1)/t from 0 to z.
-
-        Equals sum_{k>=1} c_k z^k / k; rejects q(0) != 1 because the integrand
-        would have a pole at the origin.
-        """
-        if self.coeffs[0] != 1:
-            raise ValueError("integrand (q-1)/t has a pole unless q(0) = 1")
-        out: list[Number] = [0]
-        out.extend(_div_int(self.coeffs[k], k) for k in range(1, self.order + 1))
-        return TruncatedSeries(out)
 
     # -- evaluation ----------------------------------------------------------
 

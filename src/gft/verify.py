@@ -323,6 +323,16 @@ def check_density(density: int) -> None:
         raise ValueError("density must be at least 32")
 
 
+def finite_coefficients(b) -> tuple[float, ...]:
+    """The generator coefficients ``b`` as floats; a nan or infinite one is rejected,
+    as it would leave every grid value nan."""
+    coeffs = tuple(float(c) for c in b)
+    for i, c in enumerate(coeffs, start=1):
+        if not math.isfinite(c):
+            raise ValueError(f"generator coefficient b{i} must be finite, got {c!r}")
+    return coeffs
+
+
 def disk_max(a0, a1, a2, k):
     """max of |a0 + a1 x + a2 x^2| + k (1 - |x|^2) over |x| <= 1, per real row, k >= 0.
 
@@ -396,7 +406,7 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     """
     check_density(density)
     fp = ClassParams(*map(float, params))
-    coeffs = tuple(float(c) for c in b)
+    coeffs = finite_coefficients(b)
     t, rho, phi, x = polar_grid(2.0, density)
 
     def neg(v):
@@ -925,8 +935,9 @@ def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dic
     True for every accepted input; it stays because the benchmark's
     ``series-build`` digest reads it.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive integers")
+    for name, value in (("m", m), ("n", n), ("order", order)):
+        if type(value) is not int or value < 1:  # 2.5 or True would index another power
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
     coeffs = [0.0] * (order + 1)

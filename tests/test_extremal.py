@@ -171,6 +171,16 @@ class TestFFromQ:
         with pytest.raises(ValueError):
             f_from_q(TruncatedSeries([0, 1]), 4)
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("order", [1, 2, 12, 40])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_generator_series_gives_t_series(self, name, order, exact):
+        # q = the generator's own series: f_from_q takes t_series' route at n = 1
+        spec = make_spec(name)
+        got = f_from_q(spec.series(order, exact=exact), order).series.coeffs
+        expected = t_series(spec, 1, order, exact=exact).series.coeffs
+        assert [repr(c) for c in got] == [repr(c) for c in expected]
+
 
 class TestEnvelopes:
     def test_convex_distortion_decimals(self):
@@ -260,6 +270,12 @@ class TestEnvelopeSeries:
 class TestGrowthConstant:
     def test_value(self):
         assert abs(growth_constant(1000) - 0.822467) < 1e-6
+
+    @pytest.mark.parametrize("terms", [0, -1, -5])
+    def test_rejects_fewer_than_one_term(self, terms):
+        # the odd tail of the pairing would add 1/terms^2 to an empty sum
+        with pytest.raises(ValueError, match="terms must be at least 1"):
+            growth_constant(terms)
 
     def test_against_closed_form(self):
         assert abs(growth_constant(1000) - math.pi**2 / 12) < 1e-6

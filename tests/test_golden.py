@@ -11,10 +11,9 @@ The benchmark's ``cli-cold`` workload checks each fresh-process command by
 the exit code, byte count and sha256 of its stdout, recorded in
 ``bench/reference.json``; ``test_cli_cold_reference`` replays every one of
 those commands in process.  ``test_inproc_reference`` replays every pool
-entry of the in-process ``membership`` workload and of the ``oracles``
-workload's ``bloch`` sub-op, the two that build Schwarz samples, and of its
-``hankel`` sub-op, the screened grid oracle, with the runners, ``compare``
-and tolerances of ``bench/inproc.py``.  Both only read ``bench/``.
+entry of every sub-op of the in-process ``membership``, ``oracles`` and
+``series-build`` workloads, with the runners, ``compare`` and tolerances of
+``bench/inproc.py``.  Both only read ``bench/``.
 """
 
 import hashlib
@@ -98,8 +97,11 @@ def test_cli_cold_reference(command):
     assert got == COLD[command]
 
 
-REPLAYED = [("membership", "membership", params) for params in inproc.KINDS["membership"][1]] + [
-    ("oracles", kind, params) for kind in ("bloch", "hankel") for params in inproc.KINDS[kind][1]
+REPLAYED = [
+    (workload, kind, params)
+    for workload, kinds in inproc.ROUNDS.items()
+    for kind in kinds
+    for params in inproc.KINDS[kind][1]
 ]
 
 

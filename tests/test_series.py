@@ -102,23 +102,6 @@ class TestExp:
             TruncatedSeries([1, 1]).exp()
 
 
-class TestLog1p:
-    def test_log_one_plus_z(self):
-        s = TruncatedSeries([0, 1]).log1p(3)
-        approx_coeffs(s, [0, 1, Fraction(-1, 2), Fraction(1, 3)])
-
-    def test_log_of_one(self):
-        approx_coeffs(TruncatedSeries([0]).log1p(), [0])
-
-    def test_log_of_z_plus_z2(self):
-        s = TruncatedSeries([0, 1, 1]).log1p(2)
-        approx_coeffs(s, [0, 1, Fraction(1, 2)])
-
-    def test_rejects_constant_term(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([Fraction(1, 2), 1]).log1p()
-
-
 class TestCompose:
     def test_psi_of_z_squared(self):
         psi = TruncatedSeries([1, -1, Fraction(1, 2)])
@@ -139,27 +122,6 @@ class TestCompose:
     def test_rejects_inner_constant(self):
         with pytest.raises(ValueError):
             PSI_HEAD.compose(TruncatedSeries([1, 1]), 2)
-
-
-class TestIntegrateOverT:
-    def test_constant_one(self):
-        approx_coeffs(TruncatedSeries([1]).integrate_over_t(), [0])
-
-    def test_logarithmic_generator(self):
-        psi = TruncatedSeries(
-            [1] + [Fraction((-1) ** k, k) for k in range(1, 7)]
-        )
-        s = psi.integrate_over_t()
-        expected = [0] + [Fraction((-1) ** k, k * k) for k in range(1, 7)]
-        approx_coeffs(s, expected)
-        assert s[2] == Fraction(1, 4)
-
-    def test_single_term(self):
-        approx_coeffs(TruncatedSeries([1, -1]).integrate_over_t(), [0, -1])
-
-    def test_rejects_pole(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([Fraction(1, 2), 1]).integrate_over_t()
 
 
 class TestEval:
@@ -198,27 +160,6 @@ coeff_lists = st.lists(
 
 
 class TestInvariants:
-    @given(coeff_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_exp_log_round_trip(self, tail):
-        a = TruncatedSeries([0] + tail)
-        n = a.order
-        round_trip = a.log1p(n).exp(n)
-        target = 1 + a
-        for k in range(n + 1):
-            assert abs(complex(round_trip[k]) - complex(target[k])) < 1e-12 * (
-                1 + abs(complex(target[k]))
-            )
-
-    @given(coeff_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_integral_derivative_identity(self, tail):
-        q = TruncatedSeries([1] + tail)
-        integral = q.integrate_over_t()
-        recovered = integral.derivative().shifted(1)  # z * d/dz of the integral
-        for k in range(1, q.order + 1):
-            assert abs(complex(recovered[k]) - complex(q[k])) < 1e-12
-
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=40, deadline=None)
     def test_mul_commutes(self, u, v):
@@ -390,6 +331,18 @@ class TestProductAgainstSchoolbook:
         got = a.mul(b, 4).coeffs
         assert [type(c) for c in got] == [int, Fraction, Fraction, int, int]
         assert got == (3, Fraction(11, 2), 8, 8, 0)
+
+    def test_reciprocal_and_divide_values_and_types(self):
+        # 1/(2 + z) = 1/2 - z/4 + z^2/8 - ...: every coefficient a Fraction, even a whole one
+        got = TruncatedSeries([2, 1]).reciprocal(3).coeffs
+        assert [type(c) for c in got] == [Fraction] * 4
+        assert got == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16))
+        got = TruncatedSeries([1, -1]).reciprocal(2).coeffs
+        assert [type(c) for c in got] == [Fraction] * 3 and got == (1, 1, 1)
+        # (2 + 2z)/(2 + z): the products of ints with those Fractions are Fractions
+        got = TruncatedSeries([2, 2]).divide(TruncatedSeries([2, 1]), 3).coeffs
+        assert [type(c) for c in got] == [Fraction] * 4
+        assert got == (1, Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
 
     def test_compose_fraction_only_where_a_term_has_one(self):
         # a Fraction constant of the outer series makes only z^0 a Fraction

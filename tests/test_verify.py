@@ -969,6 +969,26 @@ class TestHankelOracle:
         assert abs(e0 + e1 * y - (a2 * a4 - a3**2)) <= 1e-12 * (m2 * m4 + m3**2) + 2.0**-1022
 
 
+NON_FINITE_TRIPLES = [
+    tuple(bad if j == i else c for j, c in enumerate(PSI_FLOATS))
+    for i in range(3) for bad in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize(
+    "oracle", [gft.bounds.a4_bound, gft.bounds.a2a3_a4_bound, maximize_second_hankel_oracle])
+@pytest.mark.parametrize("coeffs", NON_FINITE_TRIPLES)
+def test_non_finite_coefficient_rejected_before_the_grid(monkeypatch, oracle, coeffs):
+    # a nan row bound made the Hankel oracle keep no row and the cubic ones report nan
+    def banned(*args):
+        raise AssertionError("no grid work on a non-finite coefficient")
+
+    monkeypatch.setattr(verify, "disk_max", banned)
+    i = next(j for j, c in enumerate(coeffs) if not math.isfinite(c)) + 1
+    with pytest.raises(ValueError, match=f"generator coefficient b{i} must be finite"):
+        oracle(alpha_class_params(0.5), coeffs, 32)
+
+
 @pytest.fixture(scope="module")
 def membership_report():
     return verify_class_membership_bounds(60, seed=42)
@@ -1363,6 +1383,16 @@ class TestLambdaCombination:
             lambda_combination_check(1.5, 1, 1)
         with pytest.raises(ValueError):
             lambda_combination_check(0.5, 0, 1)
+
+    # a float or a bool m or n would index a list or build another power
+    @pytest.mark.parametrize("m, n, order, name", [
+        (2.5, 1, 24, "m"), (True, 1, 24, "m"), (0, 1, 24, "m"), (-1, 1, 24, "m"),
+        (1, 2.0, 24, "n"), (1, False, 24, "n"), (1, 0, 24, "n"),
+        (1, 1, 0, "order"), (1, 1, -3, "order"), (1, 1, 24.0, "order"),
+    ])
+    def test_rejects_non_int_or_non_positive_m_n_order(self, m, n, order, name):
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+            lambda_combination_check(0.5, m, n, order=order)
 
 
 class TestConjecture:
