@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import add
 from types import SimpleNamespace
 from typing import Any
 
@@ -368,16 +369,22 @@ def minimize(fun, x0, xatol: float, fatol: float):
     """Nelder-Mead minimum of ``fun`` from ``x0``, as an object with x, fun, nfev.
 
     The unbounded, non-adaptive simplex method: reflection 1, expansion 2,
-    contraction 1/2, shrink 1/2.  Each step does the same numpy operations in
-    the same order as the reference implementation that
-    ``tests/test_bounds.py`` compares it with, so x, fun and nfev agree with
-    it bit for bit.  The initial simplex scales each coordinate of x0 by
-    1.05, or sets it to 0.00025 where it is zero.  As in the reference, the
-    simplex is sorted twice after the first evaluations and once after every
-    step; the search stops, with no further sort, once every vertex lies
-    within ``xatol`` and every value within ``fatol`` of the best, or after
-    1999 steps (``maxiter`` 2000).  The Hankel oracle looks this name up at
-    call time, so a wrapper assigned to it sees every polish.
+    contraction 1/2, shrink 1/2, on scipy's trajectory: ``tests/test_bounds.py``
+    checks that x, fun and nfev agree bit for bit with scipy's Nelder-Mead and
+    with the numpy simplex it keeps as a reference.  The steps run on Python
+    floats with the rounding of numpy's: ``fun`` gets each vertex as a tuple of
+    floats, the centroid adds the vertices left to right as ``np.add.reduce``
+    does over the rows (not by ``sum``, which is compensated from Python 3.12
+    on), and a sort calls ``np.argsort`` only when two values tie or one is
+    nan, so that ties keep numpy's order; the Hankel polish meets ties where
+    the clamp of rho to [0, 1] flattens its objective.  The initial simplex
+    scales each coordinate of x0 by 1.05, or sets it to 0.00025 where it is
+    zero.  As in the reference, the simplex is sorted twice after the first
+    evaluations and once after every step; the search stops, with no further
+    sort, once every value lies within ``fatol`` and every vertex within
+    ``xatol`` of the best, or after 1999 steps (``maxiter`` 2000).  The Hankel
+    oracle looks this name up at call time, so a wrapper assigned to it sees
+    every polish.
     """
     import numpy as np
 
@@ -386,51 +393,60 @@ def minimize(fun, x0, xatol: float, fatol: float):
     def f(x):
         nonlocal nfev
         nfev += 1
-        return fun(np.copy(x))
+        return float(fun(x))
 
-    x0 = np.asarray(x0, dtype=float).ravel()
+    def sort(sim, fsim):
+        ind = sorted(range(n + 1), key=fsim.__getitem__)
+        ranked = [fsim[i] for i in ind]
+        if not all(map(float.__lt__, ranked, ranked[1:])):  # a tie or a nan: numpy's order
+            ind = np.array(fsim).argsort().tolist()
+            ranked = [fsim[i] for i in ind]
+        return [sim[i] for i in ind], ranked
+
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[:] = x0
+    sim = [tuple(x0)]
     for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim], dtype=float)
+        v = list(x0)
+        v[k] = 1.05 * v[k] if v[k] != 0 else 0.00025
+        sim.append(tuple(v))
+    fsim = [f(v) for v in sim]
     for _ in range(2):  # argsort may reorder ties even when sorted: sort where the reference does
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = sort(sim, fsim)
     for _ in range(1999):
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(fbest - fv) <= fatol for fv in fsim[1:])
+                and all(abs(c - b) <= xatol for v in sim[1:] for c, b in zip(v, best))):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        total = sim[0]
+        for v in sim[1:-1]:
+            total = list(map(add, total, v))
+        xbar, worst = [t / n for t in total], sim[-1]
+        xr = tuple(2 * b - w for b, w in zip(xbar, worst))
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = tuple(3 * b - 2 * w for b, w in zip(xbar, worst))
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = tuple(1.5 * b - 0.5 * w for b, w in zip(xbar, worst))
                 fxc = f(xc)
                 shrink = not fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = tuple(0.5 * b + 0.5 * w for b, w in zip(xbar, worst))
                 fxc = f(xc)
                 shrink = not fxc < fsim[-1]
             if shrink:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = tuple(b + 0.5 * (c - b) for b, c in zip(best, sim[j]))
                     fsim[j] = f(sim[j])
             else:
                 sim[-1], fsim[-1] = xc, fxc
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev)
+        sim, fsim = sort(sim, fsim)
+    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fsim), nfev=nfev)
 
 
 def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) -> BoundReport:
@@ -443,22 +459,24 @@ def _cubic_oracle(functional, label, params: ClassParams, coeffs, grid_density) 
     (1, 0), (0, 1).  The best zeta leaves |A + B s eta - C s xi eta^2| +
     |C| s (1 - |eta|^2), maximized over the eta disk by :func:`gft.verify.disk_max`.
     """
-    from .verify import _class_coefficients, check_density, disk_max, finite_coefficients
+    from .verify import (
+        _class_coefficients, check_density, disk_max, finite_coefficients, finite_grid)
 
-    check_density(grid_density)
-    phi = [1.0, *finite_coefficients(coeffs)]
+    grid_density = check_density(grid_density)
+    coeffs = finite_coefficients(coeffs)
     import numpy as np
 
     xi = np.linspace(0.0, 1.0, grid_density)
     omega = np.zeros((3, grid_density, 4), dtype=complex)  # (c2, c3) = 0, (1, 0), (0, 1)
     omega[..., 1] = xi
     omega[1, :, 2] = omega[2, :, 3] = 1
-    a, b, c = functional(*_class_coefficients(
-        omega.reshape(-1, 4), phi,
-        [1.0, float(params.h2), float(params.h3)],
-        [float(params.u), float(params.v), float(params.w)])).reshape(omega.shape[:-1]).real
-    b, c, s = b - a, c - a, 1 - xi**2  # A, B, C and s per row
-    vals = disk_max(a, b * s, -(c * s * xi), np.abs(c) * s)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_grid reports an overflow
+        a, b, c = functional(*_class_coefficients(
+            omega.reshape(-1, 4), [1.0, *coeffs],
+            [1.0, float(params.h2), float(params.h3)],
+            [float(params.u), float(params.v), float(params.w)])).reshape(omega.shape[:-1]).real
+        b, c, s = b - a, c - a, 1 - xi**2  # A, B, C and s per row
+        vals = finite_grid(disk_max(a, b * s, -(c * s * xi), np.abs(c) * s), coeffs)
     i = int(np.argmax(vals))
     return BoundReport(float(vals[i]), label, {"xi": float(xi[i])})
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -317,10 +318,19 @@ def polar_grid(top: float, density: int):
     return t, rho, phi, rho * np.exp(1j * phi)
 
 
-def check_density(density: int) -> None:
-    """Reject grids too coarse to stand for the sup: density 1 sweeps one point."""
-    if density < 32:
+def check_density(density: int) -> int:
+    """``density`` as an int, at least 32: density 1 sweeps one point, too coarse
+    to stand for the sup.  Any int such as ``np.int64`` passes; a bool or a
+    float such as 40.0 is rejected."""
+    try:
+        index = operator.index(density)
+    except TypeError:
+        index = None
+    if index is None or isinstance(density, bool):
+        raise ValueError(f"density must be an int, got {density!r}")
+    if index < 32:
         raise ValueError("density must be at least 32")
+    return index
 
 
 def finite_coefficients(b) -> tuple[float, ...]:
@@ -331,6 +341,18 @@ def finite_coefficients(b) -> tuple[float, ...]:
         if not math.isfinite(c):
             raise ValueError(f"generator coefficient b{i} must be finite, got {c!r}")
     return coeffs
+
+
+def finite_grid(values, coeffs):
+    """``values`` when every one is finite.  A finite triple ``coeffs`` so large
+    that the grid's products overflow leaves inf or nan there, and no maximum."""
+    if not np.isfinite(values).all():
+        raise _overflow(coeffs)
+    return values
+
+
+def _overflow(coeffs) -> ValueError:
+    return ValueError(f"generator coefficients {coeffs} overflow the grid oracle")
 
 
 def disk_max(a0, a1, a2, k):
@@ -392,6 +414,60 @@ def _hankel_halves(params: ClassParams, coeffs, p1, x):
     return a2 * a4_0 - a3**2, a2 * (a4_1 - a4_0)
 
 
+def _hankel_objective(params: ClassParams, coeffs):
+    """The polish's objective: -(|E0| + |E1|) of :func:`_hankel_halves` at the
+    vertex (p1, rho, phi), with p1 clamped to [0, 2] and rho to [0, 1].
+
+    Each value has the bits of the tree evaluated on the scalar arguments
+    complex(p1) and x = rho e^(i phi), but in Python floats: p1 stays real,
+    since every product with its zero imaginary part rounds to the real one's
+    value, and the constants that depend only on ``params`` and ``coeffs`` are
+    rounded once, in the tree's order.  Two conventions of the tree are kept.
+    An unclamped rho is a numpy float, so x and every quotient that depends
+    on it are numpy complex scalars, and numpy divides a complex scalar by a
+    real one by multiplying with the reciprocal; a clamped rho is a Python
+    float, and Python divides exactly.  The bump's |x| is the ``np.abs``
+    ufunc, which may round otherwise than ``abs``, and its square is ``pow``,
+    which may round otherwise than |x| |x|.
+    """
+    g2, g3, _, h2, h3, _ = params
+    u, v, w = params.u, params.v, params.w
+    b1, b2, b3 = coeffs
+    u2, uv4, uvw8 = 2 * u, 4 * u * v, 8 * u * v * w
+    b1_2, b1_3, m2b2, b2_4 = b1**2, b1**3, -2 * b2, 4 * b2
+    k_head = g3 * h2 + (g2 - 2 * h2) * h3
+    k_tail = g2 * (g3 + (b2 - 1) * h3) + h2 * ((b2 - 1) * g3 + h3 - 2 * b2 * h3)
+    inv3, inv4 = 1.0 / uv4, 1.0 / uvw8
+
+    def neg(vertex):
+        p = min(max(vertex[0], 0.0), 2.0)
+        r = vertex[1]
+        exact = r < 0.0 or r > 1.0
+        if exact:
+            r = 0.0 if r < 0.0 else 1.0
+        x = r * cmath.exp(1j * vertex[2])
+        xx, pp = x * x, p * p
+        ppp, s = pp * p, 4 - pp
+        p2 = (pp + x * s) / 2
+        d = pp - 2 * p2
+        base = (ppp + 2 * p * s * x - p * s * xx) / 4
+        bump = 2 * s * (1 - float(np.abs(x)) ** 2) / 4
+        a2 = b1 * p / u2
+        n3 = b2 * pp * u - b1 * d * u + b1_2 * pp * h2
+        head = (p * (m2b2 * pp + b3 * pp + b2_4 * p2) * u * v + b1_3 * ppp * h2 * h3
+                - b1_2 * p * d * k_head)
+        tail = ppp * k_tail - 4 * p * p2 * u * v
+        n4_0 = head + b1 * (tail + 4 * base * u * v)
+        n4_1 = head + b1 * (tail + 4 * (base + bump) * u * v)
+        if exact:
+            a3, a4_0, a4_1 = n3 / uv4, n4_0 / uvw8, n4_1 / uvw8
+        else:
+            a3, a4_0, a4_1 = n3 * inv3, n4_0 * inv4, n4_1 * inv4
+        return -(abs(a2 * a4_0 - a3 * a3) + abs(a2 * (a4_1 - a4_0)))
+
+    return neg
+
+
 def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> float:
     """Lower bound for sup |a2 a4 - a3^2| over the class, by grid + polish.
 
@@ -402,41 +478,46 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     read off the tree at x = 0, 1, -1, and E1 = K (1 - |x|^2), so :func:`disk_max`
     bounds each row.  The tree runs on the rows whose bound may reach the
     maximum, and its first maximum in grid order starts the polish,
-    :func:`gft.bounds.minimize` at call time.
+    :func:`gft.bounds.minimize` at call time, on :func:`_hankel_objective`.
+    That objective runs on Python floats and keeps both division conventions
+    of the tree evaluated on the scalars complex(p1) and x: a quotient that
+    depends on x is multiplied by the reciprocal of its real divisor when rho
+    lies in [0, 1], as numpy divides a complex scalar, and divided exactly
+    when rho was clamped, as Python does.  A finite triple ``b`` so large that
+    the grid's arithmetic overflows raises ValueError.
     """
-    check_density(density)
+    density = check_density(density)
     fp = ClassParams(*map(float, params))
     coeffs = finite_coefficients(b)
+    try:  # b1**2 and b1**3 round as in the tree, by a power that raises on overflow
+        objective = _hankel_objective(fp, coeffs)
+    except OverflowError:
+        raise _overflow(coeffs) from None
     t, rho, phi, x = polar_grid(2.0, density)
-
-    def neg(v):
-        p = min(max(v[0], 0.0), 2.0)
-        r = min(max(v[1], 0.0), 1.0)
-        e0_, e1_ = _hankel_halves(fp, coeffs, complex(p), r * cmath.exp(1j * v[2]))
-        return -(abs(e0_) + abs(e1_))
-
-    e0, e1 = _hankel_halves(fp, coeffs, t[:, 0] + 0j, np.array([0.0, 1.0, -1.0]))
-    a0, at_1, at_m1 = e0.real.T
-    bound = disk_max(a0, (at_1 - at_m1) / 2, (at_1 + at_m1) / 2 - a0, np.abs(e1[:, 0]))
-    # S = |a0 + a1 x + a2 x^2| + |K| (1 - |x|^2) never exceeds its row's bound
-    # and is off the tree's value F by at most 7.8e-15 on whole density-48
-    # grids (the suite's generator, random b in [-3, 3]^3).  The maximum L of
-    # F on the row of the largest bound is attained, and a row whose bound
-    # falls short of L by the slack, some 1e5 times that, holds no F as large
-    # as L: the first maximum over the rows kept is the full sweep's to the bit.
-    r = int(np.argmax(bound))
-    e0, e1 = _hankel_halves(fp, coeffs, t[r : r + 1] + 0j, x)
-    values = np.abs(e0) + np.abs(e1)
-    top = float(values.max())
-    rows = np.nonzero(bound >= top - 2e-9 * max(1.0, top))[0]
-    if rows.tolist() != [r]:  # else the values of the one row kept are at hand
-        e0, e1 = _hankel_halves(fp, coeffs, t[rows] + 0j, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_grid reports an overflow
+        e0, e1 = _hankel_halves(fp, coeffs, t[:, 0] + 0j, np.array([0.0, 1.0, -1.0]))
+        a0, at_1, at_m1 = e0.real.T
+        bound = finite_grid(disk_max(
+            a0, (at_1 - at_m1) / 2, (at_1 + at_m1) / 2 - a0, np.abs(e1[:, 0])), coeffs)
+        # S = |a0 + a1 x + a2 x^2| + |K| (1 - |x|^2) never exceeds its row's bound
+        # and is off the tree's value F by at most 7.8e-15 on whole density-48
+        # grids (the suite's generator, random b in [-3, 3]^3).  The maximum L of
+        # F on the row of the largest bound is attained, and a row whose bound
+        # falls short of L by the slack, some 1e5 times that, holds no F as large
+        # as L: the first maximum over the rows kept is the full sweep's to the bit.
+        r = int(np.argmax(bound))
+        e0, e1 = _hankel_halves(fp, coeffs, t[r : r + 1] + 0j, x)
         values = np.abs(e0) + np.abs(e1)
+        top = finite_grid(float(values.max()), coeffs)
+        rows = np.nonzero(bound >= top - 2e-9 * max(1.0, top))[0]
+        if rows.tolist() != [r]:  # else the values of the one row kept are at hand
+            e0, e1 = _hankel_halves(fp, coeffs, t[rows] + 0j, x)
+            values = np.abs(e0) + np.abs(e1)
     i, j, m = np.unravel_index(int(np.argmax(values)), values.shape)
-    best = float(values[i, j, m])
+    best = finite_grid(float(values[i, j, m]), coeffs)
     start = (float(t[rows[i], 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, m]))
-    res = bounds.minimize(neg, start, xatol=1e-10, fatol=1e-13)
-    return float(-res.fun) if -res.fun > best else best
+    res = bounds.minimize(objective, start, xatol=1e-10, fatol=1e-13)
+    return finite_grid(float(-res.fun) if -res.fun > best else best, coeffs)
 
 
 # -- class-membership sampling -------------------------------------------------------
@@ -654,7 +735,7 @@ def lemma_p1p2_check(v: float, grid_density: int = 64) -> dict:
     of the largest bound, and the rings whose bound reaches L less the slack are
     kept; the expression runs on the union of the rings kept.
     """
-    check_density(grid_density)
+    grid_density = check_density(grid_density)
     if not math.isfinite(4 * v):  # else the bound, 4|v| + 2 at most, overflows
         raise ValueError(f"v must be finite, as must 4 v; got {v!r}")
     if v <= 0:
@@ -750,7 +831,7 @@ def eq_p31_check(grid_density: int = 64) -> dict:
     it is checked on power-map samples w(z) = lam z^m where all p_k are
     available in closed form (p_k = 2 lam^(k/m) when m | k, else 0).
     """
-    check_density(grid_density)
+    grid_density = check_density(grid_density)
     p1, rho, phi, x = polar_grid(2.0, grid_density)
     ys = np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
 

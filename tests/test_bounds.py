@@ -556,40 +556,122 @@ class TestCubicOracles:
         assert rep.value >= full * (1 - 1e-15)
 
 
+def numpy_simplex(fun, x0, xatol, fatol):
+    """The polish as it ran on numpy arrays, kept as the reference that
+    :func:`gft.bounds.minimize` follows bit for bit: each step is scipy's,
+    with scipy's argsort on every sort."""
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[:] = x0
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    for _ in range(1999):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev)
+
+
+def polish_case(seed):
+    """(objective, x0, xatol, fatol) of a random polish: a shifted quadratic
+    with a sine ripple in 1 to 4 dimensions, flat outside [-1, 1]^dim half the
+    time so that the simplex meets ties; a tenth cannot meet the stopping test
+    and run all 2000 iterations."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    x0 = rng.uniform(-1.5, 1.5, dim)
+    x0[rng.random(dim) < 0.4] = 0.0
+    xatol, fatol = 10.0 ** -rng.integers(4, 14, 2)
+    if seed % 10 == 0:
+        xatol = fatol = -1.0
+    centre = rng.uniform(-2.0, 2.0, dim)
+    scale = rng.uniform(0.1, 3.0, dim)
+    wave = rng.uniform(-1.0, 1.0, dim)
+    amp = rng.uniform(0.0, 0.5)
+    clamp = rng.random() < 0.5
+
+    def f(x):
+        y = np.clip(x, -1.0, 1.0) if clamp else x
+        return float(np.sum(scale * (y - centre) ** 2) + amp * math.sin(float(wave @ x)))
+
+    return f, x0, xatol, fatol
+
+
 class TestMinimizeMatchesScipy:
     """The polish is scipy's Nelder-Mead step for step: same x, fun and nfev."""
-
-    @staticmethod
-    def objective(rng, dim):
-        centre = rng.uniform(-2.0, 2.0, dim)
-        scale = rng.uniform(0.1, 3.0, dim)
-        wave = rng.uniform(-1.0, 1.0, dim)
-        amp = rng.uniform(0.0, 0.5)
-        clamp = rng.random() < 0.5  # flat outside [-1, 1]^dim: ties in the simplex
-
-        def f(x):
-            y = np.clip(x, -1.0, 1.0) if clamp else x
-            return float(np.sum(scale * (y - centre) ** 2) + amp * math.sin(float(wave @ x)))
-
-        return f
 
     @pytest.mark.parametrize("seed", range(100))
     def test_same_trajectory(self, seed):
         optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(1, 5))
-        x0 = rng.uniform(-1.5, 1.5, dim)
-        x0[rng.random(dim) < 0.4] = 0.0
-        xatol, fatol = 10.0 ** -rng.integers(4, 14, 2)
-        if seed % 10 == 0:  # a tenth cannot meet the stopping test and run all 2000 iterations
-            xatol = fatol = -1.0
-        f = self.objective(rng, dim)
+        f, x0, xatol, fatol = polish_case(seed)
         ours = minimize(f, x0, xatol=xatol, fatol=fatol)
         ref = optimize.minimize(f, x0, method="Nelder-Mead",
                                 options={"xatol": xatol, "fatol": fatol, "maxiter": 2000})
         assert ours.x.tobytes() == ref.x.tobytes()
         assert ours.fun == ref.fun
         assert ours.nfev == ref.nfev
+
+
+class TestMinimizeMatchesNumpySimplex:
+    """The polish on Python floats keeps the numpy simplex's trajectory, with
+    or without scipy installed."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_same_trajectory(self, seed):
+        f, x0, xatol, fatol = polish_case(seed)
+        ours = minimize(f, x0, xatol=xatol, fatol=fatol)
+        ref = numpy_simplex(f, x0, xatol=xatol, fatol=fatol)
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert repr(ours.fun) == repr(ref.fun)
+        assert ours.nfev == ref.nfev
+
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (1.0, -1.0), (2.0, 0.5, -0.0)])
+    def test_ties_keep_numpy_order(self, x0):
+        # a flat objective ties every vertex, so every sort is numpy's argsort
+        ours = minimize(lambda x: 1.0, x0, xatol=1e-8, fatol=1e-8)
+        ref = numpy_simplex(lambda x: 1.0, x0, xatol=1e-8, fatol=1e-8)
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert ours.fun == ref.fun and ours.nfev == ref.nfev
 
 
 class TestFourthCoefficientBounds:

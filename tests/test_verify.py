@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import gft.bounds
 from gft import verify
 from gft.bounds import (
+    ClassParams,
     PhiCoeffs,
     alpha_class_params,
     h2_bound_sl,
@@ -928,7 +930,8 @@ class TestHankelOracle:
     )
     @settings(max_examples=200, deadline=None)
     def test_shared_part_halves_equal_two_coefficient_calls(self, p, r, phi, alpha):
-        # the scalar arguments the polish passes: a complex p1, a numpy-scalar x
+        # the scalar route whose bits the polish objective keeps: a complex p1,
+        # a numpy-scalar x
         params = alpha_class_params(alpha)
         p1, x = complex(p), np.float64(r) * cmath.exp(1j * phi)
         p2, base, bump = verify._p2_p3(p1, x)
@@ -937,6 +940,38 @@ class TestHankelOracle:
         want = np.array([a2 * a4_0 - a3**2, a2 * (a4_1 - a4_0)])
         got = np.array(verify._hankel_halves(params, PSI_FLOATS, p1, x))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @staticmethod
+    def _assert_objective_is_the_scalar_tree(alpha, coeffs, vertices):
+        # the objective on Python floats against -(|E0| + |E1|) of the tree on
+        # the scalars the polish passed it before: complex(p1) and x = rho e^(i phi)
+        # from a numpy vertex, rho a numpy float unless clamped to [0, 1]
+        params = ClassParams(*map(float, alpha_class_params(alpha)))
+        objective = verify._hankel_objective(params, coeffs)
+        for v in np.asarray(vertices, dtype=float):
+            p, r = min(max(v[0], 0.0), 2.0), min(max(v[1], 0.0), 1.0)
+            e0, e1 = verify._hankel_halves(params, coeffs, complex(p), r * cmath.exp(1j * v[2]))
+            assert repr(objective(tuple(v.tolist()))) == repr(float(-(abs(e0) + abs(e1))))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_polish_objective_is_the_scalar_tree(self, seed):
+        # p1, rho and phi inside and outside their clamp intervals, some exactly
+        # at an end, rho exactly 0 and 1
+        rng = np.random.default_rng(seed)
+        coeffs = tuple(np.where(rng.random(3) < 0.2, 0.0, rng.uniform(-3.0, 3.0, 3)).tolist())
+        vertices = np.column_stack([rng.uniform(-0.5, 2.5, 500), rng.uniform(-0.5, 1.5, 500),
+                                    rng.uniform(-7.0, 14.0, 500)])
+        for k, ends in enumerate(([0.0, 2.0], [0.0, 1.0, -0.0], [0.0, -0.0, 2 * math.pi])):
+            at_end = rng.random(500) < 0.2
+            vertices[at_end, k] = rng.choice(ends, at_end.sum())
+        self._assert_objective_is_the_scalar_tree(rng.random(), coeffs, vertices)
+
+    def test_polish_objective_squares_the_bump_modulus_by_pow(self):
+        # |x| = 0.6936...: pow(|x|, 2) rounds to 0.4811473667888733 and the
+        # product |x| |x| to ...734, which moves the value by one ulp
+        self._assert_objective_is_the_scalar_tree(
+            0.8313682401307835, (-0.3170186832800743, -0.5181898395671363, 0.14028615682670154),
+            [(1.0629990228719306, 0.6936478694473682, 0.4488138300900273)])
 
     @given(
         st.floats(0.0, 1.0),
@@ -987,6 +1022,50 @@ def test_non_finite_coefficient_rejected_before_the_grid(monkeypatch, oracle, co
     i = next(j for j, c in enumerate(coeffs) if not math.isfinite(c)) + 1
     with pytest.raises(ValueError, match=f"generator coefficient b{i} must be finite"):
         oracle(alpha_class_params(0.5), coeffs, 32)
+
+
+@pytest.mark.parametrize("oracle, coeffs", [
+    (gft.bounds.a4_bound, (1e200, 0.5, 1 / 3)),
+    (gft.bounds.a2a3_a4_bound, (1e200, 0.5, 1 / 3)),
+    (maximize_second_hankel_oracle, (1e200, 0.5, 1 / 3)),  # b1**3 overflowed Python's pow
+    (maximize_second_hankel_oracle, (1e100, 0.5, 1 / 3)),  # nan row bounds kept no row
+    (maximize_second_hankel_oracle, (1.0, 1e200, 1 / 3)),
+])
+def test_overflowing_finite_triple_rejected(oracle, coeffs):
+    # the cubic oracles reported nan, the Hankel oracle raised OverflowError or
+    # failed on an empty argmax; numpy's overflow warnings are not raised
+    with pytest.raises(ValueError, match=re.escape(f"generator coefficients {coeffs} overflow")):
+        oracle(alpha_class_params(0.5), coeffs, 32)
+
+
+@pytest.mark.parametrize(
+    "oracle", [gft.bounds.a4_bound, gft.bounds.a2a3_a4_bound, maximize_second_hankel_oracle])
+def test_large_triple_that_does_not_overflow_is_reported(oracle):
+    value = oracle(alpha_class_params(0.5), (1.0, 0.5, 1e300), 32)
+    assert 1e298 < getattr(value, "value", value) < math.inf
+
+
+# every caller of verify.check_density
+DENSITY_CALLERS = {
+    "a4_bound": lambda d: gft.bounds.a4_bound(alpha_class_params(0.5), PSI_FLOATS, d),
+    "a2a3_a4_bound": lambda d: gft.bounds.a2a3_a4_bound(alpha_class_params(0.5), PSI_FLOATS, d),
+    "hankel_oracle": lambda d: maximize_second_hankel_oracle(alpha_class_params(0.5), PSI_FLOATS, d),
+    "lemma_p1p2_check": lambda d: lemma_p1p2_check(0.0, d),
+    "eq_p31_check": eq_p31_check,
+}
+
+
+@pytest.mark.parametrize("density", [40.0, True, "40", None])
+@pytest.mark.parametrize("caller", DENSITY_CALLERS)
+def test_non_integer_density_rejected(caller, density):
+    # 40.0 failed inside np.linspace with a TypeError and True was read as 1
+    with pytest.raises(ValueError, match=re.escape(f"density must be an int, got {density!r}")):
+        DENSITY_CALLERS[caller](density)
+
+
+@pytest.mark.parametrize("caller", DENSITY_CALLERS)
+def test_numpy_int_density_accepted(caller):
+    assert repr(DENSITY_CALLERS[caller](np.int64(32))) == repr(DENSITY_CALLERS[caller](32))
 
 
 @pytest.fixture(scope="module")
