@@ -427,8 +427,8 @@ def _hankel_objective(params: ClassParams, coeffs):
     on it are numpy complex scalars, and numpy divides a complex scalar by a
     real one by multiplying with the reciprocal; a clamped rho is a Python
     float, and Python divides exactly.  The bump's |x| is the ``np.abs``
-    ufunc, which may round otherwise than ``abs``, and its square is ``pow``,
-    which may round otherwise than |x| |x|.
+    ufunc, which may round otherwise than ``abs``, and it is squared as a
+    numpy float, by ``pow``, which may round otherwise than |x| |x|.
     """
     g2, g3, _, h2, h3, _ = params
     u, v, w = params.u, params.v, params.w
@@ -451,7 +451,7 @@ def _hankel_objective(params: ClassParams, coeffs):
         p2 = (pp + x * s) / 2
         d = pp - 2 * p2
         base = (ppp + 2 * p * s * x - p * s * xx) / 4
-        bump = 2 * s * (1 - float(np.abs(x)) ** 2) / 4
+        bump = 2 * s * (1 - float(np.abs(x) ** 2)) / 4
         a2 = b1 * p / u2
         n3 = b2 * pp * u - b1 * d * u + b1_2 * pp * h2
         head = (p * (m2b2 * pp + b3 * pp + b2_4 * p2) * u * v + b1_3 * ppp * h2 * h3
