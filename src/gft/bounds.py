@@ -375,9 +375,9 @@ def minimize(fun, x0, xatol: float, fatol: float):
     floats with the rounding of numpy's: ``fun`` gets each vertex as a tuple of
     floats, the centroid adds the vertices left to right as ``np.add.reduce``
     does over the rows (not by ``sum``, which is compensated from Python 3.12
-    on), and a sort calls ``np.argsort`` only when two values tie or one is
-    nan, so that ties keep numpy's order; the Hankel polish meets ties where
-    the clamp of rho to [0, 1] flattens its objective.  The initial simplex
+    on), and each sort is ``np.argsort`` of the values, so that ties keep
+    numpy's order; the Hankel polish meets ties where the clamp of rho to
+    [0, 1] flattens its objective.  The initial simplex
     scales each coordinate of x0 by 1.05, or sets it to 0.00025 where it is
     zero.  As in the reference, the simplex is sorted twice after the first
     evaluations and once after every step; the search stops, with no further
@@ -396,12 +396,8 @@ def minimize(fun, x0, xatol: float, fatol: float):
         return float(fun(x))
 
     def sort(sim, fsim):
-        ind = sorted(range(n + 1), key=fsim.__getitem__)
-        ranked = [fsim[i] for i in ind]
-        if not all(map(float.__lt__, ranked, ranked[1:])):  # a tie or a nan: numpy's order
-            ind = np.array(fsim).argsort().tolist()
-            ranked = [fsim[i] for i in ind]
-        return [sim[i] for i in ind], ranked
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
     x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)

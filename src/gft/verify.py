@@ -516,7 +516,10 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     i, j, m = np.unravel_index(int(np.argmax(values)), values.shape)
     best = finite_grid(float(values[i, j, m]), coeffs)
     start = (float(t[rows[i], 0, 0]), float(rho[0, j, 0]), float(phi[0, 0, m]))
-    res = bounds.minimize(objective, start, xatol=1e-10, fatol=1e-13)
+    try:  # abs() raises on a finite complex whose modulus overflows
+        res = bounds.minimize(objective, start, xatol=1e-10, fatol=1e-13)
+    except OverflowError:
+        raise _overflow(coeffs) from None
     return finite_grid(float(-res.fun) if -res.fun > best else best, coeffs)
 
 

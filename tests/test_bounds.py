@@ -667,7 +667,7 @@ class TestMinimizeMatchesNumpySimplex:
 
     @pytest.mark.parametrize("x0", [(0.0, 0.0), (1.0, -1.0), (2.0, 0.5, -0.0)])
     def test_ties_keep_numpy_order(self, x0):
-        # a flat objective ties every vertex, so every sort is numpy's argsort
+        # a flat objective ties every vertex, and numpy's argsort orders the ties
         ours = minimize(lambda x: 1.0, x0, xatol=1e-8, fatol=1e-8)
         ref = numpy_simplex(lambda x: 1.0, x0, xatol=1e-8, fatol=1e-8)
         assert ours.x.tobytes() == ref.x.tobytes()

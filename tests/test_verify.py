@@ -752,7 +752,8 @@ def _assert_screen_keeps_the_full_sweep(params, coeffs, density, full):
     again on whole rows in grid order unless that row is the one kept; its
     last tree call holds the rows kept. It polishes from the first argmax of
     the full grid values ``full``, with its value bits, and returns what the
-    full sweep's polish returns."""
+    full sweep's polish returns, on an objective that agrees with the grid
+    at the start."""
     value, tree, ((neg, start, xatol, fatol),) = _screened_oracle(params, coeffs, density)
     assert len(tree) in (2, 3) and tree[1][2].size == density**2
     p1, x, survivors = tree[-1]
@@ -768,6 +769,7 @@ def _assert_screen_keeps_the_full_sweep(params, coeffs, density, full):
     assert start == (t[i, 0, 0], rho[0, j, 0], phi[0, 0, k])
     assert survivors.max().view(np.uint64) == full[i, j, k].view(np.uint64)
     best = float(full[i, j, k])
+    assert -neg(start) == pytest.approx(best, rel=1e-14)  # the scalar bump may round an ulp off
     res = gft.bounds.minimize(neg, start, xatol=xatol, fatol=fatol)
     assert repr(value) == repr(float(-res.fun) if -res.fun > best else best)
 
@@ -783,6 +785,18 @@ def _off_grid_halves(params, coeffs, p1, x):
     largest bound 2.0002 at x = +-i, off the grid when 4 does not divide d, and
     fall below the row p1 = 0, |1 + x|, which attains its bound 2 at x = 1."""
     return np.where(p1 == 0, 1 + x, 1.0001 * (1 - x**2)), 0 * (p1 + x)
+
+
+def _objective_of(halves):
+    """A factory of polish objectives in the place of ``verify._hankel_objective``:
+    -(|E0| + |E1|) of ``halves`` at the vertex, p1 clamped to [0, 2], rho to [0, 1]."""
+    def objective(params, coeffs):
+        def neg(vertex):
+            p, r = min(max(vertex[0], 0.0), 2.0), min(max(vertex[1], 0.0), 1.0)
+            e0, e1 = halves(params, coeffs, complex(p), r * cmath.exp(1j * vertex[2]))
+            return -(abs(e0) + abs(e1))
+        return neg
+    return objective
 
 
 # a real row coefficient: zero a fifth of the time, else of modulus in [1e-3, 3]
@@ -897,6 +911,7 @@ class TestHankelOracle:
         # every case tried, so only a functional of the same shape with an
         # interior maximum shows that the screen carries K
         monkeypatch.setattr(verify, "_hankel_halves", _planted_halves)
+        monkeypatch.setattr(verify, "_hankel_objective", _objective_of(_planted_halves))
         t, _, _, x = polar_grid(2.0, density)
         e0, e1 = _planted_halves(None, None, t + 0j, x)
         full = np.abs(e0) + np.abs(e1)
@@ -909,6 +924,7 @@ class TestHankelOracle:
         # the grid's maximum lies on a row other than the one of the largest
         # bound, so the tree must also run on the rows that bound may reach
         monkeypatch.setattr(verify, "_hankel_halves", _off_grid_halves)
+        monkeypatch.setattr(verify, "_hankel_objective", _objective_of(_off_grid_halves))
         t, _, _, x = polar_grid(2.0, density)
         e0, e1 = _off_grid_halves(None, None, t + 0j, x)
         full = np.abs(e0) + np.abs(e1)
@@ -1036,6 +1052,18 @@ def test_overflowing_finite_triple_rejected(oracle, coeffs):
     # failed on an empty argmax; numpy's overflow warnings are not raised
     with pytest.raises(ValueError, match=re.escape(f"generator coefficients {coeffs} overflow")):
         oracle(alpha_class_params(0.5), coeffs, 32)
+
+
+def test_overflowing_polish_rejected(monkeypatch):
+    # abs() of a Python complex raises OverflowError when its parts are finite
+    # but its modulus is not.  No triple tried kept the grid finite and let the
+    # polish overflow (the row bounds overflow first), so the objective is planted.
+    def overflowing(params, coeffs):
+        return lambda vertex: -abs(complex(1.5e308, 1.5e308))
+
+    monkeypatch.setattr(verify, "_hankel_objective", overflowing)
+    with pytest.raises(ValueError, match=re.escape(f"generator coefficients {PSI_FLOATS} overflow")):
+        maximize_second_hankel_oracle(alpha_class_params(0.5), PSI_FLOATS, 32)
 
 
 @pytest.mark.parametrize(
