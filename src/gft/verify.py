@@ -484,7 +484,7 @@ def maximize_second_hankel_oracle(params: ClassParams, b, density: int = 64) -> 
     depends on x is multiplied by the reciprocal of its real divisor when rho
     lies in [0, 1], as numpy divides a complex scalar, and divided exactly
     when rho was clamped, as Python does.  A finite triple ``b`` so large that
-    the grid's arithmetic overflows raises ValueError.
+    the arithmetic of the grid or of the polish overflows raises ValueError.
     """
     density = check_density(density)
     fp = ClassParams(*map(float, params))
