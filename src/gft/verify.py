@@ -67,7 +67,12 @@ def _circle(grid: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(grid) / grid)
 
 
-_BOUNDARY_CIRCLE = _circle(BOUNDARY_GRID)  # random polynomials' sup; boundary_sup at 0.999
+@functools.cache
+def _boundary_circle() -> np.ndarray:
+    """``_circle(BOUNDARY_GRID)``: random polynomials' sup; boundary_sup at 0.999."""
+    circle = _circle(BOUNDARY_GRID)
+    circle.flags.writeable = False  # shared by every caller
+    return circle
 
 
 def _like(z, values: np.ndarray):
@@ -90,7 +95,7 @@ class SchwarzSample:
 
     def boundary_sup(self) -> float:
         """max |w| on BOUNDARY_GRID points of the circle of radius 0.999."""
-        return float(np.abs(self.series(0.999 * _BOUNDARY_CIRCLE)).max())
+        return float(np.abs(self.series(0.999 * _boundary_circle())).max())
 
 
 def _mobius_series(eta: float) -> TruncatedSeries:
@@ -148,7 +153,7 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
         rng = np.random.default_rng(seed)
         row = np.zeros(SAMPLE_ORDER + 1, dtype=complex)
         row[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        sup = float(np.abs(np.polyval(row[8::-1], _BOUNDARY_CIRCLE)).max())
+        sup = float(np.abs(np.polyval(row[8::-1], _boundary_circle())).max())
         row *= 1.0 / (SCHWARZ_SAFETY * sup)
         series = TruncatedSeries(row.tolist())
     return SchwarzSample(series, kind)
@@ -318,19 +323,18 @@ def polar_grid(top: float, density: int):
     return t, rho, phi, rho * np.exp(1j * phi)
 
 
+def _as_int(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``: an ``np.int64`` passes, a bool or 40.0 does not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if operator.index(value) < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return operator.index(value)
+
+
 def check_density(density: int) -> int:
-    """``density`` as an int, at least 32: density 1 sweeps one point, too coarse
-    to stand for the sup.  Any int such as ``np.int64`` passes; a bool or a
-    float such as 40.0 is rejected."""
-    try:
-        index = operator.index(density)
-    except TypeError:
-        index = None
-    if index is None or isinstance(density, bool):
-        raise ValueError(f"density must be an int, got {density!r}")
-    if index < 32:
-        raise ValueError("density must be at least 32")
-    return index
+    """``density`` as an int >= 32: density 1 sweeps one point, too coarse for the sup."""
+    return _as_int(density, "density", 32)
 
 
 def finite_coefficients(b) -> tuple[float, ...]:
@@ -886,18 +890,20 @@ def bloch_norm_estimate(omega: SchwarzSample, grid_size: int = 256, radial_count
     """sup of (1 - |z|^2) |f'(z)| for the class member f that ``omega`` induces.
 
     The polar grid has ``radial_count`` radii from 0 to 0.999, ends included,
-    and ``grid_size`` angles. f' comes from the structural formula (exact
-    pointwise, no truncation). Each radius circle is evaluated as one array,
-    so memory stays at one circle's worth.
+    and ``grid_size`` angles, both ints. f' comes from the structural formula
+    (exact pointwise, no truncation) on (radius, angle) blocks of whole circles,
+    at most ``SLAB_POINTS`` (point, node) pairs or one circle each, which give
+    every circle the bits of a call on that circle alone.
     """
-    if radial_count < 2:
-        raise ValueError(f"radial_count must be at least 2, got {radial_count}")
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be at least 1, got {grid_size}")
+    radial_count = _as_int(radial_count, "radial_count", 2)
+    grid_size = _as_int(grid_size, "grid_size", 1)
     circle = _circle(grid_size)
+    radii = np.linspace(0.0, 0.999, radial_count)[:, None]
+    block = max(1, SLAB_POINTS // (grid_size * _gauss_legendre()[0].size))
     best = 0.0
-    for r in np.linspace(0.0, 0.999, radial_count):
-        best = max(best, float(((1 - r * r) * np.abs(structural_deriv(omega, r * circle))).max()))
+    for r in np.split(radii, range(block, radial_count, block)):
+        damped = (1 - r * r) * np.abs(structural_deriv(omega, r * circle))
+        best = max(best, *damped.max(axis=1).tolist())  # a nan circle is skipped
     return best
 
 
@@ -928,13 +934,13 @@ def bloch_seminorm_bound() -> dict:
     attains the inner product at negative real z, so the bound is sharp.
     """
     grid = np.linspace(0.0, 0.9999, 200001)
-    # dilog(r) = sum_k r^k / k^2 from the _DILOG series at s = min(r, 1 - r):
-    # s <= 1/2 puts every term past s^64 below 2^-64 of the sum, and on this
-    # grid all 800 terms give the same bits; Euler's reflection
+    # dilog(r) = sum_k r^k / k^2 by 64 terms at s = min(r, 1 - r): s <= 1/2
+    # puts every term past s^64 below 2^-64 of the sum (200,001 scalar _li2
+    # calls would cost some 0.4 s); Euler's reflection
     # dilog(r) = pi^2/6 - ln r ln(1 - r) - dilog(1 - r) covers r > 1/2
     high = grid > 0.5
     s = np.where(high, 1.0 - grid, grid)
-    dilog = np.polyval(_DILOG[-65:], -s)
+    dilog = np.polyval([(-1) ** k / k**2 for k in range(64, 0, -1)] + [0.0], -s)
     dilog[high] = np.pi**2 / 6 - np.log(grid[high]) * np.log(s[high]) - dilog[high]
     env = (1 - grid**2) * (1 - np.log1p(-grid)) * np.exp(dilog)
     idx = int(np.argmax(env))
@@ -944,10 +950,30 @@ def bloch_seminorm_bound() -> dict:
 # -- further counterexamples and identities ----------------------------------------------
 
 
-# np.polyval coefficients (highest power first) of the 800-term dilog sum
-# sum_k (-z)^k / k^2; the even part sum_k (-1)^k z^(2k) / (2 k^2) is half of
-# it at z^2
-_DILOG = np.array([(-1) ** k / k**2 for k in range(799, 0, -1)] + [0.0])
+_LI2_TERMS = tuple(float(Fraction(b) / math.factorial(2 * n + 1)) for n, b in enumerate((
+    "1/6 -1/30 1/42 -1/30 5/66 -691/2730 7/6 -3617/510 43867/798 -174611/330 854513/138 "
+    "-236364091/2730").split(), start=1))[::-1]
+
+
+def _li2(w: complex) -> complex:
+    """Li2(w) = sum_k w^k / k^2 for |w| <= 1 on a Python complex, to 1e-15 relative.
+
+    For Re w <= 1/2, the Bernoulli series u - u^2/4 + sum_n B_2n u^(2n+1)/(2n+1)! in
+    u = -log(1 - w) ('t Hooft and Veltman, Nucl. Phys. B153, 1979), by Horner in u^2 to
+    n = 12: as |u| <= pi/3 the rest is below 1e-20 of the sum. The factor w / (1 - (1 - w))
+    keeps a tiny w's digits in u. Re w > 1/2 reflects: pi^2/6 - log w log(1 - w) - Li2(1 - w).
+    """
+    if w.real > 0.5:
+        if w == 1:
+            return complex(math.pi**2 / 6)
+        return math.pi**2 / 6 - cmath.log(w) * cmath.log(1 - w) - _li2(1 - w)
+    v = 1 - w
+    u = w if v == 1 else -cmath.log(v) * (w / (1 - v))
+    t = u * u
+    acc = 0.0
+    for c in _LI2_TERMS:
+        acc = acc * t + c
+    return u + u * t * acc - t / 4
 
 
 def vector_space_counterexample(scan_density: int = 360) -> dict:
@@ -961,17 +987,16 @@ def vector_space_counterexample(scan_density: int = 360) -> dict:
     normalized transform exceeds modulus 1 elsewhere in the disk, which is
     what refutes closedness under addition.
 
-    The scan, z0 and 0 share one Horner pass of the dilog sum over z and
-    z^2; halving its value at z^2 is exact, so the even part carries the bits
-    of a pass with halved coefficients.
+    ``scan_density`` (an int >= 1) angles per scan radius. The exponents Li2(-z)
+    and Li2(-z^2)/2 come from :func:`_li2` point by point; the rest is one array pass.
     """
+    scan_density = _as_int(scan_density, "scan_density", 1)
     z0 = -(0.5 + 2j / 3)
     scan = np.array([[0.7], [0.85], [0.95], [0.985]]) * _circle(scan_density)
     z = np.concatenate([scan.ravel(), [z0, 0]])
     z2 = z * z
-    dilog = np.polyval(_DILOG, np.concatenate([z, z2]))
-    e_a = np.exp(dilog[: z.size])
-    e_b = np.exp(dilog[z.size :] / 2)
+    e_a = np.exp([_li2(-w) for w in z.tolist()])
+    e_b = np.exp(np.array([_li2(-w) for w in z2.tolist()]) / 2)
     num = np.log(1 + z) * e_a + np.log(1 + z2) * e_b
     den = e_a + e_b
     normalized = np.exp(num / den) - 1

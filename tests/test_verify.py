@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gft.bounds
@@ -310,6 +310,11 @@ def _ref_eval(omega, z):
     return z * cmath.exp(_ref_log_ratio(omega, z))
 
 
+def test_boundary_circle_is_built_once_with_the_circle_bits():
+    assert verify._boundary_circle() is verify._boundary_circle()
+    assert verify._boundary_circle().tobytes() == verify._circle(verify.BOUNDARY_GRID).tobytes()
+
+
 def test_gauss_legendre_nodes_are_built_once_on_the_unit_interval():
     nodes, weights = np.polynomial.legendre.leggauss(64)
     assert verify._gauss_legendre() is verify._gauss_legendre()
@@ -337,10 +342,11 @@ def _ref_bloch(deriv, grid_size, radial_count):
 
 
 def _ref_omega_normalized(z):
+    # 4,000 terms: at |z| = 0.985 the 800-term sums stop 3e-10 short of Li2
     if z == 0:
         return 0j
-    e_a = cmath.exp(sum((-z) ** k / k**2 for k in range(1, 800)))
-    e_b = cmath.exp(sum((-1) ** k * z ** (2 * k) / (2 * k**2) for k in range(1, 800)))
+    e_a = cmath.exp(sum((-z) ** k / k**2 for k in range(1, 4000)))
+    e_b = cmath.exp(sum((-1) ** k * z ** (2 * k) / (2 * k**2) for k in range(1, 4000)))
     num = cmath.log(1 + z) * e_a + cmath.log(1 + z * z) * e_b
     return cmath.exp(num / (e_a + e_b)) - 1
 
@@ -1364,6 +1370,46 @@ class TestBloch:
         est = bloch_norm_estimate(omega, grid_size=1, radial_count=2)
         assert _rel_close(est, _ref_bloch(lambda z: _ref_deriv(omega, z), 1, 2), 1e-13)
 
+    # a float or bool grid_size used to build a non-uniform circle (16.5 gave
+    # 17 points and 2.6901 for w = z) or a single point; a float radial_count
+    # raised TypeError
+    @pytest.mark.parametrize("grid_size, radial_count, name", [
+        (16.5, 8, "grid_size"), (16.0, 8, "grid_size"), (True, 8, "grid_size"),
+        (16, 8.0, "radial_count"), (16, True, "radial_count"), (16, "8", "radial_count"),
+    ])
+    def test_non_int_grid_rejected(self, grid_size, radial_count, name):
+        omega = sample_schwarz("monomial", {"m": 1})
+        bad = grid_size if name == "grid_size" else radial_count
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {bad!r}")):
+            bloch_norm_estimate(omega, grid_size=grid_size, radial_count=radial_count)
+
+    def test_numpy_int_grid_accepted(self):
+        omega = sample_schwarz("monomial", {"m": 1})
+        est = bloch_norm_estimate(omega, grid_size=np.int64(16), radial_count=np.int32(8))
+        assert est == bloch_norm_estimate(omega, grid_size=16, radial_count=8)
+
+
+def _bloch_per_radius(omega, grid_size, radial_count):
+    """bloch_norm_estimate as one structural_deriv call per radius circle."""
+    circle = verify._circle(grid_size)
+    best = 0.0
+    for r in np.linspace(0.0, 0.999, radial_count):
+        best = max(best, float(((1 - r * r) * np.abs(structural_deriv(omega, r * circle))).max()))
+    return best
+
+
+# blocks of 128 // grid_size circles (one circle from grid_size 65 on): the
+# counts cross a block boundary at grid sizes 12 and 16, and fill blocks of one
+@pytest.mark.parametrize("grid_size", [1, 12, 16, 100, 129, 256])
+@pytest.mark.parametrize("radial_count", [2, 8, 9, 13, 20, 41])
+def test_bloch_blocks_equal_the_per_radius_loop(grid_size, radial_count):
+    seed = grid_size * 100 + radial_count
+    for omega in (sample_schwarz("monomial", {"m": 1}),
+                  sample_schwarz("random_poly_normalized", seed=seed),
+                  sample_schwarz("scaled_blaschke", seed=seed)):
+        est = bloch_norm_estimate(omega, grid_size=grid_size, radial_count=radial_count)
+        assert est == _bloch_per_radius(omega, grid_size, radial_count)
+
 
 class TestVectorSpaceCounterexample:
     @pytest.fixture()
@@ -1386,16 +1432,19 @@ class TestVectorSpaceCounterexample:
         assert report["exceeds_unit_disk"] is True
 
 
+# the 800-term sum Li2(-w) = sum_k (-w)^k / k^2, np.polyval coefficients
+# highest power first; at |w| <= 0.95 its tail is below 1e-21 of the sum
 _REF_DILOG = np.array([(-1) ** k / k**2 for k in range(799, 0, -1)] + [0.0])
+_LI2 = np.vectorize(lambda w: verify._li2(complex(w)), otypes=[complex])
 
 
 def _counterexample_by_parts(scan_density):
-    """The counterexample report with one pair of Horner passes per evaluation."""
+    """The counterexample report with its own pair of Li2 evaluations per call."""
 
     def parts(z):
         z = np.asarray(z, dtype=complex)
-        e_a = np.exp(np.polyval(_REF_DILOG, z))
-        e_b = np.exp(np.polyval(_REF_DILOG / 2, z * z))
+        e_a = np.exp(_LI2(-z))
+        e_b = np.exp(_LI2(-(z * z)) / 2)
         num = np.log(1 + z) * e_a + np.log(1 + z * z) * e_b
         return num, e_a + e_b
 
@@ -1433,6 +1482,76 @@ def test_counterexample_single_pass_equals_per_call_parts(scan_density):
     for key, value in ref.items():
         assert type(rep[key]) is type(value), key
         assert rep[key] == value, key
+
+
+# scan densities that are not ints >= 1: 0 and -3 used to fail inside argmax,
+# 2.5 scanned another grid and True a single point
+@pytest.mark.parametrize("scan_density, message", [
+    (0, "scan_density must be at least 1"), (-3, "scan_density must be at least 1"),
+    (2.5, "scan_density must be an int, got 2.5"), (True, "scan_density must be an int, got True"),
+])
+def test_counterexample_rejects_bad_scan_density(scan_density, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        vector_space_counterexample(scan_density)
+
+
+def test_counterexample_accepts_numpy_int_density():
+    assert vector_space_counterexample(np.int64(12)) == vector_space_counterexample(12)
+
+
+# a point of the closed disk of radius 0.95, often on its boundary or within 1e-6 of 0
+DISK_95_POINTS = st.builds(
+    lambda r, phi: r * cmath.exp(1j * phi),
+    st.one_of(st.just(0.95), st.floats(0.0, 0.95), st.floats(0.0, 1e-6)),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+
+
+class TestLi2:
+    def test_exact_values(self):
+        assert verify._li2(1 + 0j) == math.pi**2 / 6
+        assert _rel_close(verify._li2(-1 + 0j), -math.pi**2 / 12, 1e-15)
+        assert _rel_close(verify._li2(0.5 + 0j), math.pi**2 / 12 - math.log(2) ** 2 / 2, 1e-15)
+        assert verify._li2(0j) == 0
+
+    @given(DISK_95_POINTS)
+    @example(0.95 + 0j)
+    @example(-0.95 + 0j)
+    @example(0.95j)
+    @example(1e-300 + 0j)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_800_term_sum(self, w):
+        # 1e-15 for Li2 and as much again for the Horner sum's own rounding
+        ref = complex(np.polyval(_REF_DILOG, -w))
+        assert abs(verify._li2(w) - ref) <= 2e-15 * abs(ref)
+
+    @given(DISK_POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_conjugation_symmetry(self, w):
+        assert verify._li2(w.conjugate()) == verify._li2(w).conjugate()
+
+    @given(DISK_POINTS)
+    @example(0.5 + 0.5j)
+    @example(cmath.exp(1j * math.pi / 3))
+    @example(1 - 1e-12 + 0j)
+    @settings(max_examples=300, deadline=None)
+    def test_reflection(self, w):
+        assume(abs(1 - w) <= 1 and w not in (0, 1))
+        a, b = verify._li2(w), verify._li2(1 - w)
+        rhs = math.pi**2 / 6 - cmath.log(w) * cmath.log(1 - w)
+        assert abs(a + b - rhs) <= 2e-15 * (abs(a) + abs(b) + abs(rhs))
+
+    @given(DISK_POINTS)
+    @example(0.985 * cmath.exp(0.3j))
+    @example(0.985 + 0j)
+    @example(1j)
+    @example(-1 + 0j)
+    @settings(max_examples=300, deadline=None)
+    def test_duplication(self, w):
+        # Li2(w) + Li2(-w) = Li2(w^2)/2, also at |w| = 0.985, where the
+        # 800-term sum stops 3e-10 short
+        a, b = verify._li2(w), verify._li2(-w)
+        assert abs(a + b - verify._li2(w * w) / 2) <= 2e-15 * (abs(a) + abs(b))
 
 
 class TestLambdaCombination:
