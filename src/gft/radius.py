@@ -57,7 +57,10 @@ class RadiusResult(namedtuple("RadiusResult", "equation_id bracket root residual
 
 
 def bisect_root(fn: Callable[[float], float], lo: float, hi: float, equation_id: str) -> RadiusResult:
-    """Bisection on [lo, hi] to width BISECT_WIDTH; needs a strict sign change at the ends."""
+    """Bisection on [lo, hi] to width BISECT_WIDTH; needs a strict sign change at the ends.
+
+    A midpoint that rounds to an end (the float spacing there exceeds the width) fixes
+    the bracket, so the loop stops with the root that BISECT_MAX_ITER steps give."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
         return RadiusResult(equation_id, (lo, hi), lo, 0.0, 0)
@@ -72,6 +75,8 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float, equation_id:
     iterations = 0
     while b - a > BISECT_WIDTH and iterations < BISECT_MAX_ITER:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         fm = fn(mid)
         iterations += 1
         if fm == 0.0:

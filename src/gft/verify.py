@@ -132,9 +132,8 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
     if unread:
         raise ValueError(f"Schwarz sample kind {kind!r} reads no params key {', '.join(unread)}")
     if kind == "monomial":
-        m = params.get("m", 1)
-        if type(m) is not int or m < 1:  # an int: 2.5, "3" or True would build another power
-            raise ValueError(f"monomial exponent must be an int >= 1, got {m!r}")
+        if (m := _index(params.get("m", 1))) is None or m < 1:  # 2.5, "3" or True: another power
+            raise ValueError(f"monomial exponent must be an int >= 1, got {params['m']!r}")
         series = TruncatedSeries([0] * m + [1]).padded(max(SAMPLE_ORDER, m))
     elif kind == "mobius_eta":
         eta = params.get("eta", 0.5)
@@ -150,34 +149,51 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
         zeros = [r * cmath.exp(1j * t) for r, t in zip(radii, angles)]
         series = _blaschke_series(zeros, float(rng.uniform(0.5, 0.95)))
     else:
-        rng = np.random.default_rng(seed)
-        row = np.zeros(SAMPLE_ORDER + 1, dtype=complex)
-        row[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        sup = float(np.abs(np.polyval(row[8::-1], _boundary_circle())).max())
-        row *= 1.0 / (SCHWARZ_SAFETY * sup)
-        series = TruncatedSeries(row.tolist())
+        return _random_polys([seed])[0]
     return SchwarzSample(series, kind)
+
+
+def _random_polys(seeds: Sequence[int]) -> list[SchwarzSample]:
+    """The ``random_poly_normalized`` sample of each seed: a degree-8 polynomial with
+    standard complex normal coefficients, scaled to sup |w| = 1/SCHWARZ_SAFETY on the
+    boundary circle. The sups take ``np.polyval``'s steps on all rows at once."""
+    rows = np.zeros((len(seeds), SAMPLE_ORDER + 1), dtype=complex)
+    for row, seed in zip(rows, seeds):
+        rng = np.random.default_rng(seed)
+        row[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    values = np.zeros((len(seeds), BOUNDARY_GRID), dtype=complex)
+    for c in rows[:, 8::-1].T:  # y = y x + p over each row[8::-1], from zeros
+        values *= _boundary_circle()
+        values += c[:, None]
+    return [SchwarzSample(TruncatedSeries((row * (1.0 / (SCHWARZ_SAFETY * sup))).tolist()),
+                          "random_poly_normalized")
+            for row, sup in zip(rows, np.abs(values).max(axis=1).tolist())]
+
+
+@functools.cache
+def _witnesses() -> tuple[SchwarzSample, ...]:
+    """z..z^4 and the Moebius maps at eta = 0, 1/4, 1/2, 3/4, 1: the seed-free head of
+    every suite, built once (a sample is immutable)."""
+    return (*(sample_schwarz("monomial", {"m": m}) for m in (1, 2, 3, 4)),
+            *(sample_schwarz("mobius_eta", {"eta": eta}) for eta in (0.0, 0.25, 0.5, 0.75, 1.0)))
 
 
 def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
     """A deterministic mix of sample kinds, extremal witnesses first.
 
+    After the :func:`_witnesses`, sample i of seed + i is a scaled Blaschke product
+    when i % 3 == 2, else a random polynomial (normalised in one pass for all i).
     Moebius eta = 0 and eta = 1 reproduce the monomials z^2 and z; they stay
     because the benchmark's 24-sample membership digests pin this list.
     """
-    if count < 1:
+    if (n := _index(count)) is None:
+        raise ValueError(f"sample count must be an int, got {count!r}")
+    if n < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
-    samples: list[SchwarzSample] = []
-    for m in (1, 2, 3, 4):
-        samples.append(sample_schwarz("monomial", {"m": m}))
-    for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        samples.append(sample_schwarz("mobius_eta", {"eta": eta}))
-    i = 0
-    while len(samples) < count:
-        kind = "scaled_blaschke" if i % 3 == 2 else "random_poly_normalized"
-        samples.append(sample_schwarz(kind, None, seed=seed + i))
-        i += 1
-    return samples[:count]
+    extra = range(n - len(_witnesses()))  # empty below ten samples
+    polys = iter(_random_polys([seed + i for i in extra if i % 3 != 2]))
+    return list(_witnesses()[:n]) + [sample_schwarz("scaled_blaschke", None, seed=seed + i)
+                                     if i % 3 == 2 else next(polys) for i in extra]
 
 
 # -- structural evaluation ----------------------------------------------------------
@@ -201,17 +217,24 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return np.multiply.accumulate(out, axis=-1, out=out)
 
 
-def _log_ratio_integral(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+@functools.cache
+def _node_powers(n: int) -> np.ndarray:
+    """s_j^k for k < n by rows, one column per Gauss-Legendre node (read-only)."""
+    table = _gauss_legendre()[0] ** np.arange(n)[:, None]
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _log_ratio_integral(coeffs: np.ndarray, z_powers: np.ndarray) -> np.ndarray:
     """integral_0^z -log(1 + w(t))/t dt by 64-point Gauss-Legendre quadrature.
 
     w has the coefficient rows ``coeffs`` (..., N+1), broadcast against the
-    points ``z``. In s the integrand is -log(1 + w(s z))/s, with
-    w(s z) = sum_k (c_k z^k) s^k at all (point, node) pairs one product with
-    the node powers s_j^k, k <= N; log(1 + w) is log|1 + w| + i arg(1 + w).
+    powers z^0..z^N of the points, ``_powers(z, N)``. In s the integrand is
+    -log(1 + w(s z))/s, with w(s z) = sum_k (c_k z^k) s^k at all (point, node)
+    pairs one product with the node powers; log(1 + w) is log|1 + w| + i arg(1 + w).
     """
     s, weights = _gauss_legendre()
-    n = coeffs.shape[-1]
-    u = (coeffs * _powers(z, n - 1)) @ s ** np.arange(n)[:, None]
+    u = (coeffs * z_powers) @ _node_powers(coeffs.shape[-1])
     u += 1
     # -log(u)/s in place of u: u / -s rounds as -u / s does
     log_abs = np.log(np.abs(u))
@@ -223,8 +246,8 @@ def _log_ratio_integral(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def structural_eval(omega: SchwarzSample, z):
     """f(z) = z exp(integral (q-1)/t dt) with q = 1 - log(1 + omega)."""
-    za = np.asarray(z, dtype=complex)
-    return _like(z, za * np.exp(_log_ratio_integral(np.asarray(omega.series.coeffs, complex), za)))
+    za, c = np.asarray(z, dtype=complex), np.asarray(omega.series.coeffs, complex)
+    return _like(z, za * np.exp(_log_ratio_integral(c, _powers(za, c.size - 1))))
 
 
 def structural_deriv(omega: SchwarzSample, z):
@@ -240,8 +263,8 @@ def structural_deriv(omega: SchwarzSample, z):
 
 def structural_deriv_convex(omega: SchwarzSample, z):
     """f'(z) = exp(integral (q-1)/t dt): derivative of the convex-side member."""
-    za = np.asarray(z, dtype=complex)
-    return _like(z, np.exp(_log_ratio_integral(np.asarray(omega.series.coeffs, complex), za)))
+    za, c = np.asarray(z, dtype=complex), np.asarray(omega.series.coeffs, complex)
+    return _like(z, np.exp(_log_ratio_integral(c, _powers(za, c.size - 1))))
 
 
 # -- Caratheodory parameterization -------------------------------------------------
@@ -323,13 +346,20 @@ def polar_grid(top: float, density: int):
     return t, rho, phi, rho * np.exp(1j * phi)
 
 
-def _as_int(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``: an ``np.int64`` passes, a bool or 40.0 does not."""
+def _index(value) -> int | None:
+    """``value`` as an int, or None: an ``np.int64`` passes, a bool, 40.0 or "3" does not."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if operator.index(value) < least:
-        raise ValueError(f"{name} must be at least {least}")
+        return None
     return operator.index(value)
+
+
+def _as_int(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``, by :func:`_index`."""
+    if (n := _index(value)) is None:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return n
 
 
 def check_density(density: int) -> int:
@@ -550,13 +580,16 @@ def _class_coefficients(omega: np.ndarray, phi, h, d) -> list[np.ndarray]:
     of that route.
     """
     order = omega.shape[1] - 1
+    lags = np.arange(order)
+    shifted = omega[:, np.maximum(lags - lags[:, None] + 1, 0)]  # w_{n-j} at (j, n - 1)
     q = np.zeros_like(omega)
     q[:, 0] = phi[order]
     for c in reversed(phi[:order]):
         # coefficient n of q * omega is sum_{j<n} q_j w_{n-j}, in order of j
-        acc = _cmul(q[:, :1], omega[:, 1:])
+        products = _cmul(q[:, :order, None], shifted)
+        acc = products[:, 0]
         for j in range(1, order):
-            acc[:, j:] += _cmul(q[:, j : j + 1], omega[:, 1 : order + 1 - j])
+            acc[:, j:] += products[:, j, j:]
         q[:, 0], q[:, 1:] = c, acc
     a = [np.ones((len(omega), np.size(d[0])), dtype=complex)]
     for n in range(2, order + 2):
@@ -604,10 +637,22 @@ _GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
 
 
 @functools.cache
-def _growth_reference() -> tuple[tuple[float, float], ...]:
-    """(t(r), -t(-r)) per membership radius, t the order-200 structural function."""
-    psi = make_spec("psi")  # order 200 controls the r=0.9 tail
-    return tuple(growth_envelope_starlike(psi, r) for r in _MEMBERSHIP_RADII)
+def _membership_tables() -> tuple[np.ndarray, ...]:
+    """The suite's constants, built once and read-only, one row per radius: the
+    growth points, the envelope points' powers z^k as a (k, point) matrix, z^k at
+    the growth points, and the Re lo, Re hi and |Im| bounds and the growth bounds
+    t(r) and -t(-r), t the structural function to order 200 (for the r = 0.9 tail)."""
+    z_env = np.array(_MEMBERSHIP_RADII)[:, None] * _circle(_MEMBERSHIP_ANGLES)
+    z_growth = z_env[:, ::_GROWTH_STRIDE]
+    envs = [re_im_envelope(r) for r in _MEMBERSHIP_RADII]
+    growth = [growth_envelope_starlike(make_spec("psi"), r) for r in _MEMBERSHIP_RADII]
+    tables = (z_growth, _powers(z_env, SAMPLE_ORDER).reshape(-1, SAMPLE_ORDER + 1).T,
+              _powers(z_growth, SAMPLE_ORDER),
+              *(np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")),
+              *np.array(growth).T[:, :, None])
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
 
 
 _COEFF_KEYS = ("a2", "a3", "fekete_t1", "a4", "a2a3_a4", "a5", "h2_general", "h3")
@@ -638,40 +683,28 @@ def verify_class_membership_bounds(
     each alpha against the closed-form table, with the second Hankel
     functional compared against the general three-case bound.
 
-    The samples' coefficients are stacked as rows and checked in blocks of
-    rows: w at the envelope points is one product with the points' powers,
-    and a block's growth quadrature holds at most ``SLAB_POINTS`` (point,
-    node) pairs. Only the violation list is built sample by sample.
+    The samples' coefficients are stacked as rows: w at the envelope points is
+    one product of all rows with the points' powers, and the growth quadrature
+    runs in blocks of at most ``SLAB_POINTS`` (point, node) pairs. Margins are
+    reduced over all rows at once; only the violation list is built per sample.
     """
     samples = sample_suite(sample_count, seed=seed)
     coeffs = np.array([omega.series.coeffs for omega in samples], dtype=complex)
-    # one row per radius: envelope points, growth points and their bounds
-    radii = np.array(_MEMBERSHIP_RADII)[:, None]
-    z_env = radii * _circle(_MEMBERSHIP_ANGLES)
-    z_growth = z_env[:, ::_GROWTH_STRIDE]
-    env_powers = _powers(z_env, coeffs.shape[1] - 1).reshape(-1, coeffs.shape[1]).T
-    envs = [re_im_envelope(r) for r in _MEMBERSHIP_RADII]
-    re_lo_env, re_hi_env, im_env = (
-        np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")
-    )
-    growth_lo, growth_hi = np.array(_growth_reference()).T[:, :, None]
-    worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
-    env_bad, growth_bad = [], []  # failing points per (sample, radius)
+    (z_growth, env_powers, growth_powers,
+     re_lo_env, re_hi_env, im_env, growth_lo, growth_hi) = _membership_tables()
+    ratio = 1 - np.log(1 + (coeffs @ env_powers).reshape(len(samples), len(_MEMBERSHIP_RADII), -1))
+    re_lo = ratio.real - re_lo_env
+    re_hi = re_hi_env - ratio.real
+    im = im_env - np.abs(ratio.imag)
+    fv = np.empty((len(samples),) + z_growth.shape)
     block = max(1, SLAB_POINTS // (z_growth.size * _gauss_legendre()[0].size))
     for lo in range(0, len(samples), block):
-        rows = coeffs[lo : lo + block]
-        ratio = 1 - np.log(1 + (rows @ env_powers).reshape((-1,) + z_env.shape))
-        re_lo = ratio.real - re_lo_env
-        re_hi = re_hi_env - ratio.real
-        im = im_env - np.abs(ratio.imag)
-        fv = np.abs(z_growth * np.exp(_log_ratio_integral(rows[:, None, None, :], z_growth)))
-        g_lo = fv - growth_lo
-        g_hi = growth_hi - fv
-        for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
-                            ("g_lo", g_lo), ("g_hi", g_hi)):
-            worst[key] = min(worst[key], float(margin.min()))
-        env_bad.extend((np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=-1))
-        growth_bad.extend((np.minimum(g_lo, g_hi) < -tol).sum(axis=-1))
+        exponent = _log_ratio_integral(coeffs[lo : lo + block, None, None, :], growth_powers)
+        fv[lo : lo + block] = np.abs(z_growth * np.exp(exponent))
+    g_lo = fv - growth_lo
+    g_hi = growth_hi - fv
+    env_bad = (np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=-1)  # per (sample, r)
+    growth_bad = (np.minimum(g_lo, g_hi) < -tol).sum(axis=-1)
 
     tables = [_bound_row(alpha) for alpha in alphas]  # the bounds per (alpha, key)
     psi = make_spec("psi").series(4, exact=False).coeffs
@@ -701,13 +734,13 @@ def verify_class_membership_bounds(
         )
 
     return MembershipReport(
-        samples=sample_count,
+        samples=len(samples),
         seed=seed,
-        worst_re_lo=worst["re_lo"],
-        worst_re_hi=worst["re_hi"],
-        worst_im=worst["im"],
-        worst_growth_lo=worst["g_lo"],
-        worst_growth_hi=worst["g_hi"],
+        worst_re_lo=float(re_lo.min()),
+        worst_re_hi=float(re_hi.min()),
+        worst_im=float(im.min()),
+        worst_growth_lo=float(g_lo.min()),
+        worst_growth_hi=float(g_hi.min()),
         coeff_margins=dict(zip(checks, margins.min(axis=0).tolist())),
         violations=violations,
     )
@@ -1045,8 +1078,9 @@ def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dic
     ``series-build`` digest reads it.
     """
     for name, value in (("m", m), ("n", n), ("order", order)):
-        if type(value) is not int or value < 1:  # 2.5 or True would index another power
+        if (k := _index(value)) is None or k < 1:  # 2.5 or True would index another power
             raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    m, n, order = map(operator.index, (m, n, order))
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
     coeffs = [0.0] * (order + 1)

@@ -11,6 +11,8 @@ from gft.extremal import t_series
 from gft.radius import (
     ALPHA_MAX,
     ALPHA_PARABOLIC,
+    BISECT_MAX_ITER,
+    BISECT_WIDTH,
     C0_SQRT,
     CURVE_IDS,
     bisect_root,
@@ -126,6 +128,52 @@ class TestRootRadii:
     def test_bisect_requires_sign_change(self):
         with pytest.raises(ValueError):
             bisect_root(lambda r: 1.0, 0.0, 1.0, "flat")
+
+    @pytest.mark.parametrize("root, lo, hi", [
+        (1e6 + 0.3, 0.0, 2e6), (1e6 - 1 / 3, 3.0, 1.5e6), (100.0 + math.pi / 10, 0.0, 200.0),
+        (1e8 * math.e, -1.0, 1e9),
+    ])
+    def test_bisect_stops_once_the_bracket_stops_shrinking(self, root, lo, hi):
+        # the float spacing at these roots exceeds BISECT_WIDTH, so the
+        # midpoint rounds to an end long before the loop's cap; fn is never
+        # 0, so the loop would not stop on a zero either
+        def fn(r):
+            return math.copysign(1.0 + abs(r - root), r - root)
+
+        res = bisect_root(fn, lo, hi, "far")
+        assert res.iterations < 80
+        assert (res.root, res.residual) == _bisect_max_iter(fn, lo, hi)
+        assert abs(res.root - root) <= 2 * math.ulp(root)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bisect_root_equals_the_capped_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        root, scale = rng.uniform(0.0, 1.0), 10.0 ** rng.integers(-2, 9)
+
+        def fn(r):
+            return math.copysign(1.0 + abs(r - root * scale), r - root * scale)
+
+        res = bisect_root(fn, -scale, 2 * scale, "random")
+        assert (res.root, res.residual) == _bisect_max_iter(fn, -scale, 2 * scale)
+
+
+def _bisect_max_iter(fn, lo, hi):
+    """(root, residual) of the bisection loop that runs on to BISECT_MAX_ITER steps."""
+    a, b, fa = lo, hi, fn(lo)
+    for _ in range(BISECT_MAX_ITER):
+        if b - a <= BISECT_WIDTH:
+            break
+        mid = 0.5 * (a + b)
+        fm = fn(mid)
+        if fm == 0.0:
+            a = b = mid
+            break
+        if fa * fm < 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    root = 0.5 * (a + b)
+    return root, abs(fn(root))
 
 
 class TestMonotonicity:

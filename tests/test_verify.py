@@ -163,6 +163,17 @@ class TestSampleSchwarz:
         with pytest.raises(ValueError, match="monomial exponent must be an int >= 1"):
             sample_schwarz("monomial", {"m": m})
 
+    @pytest.mark.parametrize("m", [np.int64(2), np.int32(3), np.uint8(1)])
+    def test_monomial_exponent_accepts_numpy_ints(self, m):
+        got = sample_schwarz("monomial", {"m": m}).series.coeffs
+        assert got == sample_schwarz("monomial", {"m": int(m)}).series.coeffs
+        assert type(got) is tuple and len(got) == verify.SAMPLE_ORDER + 1
+
+    @pytest.mark.parametrize("m", [np.int64(0), np.int64(-2), np.bool_(True)])
+    def test_monomial_exponent_rejects_non_positive_numpy_values(self, m):
+        with pytest.raises(ValueError, match="monomial exponent must be an int >= 1"):
+            sample_schwarz("monomial", {"m": m})
+
     # float() would read "0.5" as 1/2 and True as 1, which builds z
     @pytest.mark.parametrize("eta", ["0.5", True, False, None, 0.5j, [0.5], -0.25, 1.5,
                                      math.nan, math.inf])
@@ -532,7 +543,7 @@ def _ref_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
     re_lo_env, re_hi_env, im_env = (
         np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")
     )
-    growth_lo, growth_hi = np.array(verify._growth_reference()).T[:, :, None]
+    growth_lo, growth_hi = verify._membership_tables()[-2:]
     psi4 = make_spec("psi").series(4, exact=False)
     worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
     tables = {}
@@ -643,6 +654,170 @@ def test_stacked_membership_violations_equal_per_sample_loop():
     _assert_membership_equal(got, ref)
 
 
+# -- the block loop that the whole-suite passes replaced ------------------------------
+# The suite built one sample_schwarz call at a time, each random polynomial
+# normalised by its own np.polyval; then the envelope and growth margins of
+# each block of rows computed and reduced block by block, with the point and
+# node powers rebuilt on every call.
+
+
+def _polyval_poly(seed):
+    rng = np.random.default_rng(seed)
+    row = np.zeros(verify.SAMPLE_ORDER + 1, dtype=complex)
+    row[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    sup = float(np.abs(np.polyval(row[8::-1], verify._boundary_circle())).max())
+    row *= 1.0 / (verify.SCHWARZ_SAFETY * sup)
+    return SchwarzSample(TruncatedSeries(row.tolist()), "random_poly_normalized")
+
+
+def _polyval_suite(count, seed):
+    samples = [sample_schwarz("monomial", {"m": m}) for m in (1, 2, 3, 4)]
+    samples += [sample_schwarz("mobius_eta", {"eta": eta}) for eta in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    i = 0
+    while len(samples) < count:
+        if i % 3 == 2:
+            samples.append(sample_schwarz("scaled_blaschke", None, seed=seed + i))
+        else:
+            samples.append(_polyval_poly(seed + i))
+        i += 1
+    return samples[:count]
+
+
+def _block_log_ratio_integral(coeffs, z):
+    s, weights = verify._gauss_legendre()
+    n = coeffs.shape[-1]
+    u = (coeffs * verify._powers(z, n - 1)) @ s ** np.arange(n)[:, None]
+    u += 1
+    log_abs = np.log(np.abs(u))
+    u.imag = np.angle(u)
+    u.real = log_abs
+    u /= -s
+    return 0.5 * (u @ weights)
+
+
+def _block_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
+    samples = _polyval_suite(sample_count, seed)
+    coeffs = np.array([omega.series.coeffs for omega in samples], dtype=complex)
+    radii = np.array(verify._MEMBERSHIP_RADII)[:, None]
+    z_env = radii * verify._circle(verify._MEMBERSHIP_ANGLES)
+    z_growth = z_env[:, :: verify._GROWTH_STRIDE]
+    env_powers = verify._powers(z_env, coeffs.shape[1] - 1).reshape(-1, coeffs.shape[1]).T
+    envs = [verify.re_im_envelope(r) for r in verify._MEMBERSHIP_RADII]
+    re_lo_env, re_hi_env, im_env = (
+        np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")
+    )
+    growth_lo, growth_hi = verify._membership_tables()[-2:]
+    worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
+    env_bad, growth_bad = [], []
+    block = max(1, verify.SLAB_POINTS // (z_growth.size * _GL_S.size))
+    for lo in range(0, len(samples), block):
+        rows = coeffs[lo : lo + block]
+        ratio = 1 - np.log(1 + (rows @ env_powers).reshape((-1,) + z_env.shape))
+        re_lo = ratio.real - re_lo_env
+        re_hi = re_hi_env - ratio.real
+        im = im_env - np.abs(ratio.imag)
+        fv = np.abs(z_growth * np.exp(_block_log_ratio_integral(rows[:, None, None, :], z_growth)))
+        g_lo = fv - growth_lo
+        g_hi = growth_hi - fv
+        for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
+                            ("g_lo", g_lo), ("g_hi", g_hi)):
+            worst[key] = min(worst[key], float(margin.min()))
+        env_bad.extend((np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=-1))
+        growth_bad.extend((np.minimum(g_lo, g_hi) < -tol).sum(axis=-1))
+
+    tables = [verify._bound_row(alpha) for alpha in alphas]
+    psi = make_spec("psi").series(4, exact=False).coeffs
+    h = [1 + k * np.array(alphas, dtype=float) for k in range(5)]
+    cmul = verify._cmul
+    a2, a3, a4, a5 = verify._class_coefficients(
+        coeffs[:, :5], psi, h[:4], [k * h[k] for k in range(1, 5)])
+    a2_sq, a2_a3 = cmul(a2, a2), cmul(a2, a3)
+    hankel = cmul(a2, a4) - cmul(a3, a3)
+    h3 = cmul(a3, hankel) - cmul(a4, a4 - a2_a3) + cmul(a5, a3 - a2_sq)
+    values = np.stack((a2, a3, a3 - a2_sq, a4, a2_a3 - a4, a5, hankel, h3), axis=-1)
+    margins = (np.array(tables) - np.hypot(values.real, values.imag)).reshape(len(samples), -1)
+    checks = [f"{key}@alpha={alpha}" for alpha in alphas for key in verify._COEFF_KEYS]
+    coeff_bad = [[] for _ in samples]
+    for idx, c in zip(*np.nonzero(margins < -tol)):
+        coeff_bad[idx].append(checks[c])
+    violations = []
+    for idx, omega in enumerate(samples):
+        wheres = []
+        for r, n_env, n_growth in zip(verify._MEMBERSHIP_RADII, env_bad[idx], growth_bad[idx]):
+            wheres += [f"envelope r={r}"] * n_env + [f"growth r={r}"] * n_growth
+        violations.extend(
+            {"sample": idx, "kind": omega.kind, "where": where} for where in wheres + coeff_bad[idx]
+        )
+    return verify.MembershipReport(
+        samples=sample_count,
+        seed=seed,
+        worst_re_lo=worst["re_lo"],
+        worst_re_hi=worst["re_hi"],
+        worst_im=worst["im"],
+        worst_growth_lo=worst["g_lo"],
+        worst_growth_hi=worst["g_hi"],
+        coeff_margins=dict(zip(checks, margins.min(axis=0).tolist())),
+        violations=violations,
+    ).as_dict()
+
+
+@pytest.mark.parametrize("seed", range(1000, 1048))  # the benchmark's membership pool
+def test_membership_equals_the_block_loop_on_the_pool_seeds(seed):
+    assert verify_class_membership_bounds(24, seed=seed).as_dict() == _block_membership(24, seed)
+
+
+# blocks held 5 samples; a last block of one row took another matrix product path
+@pytest.mark.parametrize("count", [1, 4, 5, 8, 9, 10, 11, 24, 200])
+def test_membership_equals_the_block_loop_at_counts(count):
+    assert verify_class_membership_bounds(count, seed=42).as_dict() == _block_membership(count, 42)
+
+
+def test_membership_violations_equal_the_block_loop():
+    got = verify_class_membership_bounds(24, seed=1000, tol=-0.5).as_dict()
+    ref = _block_membership(24, 1000, tol=-0.5)
+    assert len(ref["violations"]) > 500
+    assert got == ref
+
+
+@pytest.mark.parametrize("seed", range(0, 640, 10))
+def test_suite_samples_equal_per_sample_polyval(seed):
+    got, ref = sample_suite(40, seed=seed), _polyval_suite(40, seed)
+    assert [omega.kind for omega in got] == [omega.kind for omega in ref]
+    assert [omega.series.coeffs for omega in got] == [omega.series.coeffs for omega in ref]
+    one = sample_schwarz("random_poly_normalized", seed=seed)
+    assert one.series.coeffs == _polyval_poly(seed).series.coeffs
+
+
+def test_witnesses_and_tables_are_built_once_and_read_only(monkeypatch):
+    built = []
+    real_sample, real_envelope = verify.sample_schwarz, verify.re_im_envelope
+    monkeypatch.setattr(verify, "sample_schwarz",
+                        lambda kind, *args, **kwargs: built.append(kind) or real_sample(kind, *args, **kwargs))
+    monkeypatch.setattr(verify, "re_im_envelope", lambda r: built.append(r) or real_envelope(r))
+    for cached in (verify._witnesses, verify._membership_tables, verify._node_powers):
+        cached.cache_clear()
+    for _ in range(2):
+        verify_class_membership_bounds(9, seed=3)
+    assert built == ["monomial"] * 4 + ["mobius_eta"] * 5 + list(verify._MEMBERSHIP_RADII)
+
+    witnesses = verify._witnesses()
+    assert all(a is b for a, b in zip(sample_suite(24, seed=5), witnesses))
+    assert [omega.kind for omega in witnesses] == ["monomial"] * 4 + ["mobius_eta"] * 5
+    with pytest.raises(AttributeError):
+        witnesses[0].kind = "zero"
+    with pytest.raises(AttributeError):
+        witnesses[0].series.coeffs = (0.0,)
+    tables = verify._membership_tables()
+    assert tables is verify._membership_tables()
+    for table in tables + (verify._node_powers(verify.SAMPLE_ORDER + 1),):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[..., 0] = 0
+    nodes = verify._node_powers(verify.SAMPLE_ORDER + 1)
+    assert nodes is verify._node_powers(verify.SAMPLE_ORDER + 1)
+    assert nodes.tobytes() == (_GL_S ** np.arange(verify.SAMPLE_ORDER + 1)[:, None]).tobytes()
+
+
 def test_bound_row_is_cached_per_alpha(monkeypatch):
     built = []
     real = verify.sl_bound_table
@@ -666,6 +841,24 @@ def test_membership_sample_count_below_one_rejected(count):
         sample_suite(count)
     with pytest.raises(ValueError):
         verify_class_membership_bounds(count)
+
+
+# 2.5 failed in a slice with a TypeError, and True ran one sample
+@pytest.mark.parametrize("count", [2.5, 24.0, True, False, "24", None])
+def test_membership_sample_count_must_be_an_int(count):
+    message = re.escape(f"sample count must be an int, got {count!r}")
+    with pytest.raises(ValueError, match=message):
+        sample_suite(count)
+    with pytest.raises(ValueError, match=message):
+        verify_class_membership_bounds(count)
+
+
+def test_membership_sample_count_reported_as_an_int():
+    rep = verify_class_membership_bounds(np.int64(24), seed=1000)
+    assert type(rep.samples) is int
+    assert repr(rep.as_dict()) == repr(verify_class_membership_bounds(24, seed=1000).as_dict())
+    assert [s.series.coeffs for s in sample_suite(np.int32(12), seed=3)] == [
+        s.series.coeffs for s in sample_suite(12, seed=3)]
 
 
 def _coeffs_reference(params, coeffs, p1, p2, p3):
@@ -1619,6 +1812,16 @@ class TestLambdaCombination:
     def test_rejects_non_int_or_non_positive_m_n_order(self, m, n, order, name):
         with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
             lambda_combination_check(0.5, m, n, order=order)
+
+    def test_numpy_ints_accepted_and_reported_as_ints(self):
+        got = lambda_combination_check(0.5, np.int64(2), np.int32(1), order=np.int64(24))
+        ref = lambda_combination_check(0.5, 2, 1, order=24)
+        assert type(got["m"]) is int and type(got["n"]) is int
+        assert repr(got) == repr(ref)
+
+    def test_numpy_int_zero_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("m must be an int >= 1, got np.int64(0)")):
+            lambda_combination_check(0.5, np.int64(0), 1)
 
 
 class TestConjecture:
