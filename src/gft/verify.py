@@ -132,7 +132,7 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
     if unread:
         raise ValueError(f"Schwarz sample kind {kind!r} reads no params key {', '.join(unread)}")
     if kind == "monomial":
-        if (m := _index(params.get("m", 1))) is None or m < 1:  # 2.5, "3" or True: another power
+        if (m := _index(params.get("m", 1))) is None or m < 1:  # 2.5, "3" or True would build another power
             raise ValueError(f"monomial exponent must be an int >= 1, got {params['m']!r}")
         series = TruncatedSeries([0] * m + [1]).padded(max(SAMPLE_ORDER, m))
     elif kind == "mobius_eta":
@@ -181,8 +181,8 @@ def _witnesses() -> tuple[SchwarzSample, ...]:
 def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
     """A deterministic mix of sample kinds, extremal witnesses first.
 
-    After the :func:`_witnesses`, sample i of seed + i is a scaled Blaschke product
-    when i % 3 == 2, else a random polynomial (normalised in one pass for all i).
+    After the :func:`_witnesses`, the i-th further sample, drawn from seed + i, is a
+    scaled Blaschke product when i % 3 == 2, else a random polynomial (one pass for all).
     Moebius eta = 0 and eta = 1 reproduce the monomials z^2 and z; they stay
     because the benchmark's 24-sample membership digests pin this list.
     """
