@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import MaMindaSpec, make_spec
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _index
 
 __all__ = [
     "ExtremalFunction",
@@ -170,15 +170,15 @@ def growth_constant(terms: int = 1000) -> float:
     """Limit of sum_{k>=1} (-1)^(k+1)/k^2, summed with consecutive-term pairing.
 
     This is the logarithmic growth constant of the boundary envelope for the
-    logarithmic generator; the exact value is pi^2/12.
+    logarithmic generator; the exact value is pi^2/12. ``terms`` is an int >= 1.
     """
-    if terms < 1:  # else the odd tail below adds 1/terms^2 to an empty sum
+    if (n := _index(terms)) is None:  # 2.5 or True would pair another number of terms
+        raise ValueError(f"terms must be an int, got {terms!r}")
+    if n < 1:  # else the odd tail below adds 1/n^2 to an empty sum
         raise ValueError(f"terms must be at least 1, got {terms!r}")
     total = 0.0
-    j = 1
-    while 2 * j <= terms:
+    for j in range(1, n // 2 + 1):
         total += 1.0 / (2 * j - 1) ** 2 - 1.0 / (2 * j) ** 2
-        j += 1
-    if terms % 2 == 1:
-        total += 1.0 / terms**2
+    if n % 2 == 1:
+        total += 1.0 / n**2
     return total

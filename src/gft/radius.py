@@ -60,13 +60,14 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float, equation_id:
     """Bisection on [lo, hi] to width BISECT_WIDTH; needs a strict sign change at the ends.
 
     A midpoint that rounds to an end (the float spacing there exceeds the width) fixes
-    the bracket, so the loop stops with the root that BISECT_MAX_ITER steps give."""
+    the bracket, so the loop stops with the root that BISECT_MAX_ITER steps give. A sign
+    test reads the values' own signs only where their product underflows to 0."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
         return RadiusResult(equation_id, (lo, hi), lo, 0.0, 0)
     if f_hi == 0.0:
         return RadiusResult(equation_id, (lo, hi), hi, 0.0, 0)
-    if f_lo * f_hi > 0:
+    if (p := f_lo * f_hi) > 0.0 or p == 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
         raise ValueError(
             f"no sign change for {equation_id} on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
         )
@@ -82,7 +83,8 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float, equation_id:
         if fm == 0.0:
             a = b = mid
             break
-        if fa * fm < 0:
+        # float zeros keep these compares on CPython's float-float fast path
+        if (p := fa * fm) < 0.0 or p == 0.0 and (fa < 0.0) != (fm < 0.0):
             b = mid
         else:
             a, fa = mid, fm

@@ -41,6 +41,13 @@ _OUTSIDE_DISK = (
 )
 
 
+def _index(value) -> int | None:
+    """``value`` as an int, or None: an ``np.int64`` passes, a bool, 40.0 or "3" does not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        return None
+    return operator.index(value)
+
+
 def _is_finite(c: Number) -> bool:
     # exact types first: an isinstance test against Fraction goes through ABCMeta
     kind = type(c)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +31,7 @@ from .catalog import make_spec
 # conjecture_check and t_series are re-exported
 from .extremal import conjecture_check, growth_envelope_starlike, t_series
 from .radius import bisect_root, re_im_envelope
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _index
 
 __all__ = [
     "SchwarzSample",
@@ -344,13 +343,6 @@ def polar_grid(top: float, density: int):
     rho = np.linspace(0.0, 1.0, density)[None, :, None]
     phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
     return t, rho, phi, rho * np.exp(1j * phi)
-
-
-def _index(value) -> int | None:
-    """``value`` as an int, or None: an ``np.int64`` passes, a bool, 40.0 or "3" does not."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        return None
-    return operator.index(value)
 
 
 def _as_int(value, name: str, least: int) -> int:
@@ -947,8 +939,9 @@ def bloch_class_envelope() -> dict:
     bounds (1-|z|^2)|q(z)| for the generator values q = z f'/f, but not
     (1-|z|^2)|f'(z)| itself: the structural extremal exceeds it (see
     :func:`bloch_seminorm_bound` for a valid envelope and the test-suite
-    witness).  The stationary radius and peak value are well-defined
-    constants of the stated envelope either way.
+    witness).  The stationary radius r0 is the root of the log-derivative's
+    numerator 1 - r + 2 r log(1-r) by :func:`bisect_root`, as for the valid
+    envelope; ``grid_argmax``, the best of 200,001 radii, is its grid oracle.
     """
     r0 = bisect_root(lambda r: 1 - r + 2 * r * math.log(1 - r), 0.2, 0.7, "bloch_r0").root
     value = (1 - r0 * r0) * (1 - math.log(1 - r0))
@@ -958,26 +951,27 @@ def bloch_class_envelope() -> dict:
     return {"r0": r0, "value": value, "grid_argmax": grid_argmax}
 
 
+def _seminorm_slope(r: float) -> float:
+    """L'(r) for L = log[(1-r^2)(1 - log(1-r)) exp Li2(r)], using Li2'(r) = -log(1-r)/r."""
+    log1 = math.log1p(-r)
+    return -2 * r / (1 - r * r) + 1 / ((1 - r) * (1 - log1)) - log1 / r
+
+
 def bloch_seminorm_bound() -> dict:
     """Valid class-wide envelope for (1-|z|^2)|f'(z)| and its maximum.
 
-    |f'(z)| = |f(z)/z| |q(z)| with the growth bound |f/z| <= exp(dilog(r))
+    |f'(z)| = |f(z)/z| |q(z)| with the growth bound |f/z| <= exp(Li2(r))
     and max |q| = 1 - log(1-r) on |z| = r, so the seminorm never exceeds
-    max_r (1-r^2)(1 - log(1-r)) exp(dilog(r)).  The structural extremal
+    max_r (1-r^2)(1 - log(1-r)) exp(Li2(r)).  The structural extremal
     attains the inner product at negative real z, so the bound is sharp.
+    L' = :func:`_seminorm_slope` falls through zero once on (0, 1), from
+    L'(1/2) = 1.23 to L'(0.9) = -3.89, so ``r_star`` is its root by
+    :func:`bisect_root` on [1/2, 0.9] and ``value`` the maximum there, from
+    one :func:`_li2` call.
     """
-    grid = np.linspace(0.0, 0.9999, 200001)
-    # dilog(r) = sum_k r^k / k^2 by 64 terms at s = min(r, 1 - r): s <= 1/2
-    # puts every term past s^64 below 2^-64 of the sum (200,001 scalar _li2
-    # calls would cost some 0.4 s); Euler's reflection
-    # dilog(r) = pi^2/6 - ln r ln(1 - r) - dilog(1 - r) covers r > 1/2
-    high = grid > 0.5
-    s = np.where(high, 1.0 - grid, grid)
-    dilog = np.polyval([(-1) ** k / k**2 for k in range(64, 0, -1)] + [0.0], -s)
-    dilog[high] = np.pi**2 / 6 - np.log(grid[high]) * np.log(s[high]) - dilog[high]
-    env = (1 - grid**2) * (1 - np.log1p(-grid)) * np.exp(dilog)
-    idx = int(np.argmax(env))
-    return {"r_star": float(grid[idx]), "value": float(env[idx])}
+    r = bisect_root(_seminorm_slope, 0.5, 0.9, "bloch_r_star").root
+    value = (1 - r * r) * (1 - math.log1p(-r)) * math.exp(_li2(complex(r)).real)
+    return {"r_star": r, "value": value}
 
 
 # -- further counterexamples and identities ----------------------------------------------
@@ -1080,18 +1074,13 @@ def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dic
     for name, value in (("m", m), ("n", n), ("order", order)):
         if (k := _index(value)) is None or k < 1:  # 2.5 or True would index another power
             raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-    m, n, order = map(operator.index, (m, n, order))
+    m, n, order = map(_index, (m, n, order))
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
     coeffs = [0.0] * (order + 1)
-    k = 1
-    while m * k <= order:
-        coeffs[m * k] += (1 - lam) / m * (-1) ** k / k**2
-        k += 1
-    k = 1
-    while n * k <= order:
-        coeffs[n * k] += lam / n * (-1) ** k / k**2
-        k += 1
+    for p, weight in ((m, 1 - lam), (n, lam)):
+        for k in range(1, order // p + 1):
+            coeffs[p * k] += weight / p * (-1) ** k / k**2
     alpha_series = TruncatedSeries(coeffs)
     u = alpha_series.exp(order)
     g = u.padded(order - 1).shifted(1)

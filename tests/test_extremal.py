@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gft import CATALOG_NAMES, extremal
@@ -279,3 +281,13 @@ class TestGrowthConstant:
 
     def test_against_closed_form(self):
         assert abs(growth_constant(1000) - math.pi**2 / 12) < 1e-6
+
+    # 2.5 used to pair two terms and add 1/2.5^2 (0.75); True summed one term (1.0)
+    @pytest.mark.parametrize("terms", [2.5, True, "3", 1000.0, None])
+    def test_rejects_non_int_terms(self, terms):
+        with pytest.raises(ValueError, match=re.escape(f"terms must be an int, got {terms!r}")):
+            growth_constant(terms)
+
+    def test_numpy_int_terms_accepted(self):
+        assert growth_constant(np.int64(1000)) == growth_constant(1000)
+        assert growth_constant(np.int32(7)) == growth_constant(7)

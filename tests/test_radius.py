@@ -129,6 +129,17 @@ class TestRootRadii:
         with pytest.raises(ValueError):
             bisect_root(lambda r: 1.0, 0.0, 1.0, "flat")
 
+    def test_bisect_finds_a_root_of_a_tiny_function(self):
+        # fa * fm underflows to 0 where |f| < 1e-154, so the signs decide there
+        res = bisect_root(lambda r: (r - 0.3) * 1e-200, 0.0, 1.0, "tiny")
+        ref = bisect_root(lambda r: r - 0.3, 0.0, 1.0, "unit")
+        assert (res.root, res.iterations) == (ref.root, ref.iterations)
+        assert abs(res.root - 0.3) <= 1e-14
+
+    def test_bisect_rejects_a_tiny_function_without_a_sign_change(self):
+        with pytest.raises(ValueError, match="no sign change"):
+            bisect_root(lambda r: 1e-200 * (r + 1), 0.0, 1.0, "tiny")
+
     @pytest.mark.parametrize("root, lo, hi", [
         (1e6 + 0.3, 0.0, 2e6), (1e6 - 1 / 3, 3.0, 1.5e6), (100.0 + math.pi / 10, 0.0, 200.0),
         (1e8 * math.e, -1.0, 1e9),

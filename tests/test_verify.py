@@ -1581,6 +1581,55 @@ class TestBloch:
         est = bloch_norm_estimate(omega, grid_size=np.int64(16), radial_count=np.int32(8))
         assert est == bloch_norm_estimate(omega, grid_size=16, radial_count=8)
 
+    def test_seminorm_bound_is_attained_by_the_structural_extremal(self):
+        # an independent route: the identity-map member's damped |f'| by
+        # quadrature at z = -r_star, where it meets the envelope
+        bound = bloch_seminorm_bound()
+        r = bound["r_star"]
+        omega = sample_schwarz("monomial", {"m": 1})
+        attained = (1 - r * r) * abs(complex(structural_deriv(omega, np.array([-r]))[0]))
+        assert _rel_close(bound["value"], attained, 1e-13)
+
+    def test_seminorm_bound_is_at_least_the_grid_maximum(self):
+        # the bisection finds the maximum the 200,001-point grid stops short of
+        bound, (grid_r, grid_value) = bloch_seminorm_bound(), _grid_seminorm_bound()
+        assert bound["value"] >= grid_value
+        assert _rel_close(bound["value"], grid_value, 1e-11)
+        assert abs(bound["r_star"] - grid_r) <= 5.0e-6
+
+    def test_seminorm_slope_changes_sign_once(self):
+        # so [1/2, 0.9] holds the only stationary point, and it is the maximum
+        slopes = np.array([verify._seminorm_slope(r) for r in np.linspace(1e-6, 0.9999, 100001).tolist()])
+        assert np.count_nonzero(np.diff(np.sign(slopes))) == 1
+        assert slopes[0] > 0 > slopes[-1]
+        assert verify._seminorm_slope(0.5) > 0 > verify._seminorm_slope(0.9)
+
+    @pytest.mark.parametrize("r", [0.1, 0.45, 0.7596, 0.9, 0.99])
+    def test_seminorm_slope_is_the_log_derivative(self, r):
+        def log_envelope(t):
+            return math.log((1 - t * t) * (1 - math.log1p(-t))) + verify._li2(complex(t)).real
+
+        h = 1e-6 * (1 - r)
+        central = (log_envelope(r + h) - log_envelope(r - h)) / (2 * h)
+        assert abs(verify._seminorm_slope(r) - central) <= 1e-6 * max(1.0, abs(central))
+
+
+def _grid_seminorm_bound():
+    """(r, value) at the best of 200,001 radii, each Li2 by a 64-term series.
+
+    The earlier body of bloch_seminorm_bound: dilog(r) = sum_k r^k / k^2 by 64
+    terms at s = min(r, 1 - r), with Euler's reflection
+    dilog(r) = pi^2/6 - ln r ln(1 - r) - dilog(1 - r) for r > 1/2.
+    """
+    grid = np.linspace(0.0, 0.9999, 200001)
+    high = grid > 0.5
+    s = np.where(high, 1.0 - grid, grid)
+    dilog = np.polyval([(-1) ** k / k**2 for k in range(64, 0, -1)] + [0.0], -s)
+    dilog[high] = np.pi**2 / 6 - np.log(grid[high]) * np.log(s[high]) - dilog[high]
+    env = (1 - grid**2) * (1 - np.log1p(-grid)) * np.exp(dilog)
+    idx = int(np.argmax(env))
+    return float(grid[idx]), float(env[idx])
+
 
 def _bloch_per_radius(omega, grid_size, radial_count):
     """bloch_norm_estimate as one structural_deriv call per radius circle."""
