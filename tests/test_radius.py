@@ -140,6 +140,15 @@ class TestRootRadii:
         with pytest.raises(ValueError, match="no sign change"):
             bisect_root(lambda r: 1e-200 * (r + 1), 0.0, 1.0, "tiny")
 
+    @pytest.mark.parametrize("gap", [(0.45, 0.55), (0.2, 0.28), (0.0, 0.1)])
+    def test_bisect_steps_through_nan_as_the_product_test_does(self, gap):
+        # a nan value fails every sign test, so the bracket's left end moves
+        def fn(r):
+            return math.nan if gap[0] < r < gap[1] else r - 0.3
+
+        res = bisect_root(fn, 0.0, 1.0, "nan")
+        assert (res.root, res.residual) == _bisect_max_iter(fn, 0.0, 1.0)
+
     @pytest.mark.parametrize("root, lo, hi", [
         (1e6 + 0.3, 0.0, 2e6), (1e6 - 1 / 3, 3.0, 1.5e6), (100.0 + math.pi / 10, 0.0, 200.0),
         (1e8 * math.e, -1.0, 1e9),
