@@ -130,6 +130,7 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
     unread = sorted(set(params) - _SAMPLE_KEYS[kind])
     if unread:
         raise ValueError(f"Schwarz sample kind {kind!r} reads no params key {', '.join(unread)}")
+    seed = _as_int(seed, "seed", 0)  # True or 1.5 would draw another stream, or none
     if kind == "monomial":
         if (m := _index(params.get("m", 1))) is None or m < 1:  # 2.5, "3" or True would build another power
             raise ValueError(f"monomial exponent must be an int >= 1, got {params['m']!r}")
@@ -189,6 +190,7 @@ def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
         raise ValueError(f"sample count must be an int, got {count!r}")
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
+    seed = _as_int(seed, "seed", 0)
     extra = range(n - len(_witnesses()))  # empty below ten samples
     polys = iter(_random_polys([seed + i for i in extra if i % 3 != 2]))
     return list(_witnesses()[:n]) + [sample_schwarz("scaled_blaschke", None, seed=seed + i)
@@ -626,6 +628,10 @@ SLAB_POINTS = 8192
 _MEMBERSHIP_RADII = (0.3, 0.6, 0.9)
 _MEMBERSHIP_ANGLES = 64
 _GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
+#: bound on the difference, per part, between log|u| + i arg u and np.log(u)
+#: at the envelope points u = 1 + w (seen: 2.8e-16 real, a few ulp imaginary),
+#: and so, with the rounding of a margin's subtractions, between the margins
+_LOG_SLACK = 1e-14
 
 
 @functools.cache
@@ -677,17 +683,44 @@ def verify_class_membership_bounds(
 
     The samples' coefficients are stacked as rows: w at the envelope points is
     one product of all rows with the points' powers, and the growth quadrature
-    runs in blocks of at most ``SLAB_POINTS`` (point, node) pairs. Margins are
-    reduced over all rows at once; only the violation list is built per sample.
+    runs in blocks of at most ``SLAB_POINTS`` (point, node) pairs. The envelope
+    margins take log(1 + w) as log|1 + w| + i arg(1 + w), within ``_LOG_SLACK``
+    of np.log's, and np.log's own margins at the few points within twice that
+    of a minimum or of the -tol verdict, so every output has np.log's bits on
+    any numpy dispatch. Margins are reduced over all rows at once; the
+    violation list is built only for the failing samples. ``seed`` is an int
+    >= 0 and ``tol`` finite.
     """
+    seed = _as_int(seed, "seed", 0)
+    if not len(alphas):
+        raise ValueError("alphas must hold at least one alpha")
+    if not math.isfinite(tol):  # nan passes every point, +-inf passes or fails all
+        raise ValueError(f"tol must be finite, got {tol!r}")
     samples = sample_suite(sample_count, seed=seed)
     coeffs = np.array([omega.series.coeffs for omega in samples], dtype=complex)
     (z_growth, env_powers, growth_powers,
      re_lo_env, re_hi_env, im_env, growth_lo, growth_hi) = _membership_tables()
-    ratio = 1 - np.log(1 + (coeffs @ env_powers).reshape(len(samples), len(_MEMBERSHIP_RADII), -1))
-    re_lo = ratio.real - re_lo_env
-    re_hi = re_hi_env - ratio.real
-    im = im_env - np.abs(ratio.imag)
+    u = (coeffs @ env_powers).reshape(len(samples), len(_MEMBERSHIP_RADII), -1)
+    u += 1
+    # ratio = 1 - log(u) with log(u) = log|u| + i arg u, as the quadrature
+    # takes it, at some 9 ns a point against numpy's careful complex log
+    re = 1 - np.log(np.abs(u))
+    re_lo = re - re_lo_env
+    re_hi = re_hi_env - re
+    im = im_env - np.abs(np.angle(u))
+    env_worst = np.minimum(np.minimum(re_lo, re_hi), im)
+    # each margin is within _LOG_SLACK of np.log's, so only the points within
+    # twice that of a minimum or of the verdict can tell them apart: np.log(u)
+    # gives those their margins again, and every output its bits
+    near = np.abs(env_worst + tol) <= 2 * _LOG_SLACK
+    for margin in (re_lo, re_hi, im):
+        near |= margin <= margin.min() + 2 * _LOG_SLACK
+    at = np.nonzero(near)
+    ratio, r = 1 - np.log(u[at]), at[1]
+    re_lo[at] = ratio.real - re_lo_env[r, 0]
+    re_hi[at] = re_hi_env[r, 0] - ratio.real
+    im[at] = im_env[r, 0] - np.abs(ratio.imag)
+    env_worst[at] = np.minimum(np.minimum(re_lo[at], re_hi[at]), im[at])
     fv = np.empty((len(samples),) + z_growth.shape)
     block = max(1, SLAB_POINTS // (z_growth.size * _gauss_legendre()[0].size))
     for lo in range(0, len(samples), block):
@@ -695,7 +728,7 @@ def verify_class_membership_bounds(
         fv[lo : lo + block] = np.abs(z_growth * np.exp(exponent))
     g_lo = fv - growth_lo
     g_hi = growth_hi - fv
-    env_bad = (np.minimum(np.minimum(re_lo, re_hi), im) < -tol).sum(axis=-1)  # per (sample, r)
+    env_bad = (env_worst < -tol).sum(axis=-1)  # per (sample, r)
     growth_bad = (np.minimum(g_lo, g_hi) < -tol).sum(axis=-1)
 
     tables = [_bound_row(alpha) for alpha in alphas]  # the bounds per (alpha, key)
@@ -709,21 +742,19 @@ def verify_class_membership_bounds(
     # (sample, check), alpha-major; Python's abs(complex) is the hypot of the parts
     margins = (np.array(tables) - np.hypot(values.real, values.imag)).reshape(len(samples), -1)
     checks = [f"{key}@alpha={alpha}" for alpha in alphas for key in _COEFF_KEYS]
-    coeff_bad = [[] for _ in samples]
-    for idx, c in zip(*np.nonzero(margins < -tol)):
-        coeff_bad[idx].append(checks[c])
+    coeff_bad = margins < -tol
 
-    # one violation entry per failing point, in scan order: per sample, for
-    # each radius the envelope points, then the growth points; then the
-    # failing coefficient checks
+    # one violation entry per failing point, in scan order: per failing
+    # sample, for each radius the envelope points, then the growth points;
+    # then the failing coefficient checks
     violations = []
-    for idx, omega in enumerate(samples):
+    failing = env_bad.any(axis=1) | growth_bad.any(axis=1) | coeff_bad.any(axis=1)
+    for idx in np.flatnonzero(failing).tolist():
         wheres = []
         for r, n_env, n_growth in zip(_MEMBERSHIP_RADII, env_bad[idx], growth_bad[idx]):
             wheres += [f"envelope r={r}"] * n_env + [f"growth r={r}"] * n_growth
-        violations.extend(
-            {"sample": idx, "kind": omega.kind, "where": where} for where in wheres + coeff_bad[idx]
-        )
+        wheres += [checks[c] for c in np.flatnonzero(coeff_bad[idx])]
+        violations.extend({"sample": idx, "kind": samples[idx].kind, "where": where} for where in wheres)
 
     return MembershipReport(
         samples=len(samples),

@@ -779,6 +779,58 @@ def test_membership_violations_equal_the_block_loop():
     assert got == ref
 
 
+# -- the envelope's split log -----------------------------------------------------------
+# The suite takes its envelope margins from log|u| + i arg u, u = 1 + w, and
+# calls np.log(u) again only where a margin lies within 2 * _LOG_SLACK of a
+# minimum or of the verdict. np.angle's SIMD arctan2 differs from libm's atan2,
+# so these tests also run with numpy's dispatch disabled.
+
+
+def _envelope_points(count, seed):
+    """u = 1 + w at the suite's envelope points, by (sample, radius, angle)."""
+    coeffs = np.array([omega.series.coeffs for omega in sample_suite(count, seed=seed)], dtype=complex)
+    u = (coeffs @ verify._membership_tables()[1]).reshape(count, len(verify._MEMBERSHIP_RADII), -1)
+    return u + 1
+
+
+def _envelope_margins(re, arg):
+    """The Re lo, Re hi and |Im| margins of 1 - log(u) = re - i arg, stacked first."""
+    re_lo_env, re_hi_env, im_env = verify._membership_tables()[3:6]
+    return np.stack((re - re_lo_env, re_hi_env - re, im_env - np.abs(arg)))
+
+
+@pytest.mark.parametrize("count, seed", [(24, seed) for seed in range(1000, 1048)] + [(200, 42)])
+def test_split_log_is_within_a_tenth_of_the_slack(count, seed):
+    u = _envelope_points(count, seed)
+    exact = np.log(u)
+    assert np.abs(np.log(np.abs(u)) - exact.real).max() <= verify._LOG_SLACK / 10
+    assert np.abs(np.angle(u) - exact.imag).max() <= verify._LOG_SLACK / 10
+
+
+def test_split_log_planted_verdict_equals_the_block_loop():
+    # -tol is np.log's margin at a point where the split form's lies below it,
+    # and far from every minimum: the split form alone would count that
+    # point as failing, and only the verdict's re-evaluation can mend it
+    u = _envelope_points(24, 1000)
+    exact = np.log(u)
+    margins = _envelope_margins(1 - np.log(np.abs(u)), np.angle(u))
+    fast, worst = margins.min(axis=0), _envelope_margins(1 - exact.real, exact.imag).min(axis=0)
+    far = (margins > margins.min(axis=(1, 2, 3), keepdims=True) + 2 * verify._LOG_SLACK).all(axis=0)
+    tol = -float(worst[far & (fast < worst)][0])
+    assert ((fast < -tol).sum(axis=-1) != (worst < -tol).sum(axis=-1)).any()
+    got = verify_class_membership_bounds(24, seed=1000, tol=tol).as_dict()
+    assert repr(got) == repr(_block_membership(24, 1000, tol=tol))
+
+
+def test_split_log_mid_tol_equals_the_block_loop():
+    # 12 of the 24 samples fail at tol = -0.025, by envelope, growth and
+    # coefficient checks; the others build no violation entry
+    got = verify_class_membership_bounds(24, seed=1000, tol=-0.025).as_dict()
+    assert len({v["sample"] for v in got["violations"]}) == 12
+    assert {v["where"].split(" ")[0] for v in got["violations"]} >= {"envelope", "growth", "a2@alpha=0.0"}
+    assert repr(got) == repr(_block_membership(24, 1000, tol=-0.025))
+
+
 @pytest.mark.parametrize("seed", range(0, 640, 10))
 def test_suite_samples_equal_per_sample_polyval(seed):
     got, ref = sample_suite(40, seed=seed), _polyval_suite(40, seed)
@@ -859,6 +911,45 @@ def test_membership_sample_count_reported_as_an_int():
     assert repr(rep.as_dict()) == repr(verify_class_membership_bounds(24, seed=1000).as_dict())
     assert [s.series.coeffs for s in sample_suite(np.int32(12), seed=3)] == [
         s.series.coeffs for s in sample_suite(12, seed=3)]
+
+
+# True ran seed 1 and reported seed True; 1.5 failed in numpy with a TypeError
+@pytest.mark.parametrize("seed", [True, False, 1.5, 3.0, "3", None])
+def test_sample_seed_must_be_an_int(seed):
+    message = re.escape(f"seed must be an int, got {seed!r}")
+    for call in (lambda: sample_suite(24, seed=seed),
+                 lambda: sample_schwarz("scaled_blaschke", seed=seed),
+                 lambda: sample_schwarz("monomial", {"m": 2}, seed=seed),
+                 lambda: verify_class_membership_bounds(9, seed=seed)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_sample_seed_below_zero_rejected():
+    for call in (lambda: sample_suite(5, seed=-1), lambda: sample_schwarz("monomial", seed=-1),
+                 lambda: verify_class_membership_bounds(5, seed=-1)):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            call()
+
+
+def test_membership_seed_reported_as_an_int():
+    rep = verify_class_membership_bounds(24, seed=np.int64(1000))
+    assert type(rep.seed) is int
+    assert repr(rep.as_dict()) == repr(verify_class_membership_bounds(24, seed=1000).as_dict())
+
+
+# nan counted no violation, +inf passed every check and -inf failed all 5,760
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_membership_tol_must_be_finite(tol):
+    with pytest.raises(ValueError, match=re.escape(f"tol must be finite, got {tol!r}")):
+        verify_class_membership_bounds(24, seed=1000, tol=tol)
+
+
+# an empty alphas died in a numpy broadcast
+@pytest.mark.parametrize("alphas", [(), []])
+def test_membership_alphas_must_not_be_empty(alphas):
+    with pytest.raises(ValueError, match="alphas must hold at least one alpha"):
+        verify_class_membership_bounds(9, alphas=alphas)
 
 
 def _coeffs_reference(params, coeffs, p1, p2, p3):
