@@ -153,10 +153,17 @@ def k_starlike_equation(r: float, k: float) -> float:
 
 
 def radius_k_starlike(k: float) -> RadiusResult:
-    """Smallest positive root of 1 + r - e(1-r)^k = 0; k=1 gives (e-1)/(e+1)."""
+    """Smallest positive root of 1 + r - e(1-r)^k = 0; k=1 gives (e-1)/(e+1).
+
+    The root is about 1/k; where the BISECT_WIDTH-wide bisection cannot give it
+    to nine digits (from about k = 1e5 on) this raises ValueError."""
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
-    return bisect_root(lambda r: k_starlike_equation(r, k), 0.0, 1.0, "root1")
+    res = bisect_root(lambda r: k_starlike_equation(r, k), 0.0, 1.0, "root1")
+    if BISECT_WIDTH > 1e-9 * res.root:
+        raise ValueError(f"k = {k} is too large: its root, near {1 / k:.3g}, is below what a "
+                         f"bisection to width {BISECT_WIDTH} resolves to nine digits")
+    return res
 
 
 def majorization_equation(r: float) -> float:

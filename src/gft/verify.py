@@ -203,9 +203,9 @@ def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
 # complex; an array gives a complex array of its shape.
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 64 Gauss-Legendre nodes mapped to [0, 1] (t = s z, dt = z ds), and weights."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+def _gauss_legendre(count: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` Gauss-Legendre nodes mapped to [0, 1] (t = s z, dt = z ds), and weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
     s = 0.5 * (nodes + 1.0)
     s.flags.writeable = weights.flags.writeable = False  # shared by every caller
     return s, weights
@@ -219,23 +219,26 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _node_powers(n: int) -> np.ndarray:
-    """s_j^k for k < n by rows, one column per Gauss-Legendre node (read-only)."""
-    table = _gauss_legendre()[0] ** np.arange(n)[:, None]
+def _node_powers(n: int, count: int = 64) -> np.ndarray:
+    """s_j^k for k < n by rows, one column per node of ``_gauss_legendre(count)`` (read-only)."""
+    table = _gauss_legendre(count)[0] ** np.arange(n)[:, None]
     table.flags.writeable = False  # shared by every caller
     return table
 
 
-def _log_ratio_integral(coeffs: np.ndarray, z_powers: np.ndarray) -> np.ndarray:
-    """integral_0^z -log(1 + w(t))/t dt by 64-point Gauss-Legendre quadrature.
+def _log_ratio_integral(coeffs: np.ndarray, z_powers: np.ndarray, count: int = 64) -> np.ndarray:
+    """integral_0^z -log(1 + w(t))/t dt by ``count``-point Gauss-Legendre quadrature.
 
     w has the coefficient rows ``coeffs`` (..., N+1), broadcast against the
     powers z^0..z^N of the points, ``_powers(z, N)``. In s the integrand is
     -log(1 + w(s z))/s, with w(s z) = sum_k (c_k z^k) s^k at all (point, node)
     pairs one product with the node powers; log(1 + w) is log|1 + w| + i arg(1 + w).
+    The structural functions take 64 nodes, since the Bloch estimate reaches
+    |z| = 0.999 (see ``bloch_norm_estimate`` for their error there); the
+    membership growth check, at |z| <= 0.9, takes ``_GROWTH_NODES``.
     """
-    s, weights = _gauss_legendre()
-    u = (coeffs * z_powers) @ _node_powers(coeffs.shape[-1])
+    s, weights = _gauss_legendre(count)
+    u = (coeffs * z_powers) @ _node_powers(coeffs.shape[-1], count)
     u += 1
     # -log(u)/s in place of u: u / -s rounds as -u / s does
     log_abs = np.log(np.abs(u))
@@ -628,6 +631,13 @@ SLAB_POINTS = 8192
 _MEMBERSHIP_RADII = (0.3, 0.6, 0.9)
 _MEMBERSHIP_ANGLES = 64
 _GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
+#: Gauss-Legendre nodes of the growth quadrature. At |z| <= 0.9 the integrand
+#: -log(1 + w(s z))/s is analytic for |s| < 1/0.9, inside the Bernstein ellipse
+#: of [0, 1] with rho = 1.92, so n nodes err by about rho^(-2n): 1e-18 at 32.
+#: Against 64 nodes, |f| at the growth points moved by at most 2.2e-15
+#: relative on the 48 benchmark pool suites and the 200-sample suites at
+#: seeds 1-5 and 42 (tests/test_verify.py holds it to 1e-14)
+_GROWTH_NODES = 32
 #: bound on the difference, per part, between log|u| + i arg u and np.log(u)
 #: at the envelope points u = 1 + w (seen: 2.8e-16 real, a few ulp imaginary),
 #: and so, with the rounding of a margin's subtractions, between the margins
@@ -683,13 +693,14 @@ def verify_class_membership_bounds(
 
     The samples' coefficients are stacked as rows: w at the envelope points is
     one product of all rows with the points' powers, and the growth quadrature
-    runs in blocks of at most ``SLAB_POINTS`` (point, node) pairs. The envelope
-    margins take log(1 + w) as log|1 + w| + i arg(1 + w), within ``_LOG_SLACK``
-    of np.log's, and np.log's own margins at the few points within twice that
-    of a minimum or of the -tol verdict, so every output has np.log's bits on
-    any numpy dispatch. Margins are reduced over all rows at once; the
-    violation list is built only for the failing samples. ``seed`` is an int
-    >= 0 and ``tol`` finite.
+    takes ``_GROWTH_NODES`` nodes, in blocks of at most ``SLAB_POINTS`` (point,
+    node) pairs; its |f| kept the 64-node value to 2.2e-15 relative wherever
+    measured. The envelope margins take log(1 + w) as log|1 + w| +
+    i arg(1 + w), within ``_LOG_SLACK`` of np.log's, and np.log's own margins
+    at the few points within twice that of a minimum or of the -tol verdict,
+    so every output has np.log's bits on any numpy dispatch. Margins are
+    reduced over all rows at once; the violation list is built only for the
+    failing samples. ``seed`` is an int >= 0 and ``tol`` finite.
     """
     seed = _as_int(seed, "seed", 0)
     if not len(alphas):
@@ -722,9 +733,10 @@ def verify_class_membership_bounds(
     im[at] = im_env[r, 0] - np.abs(ratio.imag)
     env_worst[at] = np.minimum(np.minimum(re_lo[at], re_hi[at]), im[at])
     fv = np.empty((len(samples),) + z_growth.shape)
-    block = max(1, SLAB_POINTS // (z_growth.size * _gauss_legendre()[0].size))
+    block = max(1, SLAB_POINTS // (z_growth.size * _GROWTH_NODES))
     for lo in range(0, len(samples), block):
-        exponent = _log_ratio_integral(coeffs[lo : lo + block, None, None, :], growth_powers)
+        exponent = _log_ratio_integral(coeffs[lo : lo + block, None, None, :], growth_powers,
+                                       _GROWTH_NODES)
         fv[lo : lo + block] = np.abs(z_growth * np.exp(exponent))
     g_lo = fv - growth_lo
     g_hi = growth_hi - fv
@@ -949,7 +961,10 @@ def bloch_norm_estimate(omega: SchwarzSample, grid_size: int = 256, radial_count
     and ``grid_size`` angles, both ints. f' comes from the structural formula
     (exact pointwise, no truncation) on (radius, angle) blocks of whole circles,
     at most ``SLAB_POINTS`` (point, node) pairs or one circle each, which give
-    every circle the bits of a call on that circle alone.
+    every circle the bits of a call on that circle alone. Its 64 nodes are not
+    enough at the rim: on the benchmark's 25 Bloch samples f' differs from
+    256 nodes by up to 1.1e-15 relative at r = 0.9, 3.2e-14 at 0.99 and 4.7e-7
+    at 0.999.
     """
     radial_count = _as_int(radial_count, "radial_count", 2)
     grid_size = _as_int(grid_size, "grid_size", 1)

@@ -89,6 +89,16 @@ class TestRadiusCommand:
         assert payload["equationId"] == "root1"
         assert abs(payload["root"] - 0.462117) < 1e-6
 
+    def test_k_starlike_large_k_exits_rejected(self, capsys):
+        code, out = run_cli(["radius", "--problem", "k-starlike", "--k", "1e15"])
+        assert (code, out) == (EXIT_REJECTED, "")
+        assert "too large" in capsys.readouterr().err
+
+    def test_k_starlike_k_1e4_gives_its_root(self):
+        code, out = run_cli(["radius", "--problem", "k-starlike", "--k", "1e4"])
+        assert code == EXIT_OK
+        assert abs(json.loads(out)["root"] - 9.9985e-05) < 1e-9
+
     def test_convex(self):
         code, out = run_cli(["radius", "--problem", "convex", "--alpha", "0.25"])
         assert code == EXIT_OK

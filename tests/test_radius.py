@@ -117,6 +117,23 @@ class TestRootRadii:
         scanned = scan_first_root(lambda r: k_starlike_equation(r, 2.0), 0.0, 1.0)
         assert abs(res.root - scanned) < 1e-6
 
+    def test_k_starlike_large_k_resolves_its_root_to_nine_digits(self):
+        # the root is about 1/k; log(1 + r) - 1 - k log(1 - r) has it well
+        # conditioned, so Newton's steps from the bisection's root give it
+        k = 1e4
+        res = radius_k_starlike(k)
+        r = res.root
+        for _ in range(3):
+            r -= (math.log1p(r) - 1 - k * math.log1p(-r)) / (1 / (1 + r) + k / (1 - r))
+        assert abs(res.root - r) <= 1e-9 * r
+        assert BISECT_WIDTH <= 1e-9 * res.root
+
+    @pytest.mark.parametrize("k", [1e6, 1e15, 1e300])
+    def test_k_starlike_root_below_the_bisection_width_raises(self, k):
+        # at k = 1e15 the bisection stopped at 3.6e-15 with residual 0.92
+        with pytest.raises(ValueError, match="too large"):
+            radius_k_starlike(k)
+
     def test_majorization(self):
         assert majorization_equation(0.0) == 1.0
         assert majorization_equation(1.0) == -2.0

@@ -326,11 +326,15 @@ def test_boundary_circle_is_built_once_with_the_circle_bits():
     assert verify._boundary_circle().tobytes() == verify._circle(verify.BOUNDARY_GRID).tobytes()
 
 
-def test_gauss_legendre_nodes_are_built_once_on_the_unit_interval():
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    assert verify._gauss_legendre() is verify._gauss_legendre()
-    assert np.array_equal(_GL_S, 0.5 * (nodes + 1.0))
-    assert np.array_equal(_GL_WEIGHTS, weights)
+@pytest.mark.parametrize("count", [64, verify._GROWTH_NODES])
+def test_gauss_legendre_nodes_are_built_once_per_count_on_the_unit_interval(count):
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    s, w = verify._gauss_legendre(count)
+    assert verify._gauss_legendre(count) is verify._gauss_legendre(count)
+    assert np.array_equal(s, 0.5 * (nodes + 1.0))
+    assert np.array_equal(w, weights)
+    assert not s.flags.writeable and not w.flags.writeable
+    assert np.array_equal(_GL_S, verify._gauss_legendre(64)[0])  # the default count
 
 
 def _ref_deriv(omega, z):
@@ -530,8 +534,10 @@ def _ref_class_coefficients(q, alpha):
 
 
 def _ref_structural_eval(omega, z):
-    w = omega(z[..., None] * _GL_S)
-    return z * np.exp(0.5 * ((-np.log(1 + w) / _GL_S) @ _GL_WEIGHTS))
+    # at the membership growth check's node count
+    s, weights = verify._gauss_legendre(verify._GROWTH_NODES)
+    w = omega(z[..., None] * s)
+    return z * np.exp(0.5 * ((-np.log(1 + w) / s) @ weights))
 
 
 def _ref_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
@@ -625,7 +631,8 @@ def test_class_coefficients_keep_the_bits_of_the_series_route(seed):
 
 def _assert_membership_equal(got, ref):
     # log(1 + w) = log|1 + w| + i arg(1 + w) moves the growth quadrature in
-    # its last bits; the lower growth margin shows it (0.0 -> 2.8e-17 at seed 42)
+    # its last bits; the lower growth margin showed it at 64 nodes (0.0 ->
+    # 2.8e-17 at seed 42), though not at 32 on these seeds
     assert abs(got.pop("worstGrowthLoMargin") - ref.pop("worstGrowthLoMargin")) <= 1e-15
     assert got.keys() == ref.keys()
     for key in ref:
@@ -684,7 +691,7 @@ def _polyval_suite(count, seed):
 
 
 def _block_log_ratio_integral(coeffs, z):
-    s, weights = verify._gauss_legendre()
+    s, weights = verify._gauss_legendre(verify._GROWTH_NODES)
     n = coeffs.shape[-1]
     u = (coeffs * verify._powers(z, n - 1)) @ s ** np.arange(n)[:, None]
     u += 1
@@ -709,7 +716,7 @@ def _block_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
     growth_lo, growth_hi = verify._membership_tables()[-2:]
     worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
     env_bad, growth_bad = [], []
-    block = max(1, verify.SLAB_POINTS // (z_growth.size * _GL_S.size))
+    block = max(1, verify.SLAB_POINTS // (z_growth.size * verify._GROWTH_NODES))
     for lo in range(0, len(samples), block):
         rows = coeffs[lo : lo + block]
         ratio = 1 - np.log(1 + (rows @ env_powers).reshape((-1,) + z_env.shape))
@@ -777,6 +784,29 @@ def test_membership_violations_equal_the_block_loop():
     ref = _block_membership(24, 1000, tol=-0.5)
     assert len(ref["violations"]) > 500
     assert got == ref
+
+
+# -- the growth quadrature's node count -------------------------------------------------
+# The growth check takes _GROWTH_NODES Gauss-Legendre nodes, the structural
+# functions 64. At the suite's radii, |z| <= 0.9, both sit at rounding level,
+# so |f| at every growth point must keep the 64-node value to 1e-14 relative
+# (seen: 2.2e-15).
+
+
+def _growth_modulus(count, seed, nodes):
+    coeffs = np.array([omega.series.coeffs for omega in sample_suite(count, seed=seed)], dtype=complex)
+    z_growth, _, growth_powers = verify._membership_tables()[:3]
+    exponent = verify._log_ratio_integral(coeffs[:, None, None, :], growth_powers, nodes)
+    return np.abs(z_growth * np.exp(exponent))
+
+
+@pytest.mark.parametrize(
+    "count, seed", [(24, seed) for seed in range(1000, 1048)] + [(200, seed) for seed in (1, 2, 3, 4, 5, 42)]
+)
+def test_growth_nodes_keep_the_64_node_modulus(count, seed):
+    assert max(verify._MEMBERSHIP_RADII) <= 0.9  # the radius the node count rests on
+    got, ref = _growth_modulus(count, seed, verify._GROWTH_NODES), _growth_modulus(count, seed, 64)
+    assert (np.abs(got - ref) <= 1e-14 * ref).all()
 
 
 # -- the envelope's split log -----------------------------------------------------------
@@ -861,13 +891,14 @@ def test_witnesses_and_tables_are_built_once_and_read_only(monkeypatch):
         witnesses[0].series.coeffs = (0.0,)
     tables = verify._membership_tables()
     assert tables is verify._membership_tables()
-    for table in tables + (verify._node_powers(verify.SAMPLE_ORDER + 1),):
+    nodes = verify._node_powers(verify.SAMPLE_ORDER + 1, verify._GROWTH_NODES)
+    for table in tables + (nodes,):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[..., 0] = 0
-    nodes = verify._node_powers(verify.SAMPLE_ORDER + 1)
-    assert nodes is verify._node_powers(verify.SAMPLE_ORDER + 1)
-    assert nodes.tobytes() == (_GL_S ** np.arange(verify.SAMPLE_ORDER + 1)[:, None]).tobytes()
+    assert nodes is verify._node_powers(verify.SAMPLE_ORDER + 1, verify._GROWTH_NODES)
+    s = verify._gauss_legendre(verify._GROWTH_NODES)[0]
+    assert nodes.tobytes() == (s ** np.arange(verify.SAMPLE_ORDER + 1)[:, None]).tobytes()
 
 
 def test_bound_row_is_cached_per_alpha(monkeypatch):
