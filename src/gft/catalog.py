@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import CATALOG_NAMES
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _as_int
 
 __all__ = [
     "MaMindaSpec",
@@ -154,8 +154,7 @@ def classify(spec: MaMindaSpec, grid_size: int = 256) -> ClassificationRecord:
     ``real_coefficients`` the first CLASSIFY_COEFFS coefficients.  This is a
     heuristic check, not a certificate.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
+    grid_size = _as_int(grid_size, "grid_size", 64)  # 64.5 or True is no grid size
     circle = [cmath.exp(1j * (2 * math.pi * j / grid_size)) for j in range(grid_size)]
     min_re = math.inf
     for r in _CLASSIFY_RADII:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import MaMindaSpec, make_spec
-from .series import TruncatedSeries, _index
+from .series import TruncatedSeries, _as_int, _index
 
 __all__ = [
     "ExtremalFunction",
@@ -50,10 +50,9 @@ class ExtremalFunction:
         return self.series(z)
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int) -> int:
     # order 0 would cut f = z + ... to its constant term, which is not normalized
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    return _as_int(order, "order", 1)
 
 
 def _structural_exp(coeff, n: int, order: int) -> TruncatedSeries:
@@ -61,9 +60,7 @@ def _structural_exp(coeff, n: int, order: int) -> TruncatedSeries:
 
     The integral is sum_k C_k z^(n k)/(n k) over the generator coefficients C_k = coeff(k).
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    _check_order(order)
+    n, order = _as_int(n, "n", 1), _check_order(order)  # True would read as n = 1
     top = order - 1
     out: list = [0] * (top + 1)
     k = 1

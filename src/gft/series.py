@@ -48,6 +48,15 @@ def _index(value) -> int | None:
     return operator.index(value)
 
 
+def _as_int(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``, by :func:`_index`."""
+    if (n := _index(value)) is None:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return n
+
+
 def _is_finite(c: Number) -> bool:
     # exact types first: an isinstance test against Fraction goes through ABCMeta
     kind = type(c)

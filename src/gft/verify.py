@@ -31,7 +31,7 @@ from .catalog import make_spec
 # conjecture_check and t_series are re-exported
 from .extremal import conjecture_check, growth_envelope_starlike, t_series
 from .radius import bisect_root, re_im_envelope
-from .series import TruncatedSeries, _index
+from .series import TruncatedSeries, _as_int, _index
 
 __all__ = [
     "SchwarzSample",
@@ -219,26 +219,26 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _node_powers(n: int, count: int = 64) -> np.ndarray:
-    """s_j^k for k < n by rows, one column per node of ``_gauss_legendre(count)`` (read-only)."""
-    table = _gauss_legendre(count)[0] ** np.arange(n)[:, None]
+def _node_powers(n: int) -> np.ndarray:
+    """s_j^k for k < n by rows, one column per node of ``_gauss_legendre()`` (read-only)."""
+    table = _gauss_legendre()[0] ** np.arange(n)[:, None]
     table.flags.writeable = False  # shared by every caller
     return table
 
 
-def _log_ratio_integral(coeffs: np.ndarray, z_powers: np.ndarray, count: int = 64) -> np.ndarray:
-    """integral_0^z -log(1 + w(t))/t dt by ``count``-point Gauss-Legendre quadrature.
+def _log_ratio_integral(coeffs: np.ndarray, z_powers: np.ndarray) -> np.ndarray:
+    """integral_0^z -log(1 + w(t))/t dt by 64-point Gauss-Legendre quadrature.
 
     w has the coefficient rows ``coeffs`` (..., N+1), broadcast against the
     powers z^0..z^N of the points, ``_powers(z, N)``. In s the integrand is
     -log(1 + w(s z))/s, with w(s z) = sum_k (c_k z^k) s^k at all (point, node)
     pairs one product with the node powers; log(1 + w) is log|1 + w| + i arg(1 + w).
-    The structural functions take 64 nodes, since the Bloch estimate reaches
-    |z| = 0.999 (see ``bloch_norm_estimate`` for their error there); the
-    membership growth check, at |z| <= 0.9, takes ``_GROWTH_NODES``.
+    The structural functions use it, at 64 nodes since the Bloch estimate
+    reaches |z| = 0.999 (see ``bloch_norm_estimate`` for their error there);
+    the membership growth check needs only |f|, from ``_growth_modulus``.
     """
-    s, weights = _gauss_legendre(count)
-    u = (coeffs * z_powers) @ _node_powers(coeffs.shape[-1], count)
+    s, weights = _gauss_legendre()
+    u = (coeffs * z_powers) @ _node_powers(coeffs.shape[-1])
     u += 1
     # -log(u)/s in place of u: u / -s rounds as -u / s does
     log_abs = np.log(np.abs(u))
@@ -348,15 +348,6 @@ def polar_grid(top: float, density: int):
     rho = np.linspace(0.0, 1.0, density)[None, :, None]
     phi = np.linspace(0.0, 2 * np.pi, density, endpoint=False)[None, None, :]
     return t, rho, phi, rho * np.exp(1j * phi)
-
-
-def _as_int(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``, by :func:`_index`."""
-    if (n := _index(value)) is None:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if n < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return n
 
 
 def check_density(density: int) -> int:
@@ -623,21 +614,20 @@ class MembershipReport:
         }
 
 
-#: (point, node) pairs in one block of the membership growth quadrature: the
+#: (ray, node) pairs in one block of the membership growth quadrature: the
 #: samples are checked a few rows at a time, so that the complex temporaries
 #: of a block (128 KB each) stay in a 2 MB L2 cache instead of streaming
 #: through memory as arrays over every sample
 SLAB_POINTS = 8192
 _MEMBERSHIP_RADII = (0.3, 0.6, 0.9)
 _MEMBERSHIP_ANGLES = 64
-_GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle
-#: Gauss-Legendre nodes of the growth quadrature. At |z| <= 0.9 the integrand
-#: -log(1 + w(s z))/s is analytic for |s| < 1/0.9, inside the Bernstein ellipse
-#: of [0, 1] with rho = 1.92, so n nodes err by about rho^(-2n): 1e-18 at 32.
-#: Against 64 nodes, |f| at the growth points moved by at most 2.2e-15
-#: relative on the 48 benchmark pool suites and the 200-sample suites at
-#: seeds 1-5 and 42 (tests/test_verify.py holds it to 1e-14)
-_GROWTH_NODES = 32
+_GROWTH_STRIDE = 8  # growth is checked at every 8th envelope angle, on 8 rays
+#: Gauss-Legendre nodes per segment of a growth ray, cut at the radii. The
+#: integrand log|1 + w(rho e^(i theta))|/rho is analytic for |rho| < 1, inside
+#: the Bernstein ellipse of [0.6, 0.9] with rho = 3, so n nodes err by about
+#: 3^(-2n), 5e-16 at 16. Against 64 nodes on [0, r], |f| moved by at most 1.9e-15
+#: relative on the suites tests/test_verify.py runs (it holds it to 1e-14)
+_RAY_NODES = 16
 #: bound on the difference, per part, between log|u| + i arg u and np.log(u)
 #: at the envelope points u = 1 + w (seen: 2.8e-16 real, a few ulp imaginary),
 #: and so, with the rounding of a margin's subtractions, between the margins
@@ -646,21 +636,41 @@ _LOG_SLACK = 1e-14
 
 @functools.cache
 def _membership_tables() -> tuple[np.ndarray, ...]:
-    """The suite's constants, built once and read-only, one row per radius: the
-    growth points, the envelope points' powers z^k as a (k, point) matrix, z^k at
-    the growth points, and the Re lo, Re hi and |Im| bounds and the growth bounds
-    t(r) and -t(-r), t the structural function to order 200 (for the r = 0.9 tail)."""
-    z_env = np.array(_MEMBERSHIP_RADII)[:, None] * _circle(_MEMBERSHIP_ANGLES)
-    z_growth = z_env[:, ::_GROWTH_STRIDE]
+    """The suite's constants, built once and read-only: the envelope points' powers
+    z^k as a (k, point) matrix, the growth rays' rotations e^(ik theta) by (ray, k),
+    the ray nodes' powers rho^k by (k, node), segment by segment, and each node's
+    weight in its segment over rho; and one row per radius, the Re lo, Re hi and
+    |Im| bounds and the growth bounds t(r) and -t(-r), t the structural function
+    to order 200 (for the r = 0.9 tail)."""
+    circle, (s, weights) = _circle(_MEMBERSHIP_ANGLES), _gauss_legendre(_RAY_NODES)
+    segments = list(zip((0.0, *_MEMBERSHIP_RADII), _MEMBERSHIP_RADII))
+    rho = np.concatenate([a + (b - a) * s for a, b in segments])
     envs = [re_im_envelope(r) for r in _MEMBERSHIP_RADII]
     growth = [growth_envelope_starlike(make_spec("psi"), r) for r in _MEMBERSHIP_RADII]
-    tables = (z_growth, _powers(z_env, SAMPLE_ORDER).reshape(-1, SAMPLE_ORDER + 1).T,
-              _powers(z_growth, SAMPLE_ORDER),
+    tables = (_powers(np.array(_MEMBERSHIP_RADII)[:, None] * circle, SAMPLE_ORDER)
+              .reshape(-1, SAMPLE_ORDER + 1).T, _powers(circle[::_GROWTH_STRIDE], SAMPLE_ORDER),
+              rho ** np.arange(SAMPLE_ORDER + 1)[:, None],
+              np.concatenate([(b - a) / 2 * weights for a, b in segments]) / rho,
               *(np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")),
               *np.array(growth).T[:, :, None])
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
+
+
+def _growth_modulus(coeffs: np.ndarray) -> np.ndarray:
+    """|f(r e^(i theta))| = r exp(-integral_0^r log|1 + w(rho e^(i theta))|/rho drho) at the
+    growth points by (row, radius, ray), for the coefficient rows ``coeffs``: w at all
+    (ray, node) pairs is one product, and each segment's sum is taken in node order,
+    not by a matrix product, then the segments' running sums give each radius."""
+    rotations, powers, weights = _membership_tables()[1:4]
+    u = (coeffs[:, None] * rotations) @ powers
+    u += 1
+    terms = np.log(np.abs(u))
+    terms *= weights
+    sums = np.add.accumulate(terms.reshape(*terms.shape[:2], -1, _RAY_NODES), axis=-1)[..., -1]
+    exponent = np.cumsum(sums, axis=-1).swapaxes(1, 2)  # by (row, radius, ray)
+    return np.array(_MEMBERSHIP_RADII)[:, None] * np.exp(-exponent)
 
 
 _COEFF_KEYS = ("a2", "a3", "fekete_t1", "a4", "a2a3_a4", "a5", "h2_general", "h3")
@@ -692,10 +702,10 @@ def verify_class_membership_bounds(
     functional compared against the general three-case bound.
 
     The samples' coefficients are stacked as rows: w at the envelope points is
-    one product of all rows with the points' powers, and the growth quadrature
-    takes ``_GROWTH_NODES`` nodes, in blocks of at most ``SLAB_POINTS`` (point,
-    node) pairs; its |f| kept the 64-node value to 2.2e-15 relative wherever
-    measured. The envelope margins take log(1 + w) as log|1 + w| +
+    one product of all rows with the points' powers, and |f| at the growth
+    points is integrated once per ray by ``_growth_modulus``, in blocks of at
+    most ``SLAB_POINTS`` (ray, node) pairs; it kept the 64-node value to 1.9e-15
+    relative wherever measured. The envelope margins take log(1 + w) as log|1 + w| +
     i arg(1 + w), within ``_LOG_SLACK`` of np.log's, and np.log's own margins
     at the few points within twice that of a minimum or of the -tol verdict,
     so every output has np.log's bits on any numpy dispatch. Margins are
@@ -709,12 +719,11 @@ def verify_class_membership_bounds(
         raise ValueError(f"tol must be finite, got {tol!r}")
     samples = sample_suite(sample_count, seed=seed)
     coeffs = np.array([omega.series.coeffs for omega in samples], dtype=complex)
-    (z_growth, env_powers, growth_powers,
-     re_lo_env, re_hi_env, im_env, growth_lo, growth_hi) = _membership_tables()
+    env_powers, rays, powers, _, re_lo_env, re_hi_env, im_env, growth_lo, growth_hi = _membership_tables()
     u = (coeffs @ env_powers).reshape(len(samples), len(_MEMBERSHIP_RADII), -1)
     u += 1
-    # ratio = 1 - log(u) with log(u) = log|u| + i arg u, as the quadrature
-    # takes it, at some 9 ns a point against numpy's careful complex log
+    # ratio = 1 - log(u) with log(u) = log|u| + i arg u, as the structural
+    # quadrature takes it, at some 9 ns a point against numpy's careful complex log
     re = 1 - np.log(np.abs(u))
     re_lo = re - re_lo_env
     re_hi = re_hi_env - re
@@ -732,12 +741,8 @@ def verify_class_membership_bounds(
     re_hi[at] = re_hi_env[r, 0] - ratio.real
     im[at] = im_env[r, 0] - np.abs(ratio.imag)
     env_worst[at] = np.minimum(np.minimum(re_lo[at], re_hi[at]), im[at])
-    fv = np.empty((len(samples),) + z_growth.shape)
-    block = max(1, SLAB_POINTS // (z_growth.size * _GROWTH_NODES))
-    for lo in range(0, len(samples), block):
-        exponent = _log_ratio_integral(coeffs[lo : lo + block, None, None, :], growth_powers,
-                                       _GROWTH_NODES)
-        fv[lo : lo + block] = np.abs(z_growth * np.exp(exponent))
+    block = max(1, SLAB_POINTS // (len(rays) * powers.shape[1]))  # rows of (ray, node) pairs
+    fv = np.concatenate([_growth_modulus(coeffs[lo : lo + block]) for lo in range(0, len(samples), block)])
     g_lo = fv - growth_lo
     g_hi = growth_hi - fv
     env_bad = (env_worst < -tol).sum(axis=-1)  # per (sample, r)

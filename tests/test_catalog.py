@@ -3,6 +3,7 @@ counterpart symmetry, classification flags, image membership."""
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -137,8 +138,17 @@ class TestClassify:
         assert record.real_coefficients is False
 
     def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid_size must be at least 64"):
             classify(make_spec("psi"), grid_size=32)
+
+    # 64.5 raised a TypeError from range, and True reported "must be at least 64"
+    @pytest.mark.parametrize("grid_size", [64.5, 64.0, True, "64", None])
+    def test_non_int_grid_size_rejected(self, grid_size):
+        with pytest.raises(ValueError, match=re.escape(f"grid_size must be an int, got {grid_size!r}")):
+            classify(make_spec("psi"), grid_size=grid_size)
+
+    def test_numpy_int_grid_size_accepted(self):
+        assert classify(make_spec("psi"), grid_size=np.int64(64)) == classify(make_spec("psi"), 64)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     @pytest.mark.parametrize("grid_size", [64, 100, 128, 255, 256, 1000])

@@ -95,6 +95,25 @@ def test_rejects_order_below_one(build, order):
         build(order)
 
 
+# True read as n = 1 or order 1; 1.5 raised a TypeError inside fractions, and
+# order 8.0 "can't multiply sequence by non-int"
+@pytest.mark.parametrize("bad", [True, 1.5, 8.0, "3", None])
+@pytest.mark.parametrize("build", [t_series, d_series], ids=["t_series", "d_series"])
+def test_rejects_non_int_n_and_order(build, bad):
+    with pytest.raises(ValueError, match=re.escape(f"n must be an int, got {bad!r}")):
+        build(PSI, bad, 8)
+    with pytest.raises(ValueError, match=re.escape(f"order must be an int, got {bad!r}")):
+        build(PSI, 2, bad)
+
+
+@pytest.mark.parametrize("build", [t_series, d_series], ids=["t_series", "d_series"])
+def test_numpy_int_n_and_order_accepted(build):
+    ref = build(PSI, 2, 8, exact=True).series.coeffs
+    assert build(PSI, np.int64(2), np.int32(8), exact=True).series.coeffs == ref
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        build(PSI, 0, 8)
+
+
 class TestDSeries:
     def test_z_dprime_equals_t(self):
         d = d_series(PSI, 1, 12, exact=True)

@@ -326,7 +326,7 @@ def test_boundary_circle_is_built_once_with_the_circle_bits():
     assert verify._boundary_circle().tobytes() == verify._circle(verify.BOUNDARY_GRID).tobytes()
 
 
-@pytest.mark.parametrize("count", [64, verify._GROWTH_NODES])
+@pytest.mark.parametrize("count", [64, verify._RAY_NODES])
 def test_gauss_legendre_nodes_are_built_once_per_count_on_the_unit_interval(count):
     nodes, weights = np.polynomial.legendre.leggauss(count)
     s, w = verify._gauss_legendre(count)
@@ -335,6 +335,26 @@ def test_gauss_legendre_nodes_are_built_once_per_count_on_the_unit_interval(coun
     assert np.array_equal(w, weights)
     assert not s.flags.writeable and not w.flags.writeable
     assert np.array_equal(_GL_S, verify._gauss_legendre(64)[0])  # the default count
+
+
+def test_ray_tables_hold_each_segments_nodes_and_weights():
+    # the growth rays' rotations e^(ik theta) by (ray, k); the node radii
+    # rho^k by (k, node), _RAY_NODES nodes of each segment between the radii in
+    # turn; and each node's Gauss-Legendre weight in its segment, over rho
+    rotations, powers, weights = verify._membership_tables()[1:4]
+    radii, order = verify._MEMBERSHIP_RADII, verify.SAMPLE_ORDER
+    rays = verify._MEMBERSHIP_ANGLES // verify._GROWTH_STRIDE
+    turns = np.outer(np.arange(rays), np.arange(order + 1)) % rays  # k theta, in 1/rays turns
+    assert rotations.shape == (rays, order + 1)
+    assert np.allclose(rotations, np.exp(2j * np.pi * turns / rays), rtol=0, atol=1e-14)
+    s, w = verify._gauss_legendre(verify._RAY_NODES)
+    assert powers.shape == (order + 1, len(radii) * verify._RAY_NODES)
+    rho = powers[1].reshape(len(radii), -1)
+    for (a, b), nodes, node_weights in zip(zip((0.0, *radii), radii), rho, weights.reshape(rho.shape)):
+        assert np.array_equal(nodes, a + (b - a) * s)
+        assert np.array_equal(node_weights, (b - a) / 2 * w / nodes)
+    assert np.array_equal(powers[0], np.ones(powers.shape[1]))
+    assert np.array_equal(powers, powers[1] ** np.arange(order + 1)[:, None])
 
 
 def _ref_deriv(omega, z):
@@ -533,18 +553,38 @@ def _ref_class_coefficients(q, alpha):
     return a
 
 
-def _ref_structural_eval(omega, z):
-    # at the membership growth check's node count
-    s, weights = verify._gauss_legendre(verify._GROWTH_NODES)
-    w = omega(z[..., None] * s)
-    return z * np.exp(0.5 * ((-np.log(1 + w) / s) @ weights))
+def _ray_nodes():
+    """The growth rays' directions; the node radii of each segment between the
+    membership radii in turn, and each node's weight in its segment over rho."""
+    s, weights = verify._gauss_legendre(verify._RAY_NODES)
+    segments = list(zip((0.0, *verify._MEMBERSHIP_RADII), verify._MEMBERSHIP_RADII))
+    rho = np.concatenate([a + (b - a) * s for a, b in segments])
+    node_weights = np.concatenate([(b - a) / 2 * weights for a, b in segments]) / rho
+    return verify._circle(verify._MEMBERSHIP_ANGLES)[:: verify._GROWTH_STRIDE], rho, node_weights
+
+
+def _ref_growth_modulus(omega):
+    # |f| at the growth points by (radius, ray), one ray at a time: w by Horner
+    # at rho e^(i theta), log|1 + w| times the node weights, each segment's
+    # terms added in node order and the segments' sums outward from 0
+    rays, rho, node_weights = _ray_nodes()
+    terms = np.log(np.abs(1 + omega(rays[:, None] * rho))) * node_weights
+    exponent = np.zeros((len(verify._MEMBERSHIP_RADII), len(rays)))
+    for j, row in enumerate(terms):
+        total = 0.0
+        for k, segment in enumerate(row.reshape(len(verify._MEMBERSHIP_RADII), -1)):
+            acc = 0.0
+            for term in segment:
+                acc = acc + term
+            total = total + acc
+            exponent[k, j] = total
+    return np.array(verify._MEMBERSHIP_RADII)[:, None] * np.exp(-exponent)
 
 
 def _ref_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
     samples = sample_suite(sample_count, seed=seed)
     radii = np.array(verify._MEMBERSHIP_RADII)[:, None]
     z_env = radii * verify._circle(verify._MEMBERSHIP_ANGLES)
-    z_growth = z_env[:, :: verify._GROWTH_STRIDE]
     envs = [verify.re_im_envelope(r) for r in verify._MEMBERSHIP_RADII]
     re_lo_env, re_hi_env, im_env = (
         np.array([env[key] for env in envs])[:, None] for key in ("reLo", "reHi", "imAbs")
@@ -566,7 +606,7 @@ def _ref_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
         re_lo = ratio.real - re_lo_env
         re_hi = re_hi_env - ratio.real
         im = im_env - np.abs(ratio.imag)
-        fv = np.abs(_ref_structural_eval(omega, z_growth))
+        fv = _ref_growth_modulus(omega)
         g_lo = fv - growth_lo
         g_hi = growth_hi - fv
         for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
@@ -630,9 +670,10 @@ def test_class_coefficients_keep_the_bits_of_the_series_route(seed):
 
 
 def _assert_membership_equal(got, ref):
-    # log(1 + w) = log|1 + w| + i arg(1 + w) moves the growth quadrature in
-    # its last bits; the lower growth margin showed it at 64 nodes (0.0 ->
-    # 2.8e-17 at seed 42), though not at 32 on these seeds
+    # w by Horner here and by a matrix product in the suite round apart, so
+    # |f| may move in its last bits; the lower growth margin showed it in a
+    # 64-node quadrature (0.0 -> 2.8e-17 at seed 42), though not on the rays
+    # at these seeds
     assert abs(got.pop("worstGrowthLoMargin") - ref.pop("worstGrowthLoMargin")) <= 1e-15
     assert got.keys() == ref.keys()
     for key in ref:
@@ -645,8 +686,8 @@ def test_stacked_membership_equals_per_sample_loop(seed):
     _assert_membership_equal(got, _ref_membership(24, seed))
 
 
-# blocks hold 5 samples: one short block, one full, one full plus one, ..., 40
-@pytest.mark.parametrize("count", [1, 4, 5, 6, 11, 200])
+# blocks hold 21 samples: one short block, one full, one full plus one, ..., ten
+@pytest.mark.parametrize("count", [1, 4, 5, 6, 11, 20, 21, 22, 43, 200])
 def test_stacked_membership_equals_per_sample_loop_at_block_edges(count):
     got = verify_class_membership_bounds(count, seed=42).as_dict()
     _assert_membership_equal(got, _ref_membership(count, 42))
@@ -690,16 +731,22 @@ def _polyval_suite(count, seed):
     return samples[:count]
 
 
-def _block_log_ratio_integral(coeffs, z):
-    s, weights = verify._gauss_legendre(verify._GROWTH_NODES)
-    n = coeffs.shape[-1]
-    u = (coeffs * verify._powers(z, n - 1)) @ s ** np.arange(n)[:, None]
-    u += 1
-    log_abs = np.log(np.abs(u))
-    u.imag = np.angle(u)
-    u.real = log_abs
-    u /= -s
-    return 0.5 * (u @ weights)
+def _block_growth_modulus(rows):
+    # |f| at the growth points by (row, radius, ray): w at every (ray, node)
+    # pair from the rotated rows and the node powers, built here, and each
+    # segment's weighted terms added one node at a time, then segment by segment
+    rays, rho, node_weights = _ray_nodes()
+    n = rows.shape[-1]
+    u = (rows[:, None] * verify._powers(rays, n - 1)) @ rho ** np.arange(n)[:, None]
+    terms = np.log(np.abs(u + 1)) * node_weights
+    radii = verify._MEMBERSHIP_RADII
+    exponent = np.zeros(terms.shape[:2] + (len(radii),))
+    for k, segment in enumerate(np.split(terms, len(radii), axis=-1)):
+        for j in range(segment.shape[-1]):
+            exponent[..., k] += segment[..., j]
+        if k:
+            exponent[..., k] += exponent[..., k - 1]
+    return np.array(radii)[:, None] * np.exp(-exponent.swapaxes(1, 2))
 
 
 def _block_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
@@ -707,7 +754,6 @@ def _block_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
     coeffs = np.array([omega.series.coeffs for omega in samples], dtype=complex)
     radii = np.array(verify._MEMBERSHIP_RADII)[:, None]
     z_env = radii * verify._circle(verify._MEMBERSHIP_ANGLES)
-    z_growth = z_env[:, :: verify._GROWTH_STRIDE]
     env_powers = verify._powers(z_env, coeffs.shape[1] - 1).reshape(-1, coeffs.shape[1]).T
     envs = [verify.re_im_envelope(r) for r in verify._MEMBERSHIP_RADII]
     re_lo_env, re_hi_env, im_env = (
@@ -716,14 +762,15 @@ def _block_membership(sample_count, seed, alphas=(0.0, 0.5, 1.0), tol=1e-6):
     growth_lo, growth_hi = verify._membership_tables()[-2:]
     worst = dict.fromkeys(("re_lo", "re_hi", "im", "g_lo", "g_hi"), math.inf)
     env_bad, growth_bad = [], []
-    block = max(1, verify.SLAB_POINTS // (z_growth.size * verify._GROWTH_NODES))
+    rays = verify._MEMBERSHIP_ANGLES // verify._GROWTH_STRIDE
+    block = max(1, verify.SLAB_POINTS // (rays * len(verify._MEMBERSHIP_RADII) * verify._RAY_NODES))
     for lo in range(0, len(samples), block):
         rows = coeffs[lo : lo + block]
         ratio = 1 - np.log(1 + (rows @ env_powers).reshape((-1,) + z_env.shape))
         re_lo = ratio.real - re_lo_env
         re_hi = re_hi_env - ratio.real
         im = im_env - np.abs(ratio.imag)
-        fv = np.abs(z_growth * np.exp(_block_log_ratio_integral(rows[:, None, None, :], z_growth)))
+        fv = _block_growth_modulus(rows)
         g_lo = fv - growth_lo
         g_hi = growth_hi - fv
         for key, margin in (("re_lo", re_lo), ("re_hi", re_hi), ("im", im),
@@ -773,8 +820,8 @@ def test_membership_equals_the_block_loop_on_the_pool_seeds(seed):
     assert verify_class_membership_bounds(24, seed=seed).as_dict() == _block_membership(24, seed)
 
 
-# blocks held 5 samples; a last block of one row took another matrix product path
-@pytest.mark.parametrize("count", [1, 4, 5, 8, 9, 10, 11, 24, 200])
+# blocks hold 21 samples; a last block of one row may take another matrix product path
+@pytest.mark.parametrize("count", [1, 4, 5, 8, 9, 10, 11, 21, 22, 24, 42, 43, 200])
 def test_membership_equals_the_block_loop_at_counts(count):
     assert verify_class_membership_bounds(count, seed=42).as_dict() == _block_membership(count, 42)
 
@@ -786,26 +833,43 @@ def test_membership_violations_equal_the_block_loop():
     assert got == ref
 
 
-# -- the growth quadrature's node count -------------------------------------------------
-# The growth check takes _GROWTH_NODES Gauss-Legendre nodes, the structural
-# functions 64. At the suite's radii, |z| <= 0.9, both sit at rounding level,
-# so |f| at every growth point must keep the 64-node value to 1e-14 relative
-# (seen: 2.2e-15).
+# -- the growth check's ray quadrature ---------------------------------------------------
+# The growth check integrates log|1 + w| once per ray, on _RAY_NODES nodes of
+# each segment between the membership radii; the structural functions take 64
+# nodes on [0, z]. At the suite's radii, |z| <= 0.9, both sit at rounding
+# level, so |f| at every growth point must keep the 64-node value to 1e-14
+# relative (seen: 1.9e-15).
 
 
-def _growth_modulus(count, seed, nodes):
-    coeffs = np.array([omega.series.coeffs for omega in sample_suite(count, seed=seed)], dtype=complex)
-    z_growth, _, growth_powers = verify._membership_tables()[:3]
-    exponent = verify._log_ratio_integral(coeffs[:, None, None, :], growth_powers, nodes)
-    return np.abs(z_growth * np.exp(exponent))
+_RAY_SUITES = [(24, seed) for seed in range(1000, 1048)] + [(200, seed) for seed in (1, 2, 3, 4, 5, 42)]
 
 
-@pytest.mark.parametrize(
-    "count, seed", [(24, seed) for seed in range(1000, 1048)] + [(200, seed) for seed in (1, 2, 3, 4, 5, 42)]
-)
-def test_growth_nodes_keep_the_64_node_modulus(count, seed):
-    assert max(verify._MEMBERSHIP_RADII) <= 0.9  # the radius the node count rests on
-    got, ref = _growth_modulus(count, seed, verify._GROWTH_NODES), _growth_modulus(count, seed, 64)
+def _suite_rows(count, seed):
+    return np.array([omega.series.coeffs for omega in sample_suite(count, seed=seed)], dtype=complex)
+
+
+@pytest.mark.parametrize("count, seed", _RAY_SUITES)
+def test_ray_modulus_equals_the_block_loop_at_every_point(count, seed):
+    # the report holds only minima: each point's |f| keeps the bits of the
+    # node-by-node sums, whatever the block size
+    rows = _suite_rows(count, seed)
+    assert np.array_equal(verify._growth_modulus(rows), _block_growth_modulus(rows))
+    assert np.array_equal(verify._growth_modulus(rows[-3:]), _block_growth_modulus(rows)[-3:])
+
+
+@pytest.mark.parametrize("count, seed", _RAY_SUITES)
+def test_ray_segments_keep_the_64_node_modulus(count, seed):
+    radii = verify._MEMBERSHIP_RADII
+    assert max(radii) <= 0.9  # the radius the node count rests on
+    _, powers, weights = verify._membership_tables()[1:4]
+    # the segments tile [0, 0.9] and end at the radii: each integrates 1 to its length
+    lengths = (weights * powers[1]).reshape(len(radii), -1).sum(axis=1)
+    assert np.allclose(np.cumsum(lengths), radii, rtol=0, atol=1e-15)
+    coeffs = _suite_rows(count, seed)
+    z_growth = np.array(radii)[:, None] * verify._circle(verify._MEMBERSHIP_ANGLES)[:: verify._GROWTH_STRIDE]
+    exponent = verify._log_ratio_integral(coeffs[:, None, None, :], verify._powers(z_growth, verify.SAMPLE_ORDER))
+    ref = np.abs(z_growth * np.exp(exponent))
+    got = verify._growth_modulus(coeffs)
     assert (np.abs(got - ref) <= 1e-14 * ref).all()
 
 
@@ -819,13 +883,13 @@ def test_growth_nodes_keep_the_64_node_modulus(count, seed):
 def _envelope_points(count, seed):
     """u = 1 + w at the suite's envelope points, by (sample, radius, angle)."""
     coeffs = np.array([omega.series.coeffs for omega in sample_suite(count, seed=seed)], dtype=complex)
-    u = (coeffs @ verify._membership_tables()[1]).reshape(count, len(verify._MEMBERSHIP_RADII), -1)
+    u = (coeffs @ verify._membership_tables()[0]).reshape(count, len(verify._MEMBERSHIP_RADII), -1)
     return u + 1
 
 
 def _envelope_margins(re, arg):
     """The Re lo, Re hi and |Im| margins of 1 - log(u) = re - i arg, stacked first."""
-    re_lo_env, re_hi_env, im_env = verify._membership_tables()[3:6]
+    re_lo_env, re_hi_env, im_env = verify._membership_tables()[4:7]
     return np.stack((re - re_lo_env, re_hi_env - re, im_env - np.abs(arg)))
 
 
@@ -881,6 +945,7 @@ def test_witnesses_and_tables_are_built_once_and_read_only(monkeypatch):
     for _ in range(2):
         verify_class_membership_bounds(9, seed=3)
     assert built == ["monomial"] * 4 + ["mobius_eta"] * 5 + list(verify._MEMBERSHIP_RADII)
+    assert verify._node_powers.cache_info().currsize == 0  # the growth check runs on the rays
 
     witnesses = verify._witnesses()
     assert all(a is b for a, b in zip(sample_suite(24, seed=5), witnesses))
@@ -891,13 +956,15 @@ def test_witnesses_and_tables_are_built_once_and_read_only(monkeypatch):
         witnesses[0].series.coeffs = (0.0,)
     tables = verify._membership_tables()
     assert tables is verify._membership_tables()
-    nodes = verify._node_powers(verify.SAMPLE_ORDER + 1, verify._GROWTH_NODES)
+    rotations, ray_powers, ray_weights = tables[1:4]  # the ray tables
+    assert len(rotations) * ray_powers.shape[1] == len(rotations) * ray_weights.size == 384  # a row's pairs
+    nodes = verify._node_powers(verify.SAMPLE_ORDER + 1)  # the structural functions' 64 nodes
     for table in tables + (nodes,):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[..., 0] = 0
-    assert nodes is verify._node_powers(verify.SAMPLE_ORDER + 1, verify._GROWTH_NODES)
-    s = verify._gauss_legendre(verify._GROWTH_NODES)[0]
+    assert nodes is verify._node_powers(verify.SAMPLE_ORDER + 1)
+    s = verify._gauss_legendre()[0]
     assert nodes.tobytes() == (s ** np.arange(verify.SAMPLE_ORDER + 1)[:, None]).tobytes()
 
 
