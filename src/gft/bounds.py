@@ -165,6 +165,8 @@ def fekete_szego(params: ClassParams, c_coeffs, t) -> BoundReport:
     with the middle value -C1/v independent of t.
     """
     c1, c2, c3 = c_coeffs
+    if t != t or abs(t) == float("inf"):  # nan took the middle branch, +-inf an inf bound
+        raise ValueError(f"t must be finite, got {t!r}")
     if not c1 < 0:
         raise ValueError(
             "fekete_szego expects a negative leading coefficient; "

@@ -92,6 +92,10 @@ def conjecture_check(n_max: int = 5, m_max: int = 10) -> dict:
     Exact rational coefficients of t_n for n = 1..n_max up to order m_max;
     any |a_{m,n}| > |a_{m,1}| lands in ``violations``.
     """
+    for name, value in (("n_max", n_max), ("m_max", m_max)):
+        if _index(value) is None:  # 2.5 failed in range with a TypeError
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    n_max, m_max = _index(n_max), _index(m_max)
     if n_max < 2 or m_max < 5:
         raise ValueError("need n_max >= 2 and m_max >= 5")
     psi = make_spec("psi")

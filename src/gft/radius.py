@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from typing import Callable
 
@@ -257,6 +258,10 @@ def curve_points(curve_id: str, samples: int) -> list[complex]:
     tau3  parabola Re w - |w - 1| = 1 - 2 log 2 (solved radially around w = 1)
     tau4  image boundary of sqrt(1 + c0 z): w = sqrt(1 + c0 e^(i theta))
     """
+    # an int check of its own: gft.series is not loaded by radius or curves
+    if isinstance(samples, bool) or not hasattr(type(samples), "__index__"):  # True read as 1
+        raise ValueError(f"samples must be an int, got {samples!r}")
+    samples = operator.index(samples)
     if samples < 16:
         raise ValueError("at least 16 samples required")
     if curve_id == "tau":

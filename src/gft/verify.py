@@ -105,15 +105,21 @@ def _mobius_series(eta: float) -> TruncatedSeries:
     return TruncatedSeries(row.tolist())
 
 
-def _blaschke_series(zeros: Sequence[complex], scale: float) -> TruncatedSeries:
-    """scale z prod (a - z)/(1 - conj(a) z) to SAMPLE_ORDER; a factor's
-    coefficients are a, then -(1 - |a|^2) conj(a)^(k-1) for k >= 1."""
+def _blaschke_row(seed: int) -> np.ndarray:
+    """The ``scaled_blaschke`` sample of ``seed``: scale z prod (a - z)/(1 - conj(a) z) over two
+    drawn zeros a; a factor's coefficients are a, then -(1 - |a|^2) conj(a)^(k-1), k >= 1."""
+    rng = np.random.default_rng(seed)
+    # modest zero radii keep the series truncation far below the
+    # boundary-sup headroom of the closed disk of radius 0.999
+    radii = rng.uniform(0.1, 0.6, 2)
+    angles = rng.uniform(0, 2 * math.pi, 2)
     row = np.zeros(SAMPLE_ORDER + 1, dtype=complex)
-    row[1] = scale
-    for a in zeros:
+    row[1] = float(rng.uniform(0.5, 0.95))
+    for r, t in zip(radii, angles):
+        a = r * cmath.exp(1j * t)
         factor = np.append(a, -(1 - abs(a) ** 2) * np.conj(a) ** np.arange(SAMPLE_ORDER))
         row = np.convolve(row, factor)[: SAMPLE_ORDER + 1]
-    return TruncatedSeries(row.tolist())
+    return row
 
 
 # the params keys each sample kind reads (m defaults to 1, eta to 0.5); any
@@ -140,34 +146,26 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
         if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not 0 <= eta <= 1:
             raise ValueError(f"eta must be an int or float in [0, 1], got {eta!r}")
         series = _mobius_series(float(eta))
-    elif kind == "scaled_blaschke":
-        rng = np.random.default_rng(seed)
-        # modest zero radii keep the series truncation far below the
-        # boundary-sup headroom of the closed disk of radius 0.999
-        radii = rng.uniform(0.1, 0.6, 2)
-        angles = rng.uniform(0, 2 * math.pi, 2)
-        zeros = [r * cmath.exp(1j * t) for r, t in zip(radii, angles)]
-        series = _blaschke_series(zeros, float(rng.uniform(0.5, 0.95)))
     else:
-        return _random_polys([seed])[0]
+        row = _blaschke_row(seed) if kind == "scaled_blaschke" else _random_poly_rows([seed])[0]
+        series = TruncatedSeries(row.tolist())
     return SchwarzSample(series, kind)
 
 
-def _random_polys(seeds: Sequence[int]) -> list[SchwarzSample]:
+def _random_poly_rows(seeds: Sequence[int]) -> np.ndarray:
     """The ``random_poly_normalized`` sample of each seed: a degree-8 polynomial with
-    standard complex normal coefficients, scaled to sup |w| = 1/SCHWARZ_SAFETY on the
-    boundary circle. The sups take ``np.polyval``'s steps on all rows at once."""
+    standard complex normal coefficients, scaled to sup |w| = 1/SCHWARZ_SAFETY on the boundary
+    circle. The sups take ``np.polyval``'s steps after the first on all rows at once."""
     rows = np.zeros((len(seeds), SAMPLE_ORDER + 1), dtype=complex)
     for row, seed in zip(rows, seeds):
         rng = np.random.default_rng(seed)
         row[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    values = np.zeros((len(seeds), BOUNDARY_GRID), dtype=complex)
-    for c in rows[:, 8::-1].T:  # y = y x + p over each row[8::-1], from zeros
+    values = rows[:, 8, None].repeat(BOUNDARY_GRID, axis=1)  # y = p[8], the step 0 x + p[8]
+    for c in rows[:, 7::-1].T:  # y = y x + p over each row[7::-1]
         values *= _boundary_circle()
         values += c[:, None]
-    return [SchwarzSample(TruncatedSeries((row * (1.0 / (SCHWARZ_SAFETY * sup))).tolist()),
-                          "random_poly_normalized")
-            for row, sup in zip(rows, np.abs(values).max(axis=1).tolist())]
+    rows *= (1.0 / (SCHWARZ_SAFETY * np.abs(values).max(axis=1)))[:, None]
+    return rows
 
 
 @functools.cache
@@ -178,23 +176,42 @@ def _witnesses() -> tuple[SchwarzSample, ...]:
             *(sample_schwarz("mobius_eta", {"eta": eta}) for eta in (0.0, 0.25, 0.5, 0.75, 1.0)))
 
 
+@functools.cache
+def _witness_rows() -> np.ndarray:
+    """The :func:`_witnesses`' coefficients as complex rows, built once and read-only."""
+    rows = np.array([omega.series.coeffs for omega in _witnesses()], dtype=complex)
+    rows.flags.writeable = False  # shared by every suite
+    return rows
+
+
+def _suite_rows(count: int, seed: int) -> tuple[np.ndarray, list[str]]:
+    """The coefficients of ``sample_suite(count, seed)``, one complex row per sample,
+    and the samples' kinds; no sample object is built."""
+    if (n := _index(count)) is None:
+        raise ValueError(f"sample count must be an int, got {count!r}")
+    if n < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+    seed = _as_int(seed, "seed", 0)
+    extra = range(n - len(_witness_rows()))  # empty below ten samples
+    kinds = [omega.kind for omega in _witnesses()[:n]]
+    kinds += ["scaled_blaschke" if i % 3 == 2 else "random_poly_normalized" for i in extra]
+    polys = iter(_random_poly_rows([seed + i for i in extra if i % 3 != 2]))
+    rows = [*_witness_rows()[:n], *(_blaschke_row(seed + i) if i % 3 == 2 else next(polys) for i in extra)]
+    return np.array(rows), kinds
+
+
 def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
     """A deterministic mix of sample kinds, extremal witnesses first.
 
     After the :func:`_witnesses`, the i-th further sample, drawn from seed + i, is a
     scaled Blaschke product when i % 3 == 2, else a random polynomial (one pass for all).
     Moebius eta = 0 and eta = 1 reproduce the monomials z^2 and z; they stay
-    because the benchmark's 24-sample membership digests pin this list.
+    because the benchmark's 24-sample membership digests pin this list. The samples
+    wrap the rows of :func:`_suite_rows`.
     """
-    if (n := _index(count)) is None:
-        raise ValueError(f"sample count must be an int, got {count!r}")
-    if n < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
-    seed = _as_int(seed, "seed", 0)
-    extra = range(n - len(_witnesses()))  # empty below ten samples
-    polys = iter(_random_polys([seed + i for i in extra if i % 3 != 2]))
-    return list(_witnesses()[:n]) + [sample_schwarz("scaled_blaschke", None, seed=seed + i)
-                                     if i % 3 == 2 else next(polys) for i in extra]
+    rows, kinds = _suite_rows(count, seed)
+    head = _witnesses()[: len(rows)]
+    return [*head, *map(SchwarzSample, map(TruncatedSeries, rows[len(head):].tolist()), kinds[len(head):])]
 
 
 # -- structural evaluation ----------------------------------------------------------
@@ -554,18 +571,19 @@ def _cmul(a, b):
     return a.real * b.real - a.imag * b.imag + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def _class_coefficients(omega: np.ndarray, phi, h, d) -> list[np.ndarray]:
-    """a_2..a_{N+1} of the class members, one row per Schwarz function and one
-    column per weight set.
+def _class_coefficients(omega: np.ndarray, phi, h, d) -> np.ndarray:
+    """a_2..a_{N+1} of the class members stacked, one row per Schwarz function
+    and one column per weight set.
 
     ``omega`` holds w_0 = 0, w_1..w_N of each Schwarz function, ``phi`` the
     generator coefficients 1, phi_1..phi_N, ``h`` the weights 1, h_2..h_N and
     ``d`` the gaps d_n = g_n - h_n, n = 2..N+1, each weight a scalar or one
     entry per column. q = phi(omega) takes the Horner steps of
     :meth:`TruncatedSeries.compose` and the sum order of
-    :meth:`TruncatedSeries.mul`, then a_n d_n = sum_{m<n} a_m h_m q_{n-m}. Each
-    step rounds as Python does on one row's complex scalars, keeping the bits
-    of that route.
+    :meth:`TruncatedSeries.mul`, then a_n d_n = sum_{m<n} a_m h_m q_{n-m}, its
+    terms from one product, added by ``sum`` in order of m from 0 (np.add.reduce
+    sums pairwise where there is one row and one column). Each step rounds as
+    Python does on one row's complex scalars, keeping the bits of that route.
     """
     order = omega.shape[1] - 1
     lags = np.arange(order)
@@ -579,12 +597,12 @@ def _class_coefficients(omega: np.ndarray, phi, h, d) -> list[np.ndarray]:
         for j in range(1, order):
             acc[:, j:] += products[:, j, j:]
         q[:, 0], q[:, 1:] = c, acc
-    a = [np.ones((len(omega), np.size(d[0])), dtype=complex)]
+    a = np.ones((order + 1, len(omega), np.size(d[0])), dtype=complex)  # a_1..a_{N+1}
+    ah = np.empty_like(a[:order])  # a_m h_m
     for n in range(2, order + 2):
-        acc = 0
-        for m in range(1, n):
-            acc = acc + _cmul(a[m - 1] * h[m - 1], q[:, n - m, None])
-        a.append(acc.real / d[n - 2] + 1j * (acc.imag / d[n - 2]))  # as Python, not by 1/d
+        ah[n - 2] = a[n - 2] * h[n - 2]
+        acc = sum(_cmul(ah[: n - 1], q[:, n - 1 : 0 : -1].T[..., None]), 0)
+        a[n - 1] = acc.real / d[n - 2] + 1j * (acc.imag / d[n - 2])  # as Python, not by 1/d
     return a[1:]
 
 
@@ -674,6 +692,8 @@ def _growth_modulus(coeffs: np.ndarray) -> np.ndarray:
 
 
 _COEFF_KEYS = ("a2", "a3", "fekete_t1", "a4", "a2a3_a4", "a5", "h2_general", "h3")
+#: psi's float coefficients 1, psi_1..psi_4, for the a_2..a_5 recurrence
+_psi_coeffs = functools.cache(lambda: make_spec("psi").series(4, exact=False).coeffs)
 
 
 @functools.cache
@@ -717,10 +737,9 @@ def verify_class_membership_bounds(
         raise ValueError("alphas must hold at least one alpha")
     if not math.isfinite(tol):  # nan passes every point, +-inf passes or fails all
         raise ValueError(f"tol must be finite, got {tol!r}")
-    samples = sample_suite(sample_count, seed=seed)
-    coeffs = np.array([omega.series.coeffs for omega in samples], dtype=complex)
+    coeffs, kinds = _suite_rows(sample_count, seed)
     env_powers, rays, powers, _, re_lo_env, re_hi_env, im_env, growth_lo, growth_hi = _membership_tables()
-    u = (coeffs @ env_powers).reshape(len(samples), len(_MEMBERSHIP_RADII), -1)
+    u = (coeffs @ env_powers).reshape(len(coeffs), len(_MEMBERSHIP_RADII), -1)
     u += 1
     # ratio = 1 - log(u) with log(u) = log|u| + i arg u, as the structural
     # quadrature takes it, at some 9 ns a point against numpy's careful complex log
@@ -742,22 +761,23 @@ def verify_class_membership_bounds(
     im[at] = im_env[r, 0] - np.abs(ratio.imag)
     env_worst[at] = np.minimum(np.minimum(re_lo[at], re_hi[at]), im[at])
     block = max(1, SLAB_POINTS // (len(rays) * powers.shape[1]))  # rows of (ray, node) pairs
-    fv = np.concatenate([_growth_modulus(coeffs[lo : lo + block]) for lo in range(0, len(samples), block)])
+    fv = np.concatenate([_growth_modulus(coeffs[lo : lo + block]) for lo in range(0, len(coeffs), block)])
     g_lo = fv - growth_lo
     g_hi = growth_hi - fv
     env_bad = (env_worst < -tol).sum(axis=-1)  # per (sample, r)
     growth_bad = (np.minimum(g_lo, g_hi) < -tol).sum(axis=-1)
 
     tables = [_bound_row(alpha) for alpha in alphas]  # the bounds per (alpha, key)
-    psi = make_spec("psi").series(4, exact=False).coeffs
     h = [1 + k * np.array(alphas, dtype=float) for k in range(5)]  # h_1..h_5, d_n = (n - 1) h_n
-    a2, a3, a4, a5 = _class_coefficients(coeffs[:, :5], psi, h[:4], [k * h[k] for k in range(1, 5)])
-    a2_sq, a2_a3 = _cmul(a2, a2), _cmul(a2, a3)
-    hankel = _cmul(a2, a4) - _cmul(a3, a3)
-    h3 = _cmul(a3, hankel) - _cmul(a4, a4 - a2_a3) + _cmul(a5, a3 - a2_sq)
+    a = _class_coefficients(coeffs[:, :5], _psi_coeffs(), h[:4], [k * h[k] for k in range(1, 5)])
+    a2, a3, a4, a5 = a
+    a2_sq, a2_a3, a2_a4, a3_sq = _cmul(a[[0, 0, 0, 1]], a[[0, 1, 2, 1]])
+    hankel = a2_a4 - a3_sq
+    a3_hankel, a4_term, a5_term = _cmul(a[1:], np.stack((hankel, a4 - a2_a3, a3 - a2_sq)))
+    h3 = a3_hankel - a4_term + a5_term
     values = np.stack((a2, a3, a3 - a2_sq, a4, a2_a3 - a4, a5, hankel, h3), axis=-1)
     # (sample, check), alpha-major; Python's abs(complex) is the hypot of the parts
-    margins = (np.array(tables) - np.hypot(values.real, values.imag)).reshape(len(samples), -1)
+    margins = (np.array(tables) - np.hypot(values.real, values.imag)).reshape(len(coeffs), -1)
     checks = [f"{key}@alpha={alpha}" for alpha in alphas for key in _COEFF_KEYS]
     coeff_bad = margins < -tol
 
@@ -771,10 +791,10 @@ def verify_class_membership_bounds(
         for r, n_env, n_growth in zip(_MEMBERSHIP_RADII, env_bad[idx], growth_bad[idx]):
             wheres += [f"envelope r={r}"] * n_env + [f"growth r={r}"] * n_growth
         wheres += [checks[c] for c in np.flatnonzero(coeff_bad[idx])]
-        violations.extend({"sample": idx, "kind": samples[idx].kind, "where": where} for where in wheres)
+        violations.extend({"sample": idx, "kind": kinds[idx], "where": where} for where in wheres)
 
     return MembershipReport(
-        samples=len(samples),
+        samples=len(coeffs),
         seed=seed,
         worst_re_lo=float(re_lo.min()),
         worst_re_hi=float(re_hi.min()),

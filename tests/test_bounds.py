@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -165,6 +166,24 @@ class TestFeketeSzego:
     def test_rejects_positive_leading_coefficient(self):
         with pytest.raises(ValueError):
             fekete_szego(alpha_class_params(0), (1, Fraction(1, 2), 1), 0)
+
+    # nan took the middle branch (1/4 at alpha = 1/2) and +-inf gave an inf "bound"
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.float64("nan"), np.inf])
+    def test_rejects_non_finite_t(self, t):
+        message = re.escape(f"t must be finite, got {t!r}")
+        params = alpha_class_params(Fraction(1, 2))
+        for call in (lambda: fekete_szego_sl(0.5, t),
+                     lambda: fekete_szego(params, PSI_COEFFS, t),
+                     lambda: fekete_szego_positive(params, PhiCoeffs.from_counterpart(*PSI_COEFFS), t)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_finite_t_of_every_type_still_accepted(self):
+        ref = fekete_szego_sl(Fraction(1, 2), Fraction(3, 2))
+        for t in (1.5, np.float64(1.5), Fraction(3, 2)):
+            rep = fekete_szego_sl(Fraction(1, 2), t)
+            assert rep.case_label == ref.case_label and rep.value == pytest.approx(ref.value, rel=1e-15)
+        assert fekete_szego_sl(0, 10**400).case_label == "above_k2"  # too large for a float, still finite
 
 
 B_PSI = PhiCoeffs(Fraction(1), Fraction(1, 2), Fraction(1, 3))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,19 @@ class TestCurves:
             curve_points("tau", 8)
         with pytest.raises(ValueError):
             curve_points("tau9", 64)
+
+    # 20.0 failed in range with a TypeError; True read as 1 sample
+    @pytest.mark.parametrize("bad", [20.0, 16.5, True, False, "20", None])
+    def test_samples_must_be_an_int(self, bad):
+        for cid in CURVE_IDS:
+            with pytest.raises(ValueError, match=re.escape(f"samples must be an int, got {bad!r}")):
+                curve_points(cid, bad)
+
+    def test_numpy_int_samples_and_the_floor(self):
+        for cid in CURVE_IDS:
+            assert curve_points(cid, np.int64(20)) == curve_points(cid, 20)
+            with pytest.raises(ValueError, match="at least 16 samples required"):
+                curve_points(cid, np.int64(15))
 
     def test_tau_closure_inside_outside(self):
         # points nudged inward/outward along the exponential coordinate

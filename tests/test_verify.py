@@ -669,6 +669,20 @@ def test_class_coefficients_keep_the_bits_of_the_series_route(seed):
             assert [complex(a[idx, i]) for a in got] == _ref_class_coefficients(q, alpha)[1:]
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+def test_membership_class_coefficients_keep_the_bits_one_row_at_a_time(alpha):
+    # one row and one weight set: each a_n is a single sum of up to four terms,
+    # which np.add.reduce would add pairwise, not in order of m
+    psi4 = make_spec("psi").series(4, exact=False)
+    h = [1 + k * alpha for k in range(5)]
+    for omega in sample_suite(60, seed=1000):
+        row = np.array([omega.series.padded(4).coeffs], dtype=complex)
+        got = verify._class_coefficients(row, psi4.coeffs, h[:4], [k * h[k] for k in range(1, 5)])
+        assert got.shape == (4, 1, 1)
+        ref = _ref_class_coefficients(psi4.compose(omega.series.padded(4), 4), alpha)[1:]
+        assert [complex(a[0, 0]) for a in got] == ref
+
+
 def _assert_membership_equal(got, ref):
     # w by Horner here and by a matrix product in the suite round apart, so
     # |f| may move in its last bits; the lower growth margin showed it in a
@@ -844,15 +858,11 @@ def test_membership_violations_equal_the_block_loop():
 _RAY_SUITES = [(24, seed) for seed in range(1000, 1048)] + [(200, seed) for seed in (1, 2, 3, 4, 5, 42)]
 
 
-def _suite_rows(count, seed):
-    return np.array([omega.series.coeffs for omega in sample_suite(count, seed=seed)], dtype=complex)
-
-
 @pytest.mark.parametrize("count, seed", _RAY_SUITES)
 def test_ray_modulus_equals_the_block_loop_at_every_point(count, seed):
     # the report holds only minima: each point's |f| keeps the bits of the
     # node-by-node sums, whatever the block size
-    rows = _suite_rows(count, seed)
+    rows = verify._suite_rows(count, seed)[0]
     assert np.array_equal(verify._growth_modulus(rows), _block_growth_modulus(rows))
     assert np.array_equal(verify._growth_modulus(rows[-3:]), _block_growth_modulus(rows)[-3:])
 
@@ -865,7 +875,7 @@ def test_ray_segments_keep_the_64_node_modulus(count, seed):
     # the segments tile [0, 0.9] and end at the radii: each integrates 1 to its length
     lengths = (weights * powers[1]).reshape(len(radii), -1).sum(axis=1)
     assert np.allclose(np.cumsum(lengths), radii, rtol=0, atol=1e-15)
-    coeffs = _suite_rows(count, seed)
+    coeffs = verify._suite_rows(count, seed)[0]
     z_growth = np.array(radii)[:, None] * verify._circle(verify._MEMBERSHIP_ANGLES)[:: verify._GROWTH_STRIDE]
     exponent = verify._log_ratio_integral(coeffs[:, None, None, :], verify._powers(z_growth, verify.SAMPLE_ORDER))
     ref = np.abs(z_growth * np.exp(exponent))
@@ -882,7 +892,7 @@ def test_ray_segments_keep_the_64_node_modulus(count, seed):
 
 def _envelope_points(count, seed):
     """u = 1 + w at the suite's envelope points, by (sample, radius, angle)."""
-    coeffs = np.array([omega.series.coeffs for omega in sample_suite(count, seed=seed)], dtype=complex)
+    coeffs = verify._suite_rows(count, seed)[0]
     u = (coeffs @ verify._membership_tables()[0]).reshape(count, len(verify._MEMBERSHIP_RADII), -1)
     return u + 1
 
@@ -934,18 +944,91 @@ def test_suite_samples_equal_per_sample_polyval(seed):
     assert one.series.coeffs == _polyval_poly(seed).series.coeffs
 
 
+# -- the membership suite's coefficient rows ---------------------------------------------
+# verify_class_membership_bounds draws the suite as one complex matrix, with no
+# per-sample object: its rows must hold the bits of the suite's samples, and of
+# the construction they replaced, each Blaschke product one np.convolve per zero
+# into the row, in that argument order.
+
+
+def _convolve_blaschke(seed):
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0.1, 0.6, 2)
+    angles = rng.uniform(0, 2 * math.pi, 2)
+    zeros = [r * cmath.exp(1j * t) for r, t in zip(radii, angles)]
+    row = np.zeros(verify.SAMPLE_ORDER + 1, dtype=complex)
+    row[1] = float(rng.uniform(0.5, 0.95))
+    for a in zeros:
+        factor = np.append(a, -(1 - abs(a) ** 2) * np.conj(a) ** np.arange(verify.SAMPLE_ORDER))
+        row = np.convolve(row, factor)[: verify.SAMPLE_ORDER + 1]
+    return row
+
+
+def _reference_rows(count, seed):
+    """The suite's rows and kinds, each random sample built on its own."""
+    witnesses = [sample_schwarz("monomial", {"m": m}) for m in (1, 2, 3, 4)]
+    witnesses += [sample_schwarz("mobius_eta", {"eta": eta}) for eta in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    rows = [np.array(omega.series.coeffs, dtype=complex) for omega in witnesses]
+    kinds = [omega.kind for omega in witnesses]
+    for i in range(count - len(witnesses)):
+        blaschke = i % 3 == 2
+        rows.append(_convolve_blaschke(seed + i) if blaschke
+                    else np.array(_polyval_poly(seed + i).series.coeffs))
+        kinds.append("scaled_blaschke" if blaschke else "random_poly_normalized")
+    return np.array(rows[:count]), kinds[:count]
+
+
+@pytest.mark.parametrize("count", [1, 9, 10, 11, 12, 21, 22, 43, 200])
+@pytest.mark.parametrize("seed", [0, 7, 42, 1000])
+def test_membership_rows_equal_the_suite_bit_for_bit(count, seed):
+    rows, kinds = verify._suite_rows(count, seed)
+    assert rows.shape == (count, verify.SAMPLE_ORDER + 1) and rows.dtype == complex
+    samples = sample_suite(count, seed=seed)
+    assert kinds == [omega.kind for omega in samples]
+    # tobytes tells apart what == does not: a signed zero, or a nan
+    assert rows.tobytes() == np.array([omega.series.coeffs for omega in samples], dtype=complex).tobytes()
+    ref_rows, ref_kinds = _reference_rows(count, seed)
+    assert kinds == ref_kinds
+    assert rows.tobytes() == ref_rows.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 8, 13, 1000, 1047])
+def test_membership_random_kinds_equal_their_rows(seed):
+    # the suite's i-th further sample draws from seed + i: a polynomial at i = 0
+    # (row 9), a Blaschke product at i = 2 (row 11)
+    poly = sample_schwarz("random_poly_normalized", seed=seed)
+    blaschke = sample_schwarz("scaled_blaschke", seed=seed + 2)
+    assert poly.series.coeffs == _polyval_poly(seed).series.coeffs
+    assert blaschke.series.coeffs == tuple(_convolve_blaschke(seed + 2).tolist())
+    rows, kinds = verify._suite_rows(12, seed)
+    for omega, i in ((poly, 9), (blaschke, 11)):
+        assert kinds[i] == omega.kind and all(type(c) is complex for c in omega.series.coeffs)
+        assert rows[i].tobytes() == np.array(omega.series.coeffs).tobytes()
+
+
 def test_witnesses_and_tables_are_built_once_and_read_only(monkeypatch):
     built = []
     real_sample, real_envelope = verify.sample_schwarz, verify.re_im_envelope
     monkeypatch.setattr(verify, "sample_schwarz",
                         lambda kind, *args, **kwargs: built.append(kind) or real_sample(kind, *args, **kwargs))
     monkeypatch.setattr(verify, "re_im_envelope", lambda r: built.append(r) or real_envelope(r))
-    for cached in (verify._witnesses, verify._membership_tables, verify._node_powers):
+    for cached in (verify._witnesses, verify._witness_rows, verify._membership_tables, verify._node_powers):
         cached.cache_clear()
     for _ in range(2):
         verify_class_membership_bounds(9, seed=3)
+        verify_class_membership_bounds(24, seed=5)  # draws its other samples as rows
     assert built == ["monomial"] * 4 + ["mobius_eta"] * 5 + list(verify._MEMBERSHIP_RADII)
     assert verify._node_powers.cache_info().currsize == 0  # the growth check runs on the rays
+    assert verify._witness_rows.cache_info().currsize == 1
+
+    rows = verify._witness_rows()
+    assert rows is verify._witness_rows() and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 1] = 0
+    assert rows.dtype == complex and rows.shape == (9, verify.SAMPLE_ORDER + 1)
+    suite_rows, kinds = verify._suite_rows(24, 5)
+    assert suite_rows.flags.writeable and suite_rows[:9].tobytes() == rows.tobytes()
+    assert kinds[:9] == ["monomial"] * 4 + ["mobius_eta"] * 5
 
     witnesses = verify._witnesses()
     assert all(a is b for a, b in zip(sample_suite(24, seed=5), witnesses))
@@ -2081,6 +2164,21 @@ class TestConjecture:
     def test_validation(self):
         with pytest.raises(ValueError):
             conjecture_check(1, 10)
+        with pytest.raises(ValueError, match=re.escape("need n_max >= 2 and m_max >= 5")):
+            conjecture_check(5, 4)
+
+    # 2.5 failed in range with a TypeError, and True read as n_max = 1
+    @pytest.mark.parametrize("bad", [2.5, 5.0, True, "5", None])
+    def test_orders_must_be_ints(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"n_max must be an int, got {bad!r}")):
+            conjecture_check(bad, 5)
+        with pytest.raises(ValueError, match=re.escape(f"m_max must be an int, got {bad!r}")):
+            conjecture_check(3, bad)
+
+    def test_numpy_int_orders_read_as_ints(self):
+        rep = conjecture_check(np.int64(3), np.int32(5))
+        assert type(rep["n_max"]) is int and type(rep["m_max"]) is int
+        assert rep == conjecture_check(3, 5)
 
     def test_reexported_from_extremal(self):
         from gft import extremal
