@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import MaMindaSpec, make_spec
-from .series import TruncatedSeries, _as_int, _index
+from .series import TruncatedSeries, _as_int
 
 __all__ = [
     "ExtremalFunction",
@@ -90,14 +90,11 @@ def conjecture_check(n_max: int = 5, m_max: int = 10) -> dict:
     """Coefficient comparison table for the power-substituted structural family.
 
     Exact rational coefficients of t_n for n = 1..n_max up to order m_max;
-    any |a_{m,n}| > |a_{m,1}| lands in ``violations``.
+    any |a_{m,n}| > |a_{m,1}| lands in ``violations``. ``n_max`` is an int >= 2
+    and ``m_max`` an int >= 5.
     """
-    for name, value in (("n_max", n_max), ("m_max", m_max)):
-        if _index(value) is None:  # 2.5 failed in range with a TypeError
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    n_max, m_max = _index(n_max), _index(m_max)
-    if n_max < 2 or m_max < 5:
-        raise ValueError("need n_max >= 2 and m_max >= 5")
+    # 2.5 failed in range with a TypeError, and True read as n_max = 1
+    n_max, m_max = _as_int(n_max, "n_max", 2), _as_int(m_max, "m_max", 5)
     psi = make_spec("psi")
     table: dict[int, list[Fraction]] = {}
     for n in range(1, n_max + 1):
@@ -173,10 +170,8 @@ def growth_constant(terms: int = 1000) -> float:
     This is the logarithmic growth constant of the boundary envelope for the
     logarithmic generator; the exact value is pi^2/12. ``terms`` is an int >= 1.
     """
-    if (n := _index(terms)) is None:  # 2.5 or True would pair another number of terms
-        raise ValueError(f"terms must be an int, got {terms!r}")
-    if n < 1:  # else the odd tail below adds 1/n^2 to an empty sum
-        raise ValueError(f"terms must be at least 1, got {terms!r}")
+    # 2.5 or True would pair another number of terms; n = 0 would add 1/n^2 to an empty sum
+    n = _as_int(terms, "terms", 1)
     total = 0.0
     for j in range(1, n // 2 + 1):
         total += 1.0 / (2 * j - 1) ** 2 - 1.0 / (2 * j) ** 2

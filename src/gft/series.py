@@ -23,13 +23,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 import warnings
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable
 
 Number = complex | float | int | Fraction
 
@@ -323,19 +319,8 @@ class TruncatedSeries:
 
     # -- evaluation ----------------------------------------------------------
 
-    def __call__(self, z: Number | np.ndarray) -> complex | np.ndarray:
-        """Horner evaluation of the truncated polynomial at z.
-
-        An ``np.ndarray`` of points is evaluated elementwise in one pass
-        (``np.polyval`` over the complex-cast coefficients) and gives a
-        complex array of the same shape.
-        """
-        # numpy is not imported here: a caller holding an ndarray has loaded it
-        np = sys.modules.get("numpy")
-        if np is not None and isinstance(z, np.ndarray):
-            if z.size and np.abs(z).max() > 1 + 1e-12:
-                warnings.warn(_OUTSIDE_DISK, stacklevel=2)
-            return np.polyval(np.array(self.coeffs[::-1], dtype=complex), z)
+    def __call__(self, z: Number) -> Number:
+        """Horner evaluation of the truncated polynomial at the point z."""
         if abs(complex(z)) > 1 + 1e-12:
             warnings.warn(_OUTSIDE_DISK, stacklevel=2)
         acc: Number = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,10 +32,9 @@ from .catalog import make_spec
 # conjecture_check and t_series are re-exported
 from .extremal import conjecture_check, growth_envelope_starlike, t_series
 from .radius import bisect_root, re_im_envelope
-from .series import TruncatedSeries, _as_int, _index
+from .series import _OUTSIDE_DISK, TruncatedSeries, _as_int
 
 __all__ = [
-    "SchwarzSample",
     "CaratheodoryPoint",
     "caratheodory_point",
     "schur_parameters",
@@ -68,7 +68,7 @@ def _circle(grid: int) -> np.ndarray:
 
 @functools.cache
 def _boundary_circle() -> np.ndarray:
-    """``_circle(BOUNDARY_GRID)``: random polynomials' sup; boundary_sup at 0.999."""
+    """``_circle(BOUNDARY_GRID)``, where random polynomials take their sup."""
     circle = _circle(BOUNDARY_GRID)
     circle.flags.writeable = False  # shared by every caller
     return circle
@@ -80,29 +80,17 @@ def _like(z, values: np.ndarray):
 
 
 # -- Schwarz samples -------------------------------------------------------------
+#
+# A Schwarz function w, a self-map of the disk with w(0) = 0, is held as its
+# complex coefficient row w_0 = 0, w_1, ..., w_N.
 
 
-@dataclass(frozen=True)
-class SchwarzSample:
-    """A polynomial self-map of the disk with w(0) = 0."""
-
-    series: TruncatedSeries
-    kind: str
-
-    def __call__(self, z):
-        return self.series(z)
-
-    def boundary_sup(self) -> float:
-        """max |w| on BOUNDARY_GRID points of the circle of radius 0.999."""
-        return float(np.abs(self.series(0.999 * _boundary_circle())).max())
-
-
-def _mobius_series(eta: float) -> TruncatedSeries:
+def _mobius_row(eta: float) -> np.ndarray:
     """z (z + eta)/(1 + eta z) = eta z + sum_{k>=2} (1 - eta^2) (-eta)^(k-2) z^k."""
-    row = np.zeros(SAMPLE_ORDER + 1)
+    row = np.zeros(SAMPLE_ORDER + 1, dtype=complex)
     row[1] = eta
     row[2:] = (1 - eta * eta) * (-eta) ** np.arange(SAMPLE_ORDER - 1)
-    return TruncatedSeries(row.tolist())
+    return row
 
 
 def _blaschke_row(seed: int) -> np.ndarray:
@@ -128,8 +116,9 @@ _SAMPLE_KEYS = {"monomial": {"m"}, "mobius_eta": {"eta"},
                 "scaled_blaschke": set(), "random_poly_normalized": set()}
 
 
-def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> SchwarzSample:
-    """Deterministic Schwarz-function sample of the requested kind."""
+def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> np.ndarray:
+    """Deterministic Schwarz-function sample of the requested kind: a fresh complex
+    coefficient row of SAMPLE_ORDER + 1 entries (m + 1 for a monomial z^m past that)."""
     if kind not in _SAMPLE_KEYS:
         raise ValueError(f"unknown Schwarz sample kind {kind!r}")
     params = params or {}
@@ -138,18 +127,16 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> Schw
         raise ValueError(f"Schwarz sample kind {kind!r} reads no params key {', '.join(unread)}")
     seed = _as_int(seed, "seed", 0)  # True or 1.5 would draw another stream, or none
     if kind == "monomial":
-        if (m := _index(params.get("m", 1))) is None or m < 1:  # 2.5, "3" or True would build another power
-            raise ValueError(f"monomial exponent must be an int >= 1, got {params['m']!r}")
-        series = TruncatedSeries([0] * m + [1]).padded(max(SAMPLE_ORDER, m))
-    elif kind == "mobius_eta":
+        m = _as_int(params.get("m", 1), "monomial exponent", 1)  # 2.5, "3" or True would build another power
+        row = np.zeros(max(SAMPLE_ORDER, m) + 1, dtype=complex)
+        row[m] = 1
+        return row
+    if kind == "mobius_eta":
         eta = params.get("eta", 0.5)
         if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not 0 <= eta <= 1:
             raise ValueError(f"eta must be an int or float in [0, 1], got {eta!r}")
-        series = _mobius_series(float(eta))
-    else:
-        row = _blaschke_row(seed) if kind == "scaled_blaschke" else _random_poly_rows([seed])[0]
-        series = TruncatedSeries(row.tolist())
-    return SchwarzSample(series, kind)
+        return _mobius_row(float(eta))
+    return _blaschke_row(seed) if kind == "scaled_blaschke" else _random_poly_rows([seed])[0]
 
 
 def _random_poly_rows(seeds: Sequence[int]) -> np.ndarray:
@@ -168,56 +155,43 @@ def _random_poly_rows(seeds: Sequence[int]) -> np.ndarray:
     return rows
 
 
-@functools.cache
-def _witnesses() -> tuple[SchwarzSample, ...]:
-    """z..z^4 and the Moebius maps at eta = 0, 1/4, 1/2, 3/4, 1: the seed-free head of
-    every suite, built once (a sample is immutable)."""
-    return (*(sample_schwarz("monomial", {"m": m}) for m in (1, 2, 3, 4)),
-            *(sample_schwarz("mobius_eta", {"eta": eta}) for eta in (0.0, 0.25, 0.5, 0.75, 1.0)))
+#: z..z^4 and the Moebius maps at eta = 0, 1/4, 1/2, 3/4, 1: the seed-free head of every suite
+_WITNESSES = (*(("monomial", {"m": m}) for m in (1, 2, 3, 4)),
+              *(("mobius_eta", {"eta": eta}) for eta in (0.0, 0.25, 0.5, 0.75, 1.0)))
 
 
 @functools.cache
 def _witness_rows() -> np.ndarray:
-    """The :func:`_witnesses`' coefficients as complex rows, built once and read-only."""
-    rows = np.array([omega.series.coeffs for omega in _witnesses()], dtype=complex)
+    """The rows of the ``_WITNESSES``, built once and read-only."""
+    rows = np.array([sample_schwarz(kind, params) for kind, params in _WITNESSES])
     rows.flags.writeable = False  # shared by every suite
     return rows
 
 
-def _suite_rows(count: int, seed: int) -> tuple[np.ndarray, list[str]]:
-    """The coefficients of ``sample_suite(count, seed)``, one complex row per sample,
-    and the samples' kinds; no sample object is built."""
-    if (n := _index(count)) is None:
-        raise ValueError(f"sample count must be an int, got {count!r}")
-    if n < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
+def sample_suite(count: int, seed: int = 42) -> tuple[np.ndarray, list[str]]:
+    """A deterministic mix of sample kinds, extremal witnesses first: the samples'
+    rows stacked as a (count, SAMPLE_ORDER + 1) complex array, and their kinds.
+
+    After the ``_WITNESSES``, the i-th further sample, drawn from seed + i, is a
+    scaled Blaschke product when i % 3 == 2, else a random polynomial (one pass for all).
+    Moebius eta = 0 and eta = 1 reproduce the monomials z^2 and z; they stay
+    because the benchmark's 24-sample membership digests pin this list.
+    """
+    n = _as_int(count, "sample count", 1)
     seed = _as_int(seed, "seed", 0)
-    extra = range(n - len(_witness_rows()))  # empty below ten samples
-    kinds = [omega.kind for omega in _witnesses()[:n]]
+    extra = range(n - len(_WITNESSES))  # empty below ten samples
+    kinds = [kind for kind, _ in _WITNESSES[:n]]
     kinds += ["scaled_blaschke" if i % 3 == 2 else "random_poly_normalized" for i in extra]
     polys = iter(_random_poly_rows([seed + i for i in extra if i % 3 != 2]))
     rows = [*_witness_rows()[:n], *(_blaschke_row(seed + i) if i % 3 == 2 else next(polys) for i in extra)]
     return np.array(rows), kinds
 
 
-def sample_suite(count: int, seed: int = 42) -> list[SchwarzSample]:
-    """A deterministic mix of sample kinds, extremal witnesses first.
-
-    After the :func:`_witnesses`, the i-th further sample, drawn from seed + i, is a
-    scaled Blaschke product when i % 3 == 2, else a random polynomial (one pass for all).
-    Moebius eta = 0 and eta = 1 reproduce the monomials z^2 and z; they stay
-    because the benchmark's 24-sample membership digests pin this list. The samples
-    wrap the rows of :func:`_suite_rows`.
-    """
-    rows, kinds = _suite_rows(count, seed)
-    head = _witnesses()[: len(rows)]
-    return [*head, *map(SchwarzSample, map(TruncatedSeries, rows[len(head):].tolist()), kinds[len(head):])]
-
-
 # -- structural evaluation ----------------------------------------------------------
 #
-# Each function takes one point or an array of points. A scalar gives a Python
-# complex; an array gives a complex array of its shape.
+# Each function takes a Schwarz function's coefficient row and one point or an
+# array of points. A scalar gives a Python complex; an array gives a complex
+# array of its shape.
 
 @functools.cache
 def _gauss_legendre(count: int = 64) -> tuple[np.ndarray, np.ndarray]:
@@ -265,27 +239,30 @@ def _log_ratio_integral(coeffs: np.ndarray, z_powers: np.ndarray) -> np.ndarray:
     return 0.5 * (u @ weights)
 
 
-def structural_eval(omega: SchwarzSample, z):
+def structural_eval(omega: np.ndarray, z):
     """f(z) = z exp(integral (q-1)/t dt) with q = 1 - log(1 + omega)."""
-    za, c = np.asarray(z, dtype=complex), np.asarray(omega.series.coeffs, complex)
-    return _like(z, za * np.exp(_log_ratio_integral(c, _powers(za, c.size - 1))))
+    za = np.asarray(z, dtype=complex)
+    return _like(z, za * np.exp(_log_ratio_integral(omega, _powers(za, omega.size - 1))))
 
 
-def structural_deriv(omega: SchwarzSample, z):
+def structural_deriv(omega: np.ndarray, z):
     """f'(z) = f(z) q(z) / z, computed as exp(integral (q-1)/t dt) q(z).
 
     Exact in terms of the structural formula; the form without the division
-    by z also holds at z = 0 and does not overflow for a subnormal z.
+    by z also holds at z = 0 and does not overflow for a subnormal z. The
+    truncated row is evaluated at z itself, with a warning outside the disk.
     """
     za = np.asarray(z, dtype=complex)
-    q = 1 - np.log(1 + omega(za))
+    if za.size and np.abs(za).max() > 1 + 1e-12:
+        warnings.warn(_OUTSIDE_DISK, stacklevel=2)
+    q = 1 - np.log(1 + np.polyval(omega[::-1], za))
     return _like(z, structural_deriv_convex(omega, za) * q)
 
 
-def structural_deriv_convex(omega: SchwarzSample, z):
+def structural_deriv_convex(omega: np.ndarray, z):
     """f'(z) = exp(integral (q-1)/t dt): derivative of the convex-side member."""
-    za, c = np.asarray(z, dtype=complex), np.asarray(omega.series.coeffs, complex)
-    return _like(z, np.exp(_log_ratio_integral(c, _powers(za, c.size - 1))))
+    za = np.asarray(z, dtype=complex)
+    return _like(z, np.exp(_log_ratio_integral(omega, _powers(za, omega.size - 1))))
 
 
 # -- Caratheodory parameterization -------------------------------------------------
@@ -737,7 +714,7 @@ def verify_class_membership_bounds(
         raise ValueError("alphas must hold at least one alpha")
     if not math.isfinite(tol):  # nan passes every point, +-inf passes or fails all
         raise ValueError(f"tol must be finite, got {tol!r}")
-    coeffs, kinds = _suite_rows(sample_count, seed)
+    coeffs, kinds = sample_suite(sample_count, seed)
     env_powers, rays, powers, _, re_lo_env, re_hi_env, im_env, growth_lo, growth_hi = _membership_tables()
     u = (coeffs @ env_powers).reshape(len(coeffs), len(_MEMBERSHIP_RADII), -1)
     u += 1
@@ -979,8 +956,8 @@ def _max_quartic_on_power_maps() -> float:
 # -- Bloch norm -----------------------------------------------------------------------
 
 
-def bloch_norm_estimate(omega: SchwarzSample, grid_size: int = 256, radial_count: int = 128) -> float:
-    """sup of (1 - |z|^2) |f'(z)| for the class member f that ``omega`` induces.
+def bloch_norm_estimate(omega: np.ndarray, grid_size: int = 256, radial_count: int = 128) -> float:
+    """sup of (1 - |z|^2) |f'(z)| for the class member f that the row ``omega`` induces.
 
     The polar grid has ``radial_count`` radii from 0 to 0.999, ends included,
     and ``grid_size`` angles, both ints. f' comes from the structural formula
@@ -1142,10 +1119,8 @@ def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dic
     True for every accepted input; it stays because the benchmark's
     ``series-build`` digest reads it.
     """
-    for name, value in (("m", m), ("n", n), ("order", order)):
-        if (k := _index(value)) is None or k < 1:  # 2.5 or True would index another power
-            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-    m, n, order = map(_index, (m, n, order))
+    # 2.5 or True would index another power
+    m, n, order = (_as_int(value, name, 1) for name, value in (("m", m), ("n", n), ("order", order)))
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
     coeffs = [0.0] * (order + 1)

@@ -327,7 +327,7 @@ class TestContracts:
     def test_negative_seed_rejected(self, capsys):
         argv = ["--seed", "-1", "verify", "--suite", "membership", "--samples", "5"]
         assert run_cli(argv) == (EXIT_REJECTED, "")
-        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert capsys.readouterr().err == "error: seed must be at least 0\n"
 
     # (contents of a file the CLI once read as $GFT_CONFIG, a command it would
     # have changed or rejected): each format is one the command renders but

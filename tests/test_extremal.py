@@ -240,7 +240,7 @@ class TestEnvelopes:
         from gft.verify import sample_suite, structural_eval
 
         t200 = t_series(PSI, 1, 200)  # r = 0.9 needs the boundary order
-        for omega in sample_suite(200, seed=11):
+        for omega in sample_suite(200, seed=11)[0]:
             for r in (0.3, 0.6, 0.9):
                 lo, hi = abs(t200(r)), abs(t200(-r))
                 for j in range(0, 64, 4):
