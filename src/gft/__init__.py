@@ -15,6 +15,8 @@ imports none of them, so a ``gft`` process loads only the modules its
 subcommand runs.
 """
 
+import operator
+
 __version__ = "0.1.0"
 
 # The catalog's generator names (base entries and their mirrors, sorted) and
@@ -24,3 +26,21 @@ __version__ = "0.1.0"
 CATALOG_NAMES = ("cos_sqrt_minus_z", "cos_sqrt_z", "one_minus_log_one_minus_z", "psi",
                  "sqrt_1_minus_z", "sqrt_1_plus_z")
 CURVE_IDS = ("tau", "tau1", "tau2", "tau3", "tau4")
+
+
+# Every module's int check. It lives here so that gft.radius, which loads no
+# gft.series, shares it.
+def _index(value) -> int | None:
+    """``value`` as an int, or None: an ``np.int64`` passes, a bool, 40.0 or "3" does not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        return None
+    return operator.index(value)
+
+
+def _as_int(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``, by :func:`_index`."""
+    if (n := _index(value)) is None:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return n

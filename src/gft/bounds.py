@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from operator import add
 from types import SimpleNamespace
 from typing import Any
@@ -43,6 +44,7 @@ __all__ = [
     "a4_bound",
     "a2a3_a4_bound",
     "PSI_COEFFS",
+    "PSI_B",
     "sl_threshold_sign",
     "a2_bound_sl",
     "a3_bound_sl",
@@ -123,6 +125,10 @@ class PhiCoeffs(namedtuple("PhiCoeffs", "b1 b2 b3")):
         if not c1 < 0:
             raise ValueError(f"counterpart form needs a negative leading coefficient, got {c1}")
         return cls(-c1, c2, -c3)
+
+
+#: psi's head as floats in the positive-slope convention: PSI_COEFFS with B_i = (-1)^i C_i
+PSI_B = PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
 
 
 class BoundReport(namedtuple("BoundReport", "value case_label inputs extremal_hint")):
@@ -505,16 +511,30 @@ def sl_threshold_sign(alpha):
     return (val > 0) - (val < 0)
 
 
-def a2_bound_sl(alpha) -> BoundReport:
-    alpha = _check_alpha(alpha)
-    return BoundReport(1 / (1 + alpha), "sl-a2", {"alpha": alpha},
-                       "convolution ratio equal to the generator (rotations)")
+_ROTATIONS = "convolution ratio equal to the generator (rotations)"
+#: label, c, k and extremal hint of each c/(1 + k alpha) entry of the table
+_SL_RATIOS = {
+    "a2": ("sl-a2", 1, 1, _ROTATIONS),
+    "a3": ("sl-a3", Fraction(3, 4), 2, _ROTATIONS),
+    "a4": ("sl-a4", Fraction(19, 36), 3, _ROTATIONS),
+    "a2a3_a4": ("sl-a2a3a4", Fraction(1, 3), 3,
+                "convolution ratio equal to the generator at z^3 (rotations)"),
+    "a5": ("sl-a5", Fraction(107, 288), 4, _ROTATIONS),
+}
 
 
-def a3_bound_sl(alpha) -> BoundReport:
+def _sl_ratio(key: str, alpha) -> BoundReport:
+    """The ``_SL_RATIOS`` entry ``key`` at alpha: c/(1 + k alpha)."""
+    label, c, k, hint = _SL_RATIOS[key]
     alpha = _check_alpha(alpha)
-    return BoundReport(Fraction(3, 4) / (1 + 2 * alpha), "sl-a3", {"alpha": alpha},
-                       "convolution ratio equal to the generator (rotations)")
+    return BoundReport(c / (1 + k * alpha), label, {"alpha": alpha}, hint)
+
+
+a2_bound_sl = partial(_sl_ratio, "a2")
+a3_bound_sl = partial(_sl_ratio, "a3")
+a4_bound_sl = partial(_sl_ratio, "a4")
+a2a3_a4_bound_sl = partial(_sl_ratio, "a2a3_a4")
+a5_bound_sl = partial(_sl_ratio, "a5")
 
 
 def fekete_szego_sl(alpha, t) -> BoundReport:
@@ -547,36 +567,6 @@ def h2_bound_sl(alpha) -> BoundReport:
         * (1 + 2 * alpha) ** 2
     )
     return BoundReport(num / den, "case3", {"alpha": alpha})
-
-
-def a4_bound_sl(alpha) -> BoundReport:
-    alpha = _check_alpha(alpha)
-    return BoundReport(
-        Fraction(19, 36) / (1 + 3 * alpha),
-        "sl-a4",
-        {"alpha": alpha},
-        "convolution ratio equal to the generator (rotations)",
-    )
-
-
-def a2a3_a4_bound_sl(alpha) -> BoundReport:
-    alpha = _check_alpha(alpha)
-    return BoundReport(
-        Fraction(1, 3) / (1 + 3 * alpha),
-        "sl-a2a3a4",
-        {"alpha": alpha},
-        "convolution ratio equal to the generator at z^3 (rotations)",
-    )
-
-
-def a5_bound_sl(alpha) -> BoundReport:
-    alpha = _check_alpha(alpha)
-    return BoundReport(
-        Fraction(107, 288) / (1 + 4 * alpha),
-        "sl-a5",
-        {"alpha": alpha},
-        "convolution ratio equal to the generator (rotations)",
-    )
 
 
 def h3_bound_sl_alpha(alpha) -> BoundReport:

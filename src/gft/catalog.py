@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import CATALOG_NAMES
-from .series import TruncatedSeries, _as_int
+from . import CATALOG_NAMES, _as_int
+from .series import TruncatedSeries
 
 __all__ = [
     "MaMindaSpec",

@@ -135,9 +135,8 @@ def _hankel(density=64):
     rows = []
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         params = bounds.alpha_class_params(alpha)
-        b = bounds.PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
-        oracle = verify.maximize_second_hankel_oracle(params, b, density=density)
-        bound_val = float(bounds.second_hankel(params, b).value)
+        oracle = verify.maximize_second_hankel_oracle(params, bounds.PSI_B, density=density)
+        bound_val = float(bounds.second_hankel(params, bounds.PSI_B).value)
         rows.append({"alpha": alpha, "oracle": oracle, "bound": bound_val,
                      "margin": bound_val - oracle})
     failed = any(row["oracle"] > row["bound"] + 1e-9 for row in rows)

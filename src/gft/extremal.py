@@ -18,8 +18,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _as_int
 from .catalog import MaMindaSpec, make_spec
-from .series import TruncatedSeries, _as_int
+from .series import TruncatedSeries, _div_int
 
 __all__ = [
     "ExtremalFunction",
@@ -65,11 +66,7 @@ def _structural_exp(coeff, n: int, order: int) -> TruncatedSeries:
     out: list = [0] * (top + 1)
     k = 1
     while n * k <= top:
-        c = coeff(k)
-        if isinstance(c, (int, Fraction)):
-            out[n * k] = Fraction(c, n * k)
-        else:
-            out[n * k] = c / (n * k)
+        out[n * k] = _div_int(coeff(k), n * k)
         k += 1
     return TruncatedSeries(out).exp(top)
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from collections import namedtuple
 from typing import Callable
 
-from . import CURVE_IDS
+from . import CURVE_IDS, _as_int
 
 __all__ = [
     "RadiusResult",
@@ -258,12 +257,7 @@ def curve_points(curve_id: str, samples: int) -> list[complex]:
     tau3  parabola Re w - |w - 1| = 1 - 2 log 2 (solved radially around w = 1)
     tau4  image boundary of sqrt(1 + c0 z): w = sqrt(1 + c0 e^(i theta))
     """
-    # an int check of its own: gft.series is not loaded by radius or curves
-    if isinstance(samples, bool) or not hasattr(type(samples), "__index__"):  # True read as 1
-        raise ValueError(f"samples must be an int, got {samples!r}")
-    samples = operator.index(samples)
-    if samples < 16:
-        raise ValueError("at least 16 samples required")
+    samples = _as_int(samples, "samples", 16)  # True would read as 1
     if curve_id == "tau":
         pts = []
         for j in range(samples):
@@ -291,9 +285,9 @@ def curve_points(curve_id: str, samples: int) -> list[complex]:
         pts = []
         for j in range(samples):
             theta = 2 * math.pi * (j + 1) / (samples + 1)
+            # theta lies strictly inside (0, 2 pi), so no ray takes the positive real
+            # axis, the one direction from 1 that never meets the parabola
             cos = math.cos(theta)
-            if abs(math.sin(theta)) < 1e-12 and cos > 0:
-                continue  # the axis direction away from the vertex never meets the parabola
             rho_closed = (1 - alpha) / (1 - cos)
             fn = lambda rho, cos=cos: (1 + rho * cos) - rho - alpha
             res = bisect_root(fn, 0.0, 2 * rho_closed + 1.0, f"tau3@{theta:.3f}")

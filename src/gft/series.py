@@ -37,20 +37,11 @@ _OUTSIDE_DISK = (
 )
 
 
-def _index(value) -> int | None:
-    """``value`` as an int, or None: an ``np.int64`` passes, a bool, 40.0 or "3" does not."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        return None
-    return operator.index(value)
-
-
-def _as_int(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``, by :func:`_index`."""
-    if (n := _index(value)) is None:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if n < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return n
+def _warn_outside_disk(modulus: float, stacklevel: int) -> None:
+    """Warn, at ``warnings.warn``'s ``stacklevel``, when a truncated row is evaluated at
+    points of largest modulus ``modulus`` > 1 + 1e-12."""
+    if modulus > 1 + 1e-12:
+        warnings.warn(_OUTSIDE_DISK, stacklevel=stacklevel)
 
 
 def _is_finite(c: Number) -> bool:
@@ -321,8 +312,7 @@ class TruncatedSeries:
 
     def __call__(self, z: Number) -> Number:
         """Horner evaluation of the truncated polynomial at the point z."""
-        if abs(complex(z)) > 1 + 1e-12:
-            warnings.warn(_OUTSIDE_DISK, stacklevel=2)
+        _warn_outside_disk(abs(complex(z)), 3)
         acc: Number = 0
         for c in reversed(self.coeffs):
             acc = acc * z + c

@@ -13,17 +13,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from . import bounds
+from . import _as_int, bounds
 from .bounds import (
+    PSI_B,
     ClassParams,
-    PhiCoeffs,
     alpha_class_params,
     second_hankel,
     sl_bound_table,
@@ -32,7 +31,7 @@ from .catalog import make_spec
 # conjecture_check and t_series are re-exported
 from .extremal import conjecture_check, growth_envelope_starlike, t_series
 from .radius import bisect_root, re_im_envelope
-from .series import _OUTSIDE_DISK, TruncatedSeries, _as_int
+from .series import TruncatedSeries, _warn_outside_disk
 
 __all__ = [
     "CaratheodoryPoint",
@@ -239,30 +238,37 @@ def _log_ratio_integral(coeffs: np.ndarray, z_powers: np.ndarray) -> np.ndarray:
     return 0.5 * (u @ weights)
 
 
+def _structural(omega: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
+    """z as a complex array, and f(z)/z = exp(integral_0^z (q-1)/t dt) at z for
+    q = 1 - log(1 + omega): the core of the three structural functions.
+
+    The integral evaluates the truncated row on the segment [0, z], so a z outside
+    the closed disk warns, as :meth:`TruncatedSeries.__call__` does.
+    """
+    za = np.asarray(z, dtype=complex)
+    _warn_outside_disk(np.abs(za).max(initial=0.0), 4)
+    return za, np.exp(_log_ratio_integral(omega, _powers(za, omega.size - 1)))
+
+
 def structural_eval(omega: np.ndarray, z):
     """f(z) = z exp(integral (q-1)/t dt) with q = 1 - log(1 + omega)."""
-    za = np.asarray(z, dtype=complex)
-    return _like(z, za * np.exp(_log_ratio_integral(omega, _powers(za, omega.size - 1))))
+    za, f_over_z = _structural(omega, z)
+    return _like(z, za * f_over_z)
 
 
 def structural_deriv(omega: np.ndarray, z):
     """f'(z) = f(z) q(z) / z, computed as exp(integral (q-1)/t dt) q(z).
 
     Exact in terms of the structural formula; the form without the division
-    by z also holds at z = 0 and does not overflow for a subnormal z. The
-    truncated row is evaluated at z itself, with a warning outside the disk.
+    by z also holds at z = 0 and does not overflow for a subnormal z.
     """
-    za = np.asarray(z, dtype=complex)
-    if za.size and np.abs(za).max() > 1 + 1e-12:
-        warnings.warn(_OUTSIDE_DISK, stacklevel=2)
-    q = 1 - np.log(1 + np.polyval(omega[::-1], za))
-    return _like(z, structural_deriv_convex(omega, za) * q)
+    za, f_over_z = _structural(omega, z)
+    return _like(z, f_over_z * (1 - np.log(1 + np.polyval(omega[::-1], za))))
 
 
 def structural_deriv_convex(omega: np.ndarray, z):
     """f'(z) = exp(integral (q-1)/t dt): derivative of the convex-side member."""
-    za = np.asarray(z, dtype=complex)
-    return _like(z, np.exp(_log_ratio_integral(omega, _powers(za, omega.size - 1))))
+    return _like(z, _structural(omega, z)[1])
 
 
 # -- Caratheodory parameterization -------------------------------------------------
@@ -678,9 +684,7 @@ def _bound_row(alpha: float) -> tuple[float, ...]:
     """The ``_COEFF_KEYS`` bounds at ``alpha``; ``h2_general`` is second_hankel's."""
     frac = Fraction(alpha).limit_denominator(10**6)
     table = sl_bound_table(frac)
-    table["h2_general"] = second_hankel(
-        alpha_class_params(float(frac)), PhiCoeffs(1.0, 0.5, 1.0 / 3.0)
-    ).value
+    table["h2_general"] = second_hankel(alpha_class_params(float(frac)), PSI_B).value
     return tuple(float(table[key]) for key in _COEFF_KEYS)
 
 

@@ -864,6 +864,29 @@ class TestTable:
         assert table["a5"] == Fraction(107, 288)
 
 
+ROTATIONS = "convolution ratio equal to the generator (rotations)"
+# each c/(1 + k alpha) report of the table: (report, label, c, k, extremal hint)
+RATIO_ENTRIES = [
+    (a2_bound_sl, "sl-a2", Fraction(1), 1, ROTATIONS),
+    (a3_bound_sl, "sl-a3", Fraction(3, 4), 2, ROTATIONS),
+    (a4_bound_sl, "sl-a4", Fraction(19, 36), 3, ROTATIONS),
+    (a2a3_a4_bound_sl, "sl-a2a3a4", Fraction(1, 3), 3,
+     "convolution ratio equal to the generator at z^3 (rotations)"),
+    (a5_bound_sl, "sl-a5", Fraction(107, 288), 4, ROTATIONS),
+]
+
+
+@pytest.mark.parametrize("report, label, c, k, hint", RATIO_ENTRIES,
+                         ids=[entry[1] for entry in RATIO_ENTRIES])
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 4), Fraction(1, 2), 1, 0.3])
+def test_ratio_entry_report(report, label, c, k, hint, alpha):
+    exact = Fraction(alpha)  # a float alpha is read as its exact value
+    rep = report(alpha)
+    assert type(rep.value) is Fraction and rep.value == c / (1 + k * exact)
+    assert rep.as_dict() == {"value": float(c / (1 + k * exact)), "caseLabel": label,
+                             "inputsEcho": {"alpha": str(exact)}, "extremalHint": hint}
+
+
 def _h3_is_printed_form(alpha):
     rep = h3_bound_sl_alpha(alpha)
     if sl_threshold_sign(alpha) <= 0:

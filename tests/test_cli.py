@@ -19,6 +19,7 @@ from gft.cli import (
     SL_BOUNDS,
     SUITES,
     _parameters,
+    _symmetric_h2,
     build_parser,
     finite,
     main,
@@ -151,6 +152,12 @@ class TestBoundCommand:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(1.0)
         assert payload["caseLabel"] == "A"
+
+    def test_symmetric_defaults_are_psi_head(self):
+        # literals, as gft.cli imports no library module; they must stay psi's head
+        from gft.bounds import PSI_B
+
+        assert _symmetric_h2.__defaults__ == tuple(PSI_B)
 
     def test_alpha_out_of_range_rejected(self):
         code, _ = run_cli(["bound", "--class", "sl", "--alpha", "2", "--which", "h2"])

@@ -138,8 +138,9 @@ class TestEval:
         assert abs(d_prime(-0.5) - 1.79004) < 1e-4
 
     def test_warns_outside_disk(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="outside the closed unit disk") as record:
             PSI_HEAD(2.0)
+        assert [w.filename for w in record] == [__file__]  # the caller's line
 
 
 coeff_lists = st.lists(

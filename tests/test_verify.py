@@ -314,15 +314,19 @@ class TestStructuralEval:
             assert abs(structural_deriv(omega, z) - fd) < 1e-7
 
     def test_deriv_warns_outside_disk(self):
-        # the truncated row is evaluated at z itself, uncontrolled past |z| = 1
+        # each function evaluates the truncated row on [0, z], uncontrolled past |z| = 1;
+        # the warning points at the caller, as TruncatedSeries.__call__'s does
         omega = sample_schwarz("mobius_eta", {"eta": 0.5})
-        for z in (np.array([0.5, 2.0j]), 1.5):
-            with pytest.warns(UserWarning, match="outside the closed unit disk"):
-                structural_deriv(omega, z)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            structural_deriv(omega, np.array([0.999j, 1.0, 0.0]))
-            structural_deriv(omega, np.zeros(0))
+        for fn in (structural_eval, structural_deriv_convex, structural_deriv):
+            for z in (np.array([0.5, 2.0j]), 1.5, 1 + 1e-11, np.array([[0.2], [-1.5j]])):
+                with pytest.warns(UserWarning, match="outside the closed unit disk") as record:
+                    fn(omega, z)
+                assert [w.filename for w in record] == [__file__], fn.__name__
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fn(omega, np.array([0.999j, 1.0, 0.0, -1 - 5e-13]))
+                fn(omega, 1j)
+                fn(omega, np.zeros(0))
 
 
 # -- scalar references for the array evaluation path -------------------------------
