@@ -127,7 +127,7 @@ def counterpart(spec: MaMindaSpec) -> MaMindaSpec:
     base_eval = spec.eval
     return MaMindaSpec(
         name=_MIRROR.get(spec.name) or _BASE.get(spec.name, spec.name + "_counterpart"),
-        coeff_exact=lambda k: (-1) ** k * base_exact(k),
+        coeff_exact=lambda k: -base_exact(k) if k % 2 else base_exact(k),
         eval=lambda z: base_eval(-z),
         first_coeff_sign=-spec.first_coeff_sign,
     )

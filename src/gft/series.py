@@ -13,7 +13,10 @@ path" used for the fixed rational fixtures in the tests.  On that path ``exp``
 and ``compose`` run on integer numerators over a common denominator and build
 one ``Fraction`` per output coefficient, with the values and per-coefficient
 types (``int`` or ``Fraction``) that the term-by-term rational arithmetic
-gives; the Cauchy product and ``reciprocal`` run term by term on every input.
+gives; ``exp`` takes its weights j * a_j as integers and, for a series in z^s
+(the structural functions' exponents), sums only on that stride.  The Cauchy
+product and ``reciprocal`` run term by term on every input.  Every ``order``
+(and ``shifted``'s ``m``) is an int >= 0, numpy ints included.
 Instances are immutable and every operation is a pure function, so values
 can be shared freely across threads.
 """
@@ -26,6 +29,8 @@ import operator
 import warnings
 from fractions import Fraction
 from typing import Iterable
+
+from . import _as_int
 
 Number = complex | float | int | Fraction
 
@@ -65,6 +70,8 @@ def _is_finite(c: Number) -> bool:
 
 def _div_int(value: Number, k: int) -> Number:
     """value / k, staying exact for int and Fraction inputs."""
+    if type(value) is Fraction:  # Fraction(value, k) takes the slow Rational path
+        return Fraction(value.numerator, value.denominator * k)
     if isinstance(value, (int, Fraction)):
         return Fraction(value, k)
     return value / k
@@ -118,6 +125,7 @@ class TruncatedSeries:
 
     def padded(self, order: int) -> "TruncatedSeries":
         """Same series, zero-padded (or cut) to the given order."""
+        order = _as_int(order, "order", 0)
         if order == self.order:
             return self
         if order < self.order:
@@ -154,8 +162,7 @@ class TruncatedSeries:
         both factors exist, in increasing j; on exact input it is an ``int``
         when no ``Fraction`` enters its terms, a ``Fraction`` otherwise.
         """
-        if order is None:
-            order = max(self.order, other.order)
+        order = max(self.order, other.order) if order is None else _as_int(order, "order", 0)
         a, b = self.coeffs, other.coeffs
         top_a, top_b = len(a) - 1, len(b) - 1
         out = []
@@ -189,7 +196,7 @@ class TruncatedSeries:
 
     def shifted(self, m: int = 1) -> "TruncatedSeries":
         """Multiply by z**m (order grows by m)."""
-        return TruncatedSeries((0,) * m + self.coeffs)
+        return TruncatedSeries((0,) * _as_int(m, "m", 0) + self.coeffs)
 
     # -- transcendental operations ------------------------------------------
 
@@ -199,24 +206,32 @@ class TruncatedSeries:
         Uses the recurrence (exp a)' = a' * exp a, i.e.
         b_m = (1/m) * sum_{j=1..m} j * a_j * b_{m-j},  b_0 = 1.
         When every a_j is an ``int`` or a ``Fraction`` the sums run on integer
-        numerators and give ``1`` then ``Fraction`` coefficients: the earlier
-        b_i are kept as integer numerators over the running lcm ``den`` of their
-        denominators, rescaled only when ``den`` grows, so each b_m is one
-        integer sum and one ``Fraction``.  Otherwise the sums run term by term,
-        left to right.
+        numerators and give ``1`` then ``Fraction`` coefficients: the weights
+        j * a_j are integers over the lcm ``d`` of the a_j's denominators, and
+        the earlier b_i are kept as integer numerators over the running lcm
+        ``den`` of their denominators, rescaled only when ``den`` grows, so each
+        b_m is one integer sum and one ``Fraction``.  A series in z^s (s the gcd
+        of the indices of the nonzero a_j) has its exp in z^s: those sums take
+        only the terms that s divides, and every other b_m is ``Fraction(0)``.
+        Other input is summed term by term, left to right.
         """
         if self.coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        if order is None:
-            order = self.order
+        order = self.order if order is None else _as_int(order, "order", 0)
         a = self.padded(order).coeffs
-        weights = [j * c for j, c in enumerate(a)]
         b: list[Number] = [1]
         if _all_exact(a):
-            weights, d = _integer_numerators(weights)
-            numerators, den = [1], 1
+            nums, d = _integer_numerators(a)
+            weights = [j * x for j, x in enumerate(nums)]  # j * a_j over d
+            stride = math.gcd(*(j for j, x in enumerate(weights) if x)) or order + 1
+            zero, numerators, den = Fraction(0), [1], 1
             for m in range(1, order + 1):
-                c = Fraction(sum(map(operator.mul, weights[m:0:-1], numerators)), d * m * den)
+                if m % stride:
+                    b.append(zero)
+                    numerators.append(0)
+                    continue
+                c = Fraction(sum(map(operator.mul, weights[m:0:-stride], numerators[0:m:stride])),
+                             d * m * den)
                 b.append(c)
                 grow = c.denominator // math.gcd(den, c.denominator)
                 if grow > 1:
@@ -224,6 +239,7 @@ class TruncatedSeries:
                     den *= grow
                 numerators.append(c.numerator * (den // c.denominator))
             return TruncatedSeries(b)
+        weights = [j * c for j, c in enumerate(a)]
         for m in range(1, order + 1):
             acc = 0
             for j in range(1, m + 1):  # no sum(): it rounds floats differently from 3.12 on
@@ -239,8 +255,7 @@ class TruncatedSeries:
         """
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
-        if order is None:
-            order = self.order
+        order = self.order if order is None else _as_int(order, "order", 0)
         a = self.padded(order)
         c0 = a.coeffs[0]
         if isinstance(c0, (int, Fraction)):
@@ -256,8 +271,7 @@ class TruncatedSeries:
 
     def divide(self, other: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
         """self / other, other having a nonzero constant term."""
-        if order is None:
-            order = max(self.order, other.order)
+        order = max(self.order, other.order) if order is None else _as_int(order, "order", 0)
         return self.mul(other.reciprocal(order), order)
 
     def compose(self, inner: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
@@ -273,8 +287,7 @@ class TruncatedSeries:
         """
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
-        if order is None:
-            order = max(self.order, inner.order)
+        order = max(self.order, inner.order) if order is None else _as_int(order, "order", 0)
         inner = inner.padded(order)
         outer = self.coeffs
         if self.order == 0 or not _all_exact(outer + inner.coeffs):
@@ -286,11 +299,13 @@ class TruncatedSeries:
         top = min(self.order, order)
         num, den = [outer[top].numerator] + [0] * (order - top), outer[top].denominator
         for k, c in reversed(tuple(enumerate(outer[:top]))):
-            # g[0] == 0, so coefficient n of num * g is sum_{j<n} num[j] * g[n-j]
-            num = [sum(map(operator.mul, num[:n], g[n:0:-1])) for n in range(order - k + 1)]
+            # g[0] == 0, so coefficient n of num * g is sum_{j<n} num[j] * g[n-j]: map
+            # stops at the n entries of g[n:0:-1]
+            num = [sum(map(operator.mul, num, g[n:0:-1])) for n in range(order - k + 1)]
             new_den = math.lcm(den * dg, c.denominator)
             scale = new_den // (den * dg)
-            num = [x * scale for x in num]
+            if scale != 1:
+                num = [x * scale for x in num]
             num[0] += c.numerator * (new_den // c.denominator)
             common = math.gcd(new_den, *num)
             num, den = [x // common for x in num], new_den // common

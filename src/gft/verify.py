@@ -1111,6 +1111,14 @@ def _psi_blend(lam: float, m: int, n: int, order: int) -> TruncatedSeries:
     return lam * at_power(n) + (1 - lam) * at_power(m)
 
 
+@functools.lru_cache(maxsize=64)
+def _rim_psi(p: int) -> tuple[complex, ...]:
+    """psi(z^p) = 1 - log(1 + z^p) at the 256 points z of the circle |z| = 0.99 that
+    :func:`lambda_combination_check` scans, one read-only tuple per power p."""
+    rim = (0.99 * cmath.exp(2j * math.pi * j / 256) for j in range(256))
+    return tuple(1 - cmath.log(1 + z**p) for z in rim)
+
+
 def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dict:
     """Blended generator membership: the z exp(...) construction stays in class.
 
@@ -1145,9 +1153,8 @@ def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dic
     # w is in the image region iff |exp(1 - w) - 1| < 1, that is iff its
     # margin 1 - |exp(1 - w) - 1| is positive (exactly so in floats)
     worst_margin = math.inf
-    for j in range(256):
-        z = 0.99 * cmath.exp(2j * math.pi * j / 256)
-        w = lam * (1 - cmath.log(1 + z**n)) + (1 - lam) * (1 - cmath.log(1 + z**m))
+    for psi_n, psi_m in zip(_rim_psi(n), _rim_psi(m)):
+        w = lam * psi_n + (1 - lam) * psi_m
         worst_margin = min(worst_margin, 1 - abs(cmath.exp(1 - w) - 1))
     return {
         "lambda": lam,

@@ -100,6 +100,14 @@ class TestCounterpart:
             assert twice.coeff_exact(k) == spec.coeff_exact(k)
         assert twice.first_coeff_sign == spec.first_coeff_sign
 
+    @pytest.mark.parametrize("base", ["psi", "sqrt_1_plus_z", "cos_sqrt_z"])
+    def test_mirror_coefficient_is_signed_base(self, base):
+        spec = make_spec(base)
+        for mirror in (counterpart(spec), make_spec(counterpart(spec).name)):
+            for k in range(201):
+                got, expected = mirror.coeff_exact(k), (-1) ** k * spec.coeff_exact(k)
+                assert got == expected and type(got) is type(expected)
+
     def test_sqrt_pair(self):
         flipped = counterpart(make_spec("sqrt_1_minus_z"))
         target = make_spec("sqrt_1_plus_z")

@@ -1,15 +1,16 @@
 """Truncated-series arithmetic: worked examples, invariants, error paths."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gft import extremal
-from gft.catalog import make_spec
+from gft.catalog import CATALOG_NAMES, make_spec
 from gft.series import TruncatedSeries, Z
 
 
@@ -358,6 +359,92 @@ class TestProductAgainstSchoolbook:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the coefficients of a series in z^s: exact ones with zeros among them, Fraction(0) too
+stride_exact = st.lists(
+    st.one_of(exact_numbers, st.sampled_from([0, Fraction(0)])), min_size=1, max_size=8)
+
+
+def in_powers_of(values, stride):
+    """0 + values[0] z^s + values[1] z^(2s) + ..."""
+    coeffs = [0] * (stride * len(values) + 1)
+    coeffs[stride::stride] = values
+    return TruncatedSeries(coeffs)
+
+
+class TestExpInPowersOfZ:
+    """exp of a series in z^s takes only the terms s divides: the same bits as term by term."""
+
+    @given(st.integers(1, 5), stride_exact, st.integers(-12, 12))
+    @example(3, [0, 0, 0], 4)  # all zero: every b_m is Fraction(0)
+    @example(2, [Fraction(0), Fraction(1, 3)], 9)
+    @settings(max_examples=200, deadline=None)
+    def test_exact(self, stride, values, offset):
+        a = in_powers_of(values, stride)
+        order = max(0, a.order + offset)
+        same_bits(a.exp(order).coeffs, schoolbook_exp(a, order))
+
+    @given(st.integers(1, 5), complex_lists, st.integers(-12, 12))
+    @example(4, [0.0, 0j, 0], 10)
+    @settings(max_examples=150, deadline=None)
+    def test_complex(self, stride, values, offset):
+        a = in_powers_of(values, stride)
+        order = max(0, a.order + offset)
+        same_bits(a.exp(order).coeffs, schoolbook_exp(a, order))
+
+
+def termwise_div_int(value, k):
+    """value / k, exact as Fraction(value, k): the reference for series._div_int."""
+    return Fraction(value, k) if isinstance(value, (int, Fraction)) else value / k
+
+
+def termwise_structural_exp(coeff, n, order):
+    """The structural route term by term: C_k / (n k) at z^(n k), then schoolbook_exp."""
+    top = order - 1
+    out = [0] * order
+    for k in range(1, top // n + 1):
+        out[n * k] = termwise_div_int(coeff(k), n * k)
+    return schoolbook_exp(TruncatedSeries(out), top)
+
+
+def reference_coeff(name, exact):
+    """The generator's coefficients, a mirror's as (-1)^k times its base's."""
+    mirror = {"one_minus_log_one_minus_z": "psi", "sqrt_1_minus_z": "sqrt_1_plus_z",
+              "cos_sqrt_minus_z": "cos_sqrt_z"}
+    base = make_spec(mirror.get(name, name)).coeff_exact
+    sign = -1 if name in mirror else 1
+    exact_coeff = lambda k: sign**k * base(k)  # noqa: E731
+    return exact_coeff if exact else lambda k: complex(exact_coeff(k))
+
+
+def same_values_and_bits(got, expected):
+    assert list(got) == list(expected)
+    same_bits(got, expected)
+
+
+class TestStructuralRoute:
+    """t_series, d_series and f_from_q against the term-by-term route, order by order."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_t_and_d_series(self, name, n, exact):
+        spec, coeff = make_spec(name), reference_coeff(name, exact)
+        for order in range(1, 45):
+            u = termwise_structural_exp(coeff, n, order)
+            got = extremal.t_series(spec, n, order, exact=exact).series.coeffs
+            same_values_and_bits(got, [0] + u)
+            got = extremal.d_series(spec, n, order, exact=exact).series.coeffs
+            same_values_and_bits(got, [0] + [termwise_div_int(c, k + 1) for k, c in enumerate(u)])
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_f_from_q(self, name, exact):
+        for order in range(1, 45):
+            q = make_spec(name).series(order, exact=exact)
+            got = extremal.f_from_q(q, order).series.coeffs
+            same_values_and_bits(got, [0] + termwise_structural_exp(q.__getitem__, 1, order))
+
+
 class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -385,3 +472,39 @@ class TestValidation:
         s = TruncatedSeries([1, 2])
         with pytest.raises(AttributeError):
             s.coeffs = (0,)
+
+    # True read as order 1, 2.5 failed inside a list product, -1 as an empty series
+    @pytest.mark.parametrize("bad, message", [
+        (True, "order must be an int, got True"), (2.5, "order must be an int, got 2.5"),
+        ("3", "order must be an int, got '3'"), (-1, "order must be at least 0"),
+        (np.int64(-2), "order must be at least 0"),
+    ])
+    @pytest.mark.parametrize("call", [
+        lambda s, order: s.mul(PSI_HEAD, order),
+        lambda s, order: s.exp(order),
+        lambda s, order: (s + 1).reciprocal(order),
+        lambda s, order: PSI_HEAD.divide(s + 1, order),
+        lambda s, order: PSI_HEAD.compose(s, order),
+        lambda s, order: s.padded(order),
+    ])
+    def test_order_must_be_a_non_negative_int(self, call, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(TruncatedSeries([0, 1, Fraction(1, 2)]), bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "m must be an int, got True"), (1.0, "m must be an int, got 1.0"),
+        (-1, "m must be at least 0"),
+    ])
+    def test_shift_must_be_a_non_negative_int(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PSI_HEAD.shifted(bad)
+
+    def test_numpy_int_orders_pass(self):
+        s = TruncatedSeries([0, 1, Fraction(1, 2)])
+        assert s.exp(np.int64(5)).coeffs == s.exp(5).coeffs
+        assert s.mul(s, np.int32(3)).coeffs == s.mul(s, 3).coeffs
+        assert (s + 1).reciprocal(np.int64(4)).coeffs == (s + 1).reciprocal(4).coeffs
+        assert PSI_HEAD.divide(s + 1, np.int64(4)).coeffs == PSI_HEAD.divide(s + 1, 4).coeffs
+        assert PSI_HEAD.compose(s, np.int64(4)).coeffs == PSI_HEAD.compose(s, 4).coeffs
+        assert s.padded(np.int64(4)).coeffs == s.padded(4).coeffs
+        assert s.shifted(np.int64(2)).coeffs == s.shifted(2).coeffs

@@ -2146,6 +2146,33 @@ class TestLambdaCombination:
         # psi(D) is convex, so every blend of two of its points stays inside
         assert rep["worst_margin"] > 0
 
+    @pytest.mark.parametrize("order", [8, 24, 48])
+    @pytest.mark.parametrize("lam", [0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1])
+    def test_margin_equals_the_per_point_loop(self, lam, order):
+        for m in range(1, 6):
+            for n in range(1, 6):
+                rep = lambda_combination_check(lam, m, n, order=order)
+                worst_margin = math.inf
+                for j in range(256):
+                    z = 0.99 * cmath.exp(2j * math.pi * j / 256)
+                    w = lam * (1 - cmath.log(1 + z**n)) + (1 - lam) * (1 - cmath.log(1 + z**m))
+                    worst_margin = min(worst_margin, 1 - abs(cmath.exp(1 - w) - 1))
+                assert repr(rep["worst_margin"]) == repr(worst_margin)
+                assert rep["all_inside"] is (worst_margin > 0)
+
+    def test_rim_table_is_one_shared_tuple_per_power(self):
+        lambda_combination_check(0.5, 2, 3, order=8)
+        for p in (2, 3):
+            rim = verify._rim_psi(p)
+            assert type(rim) is tuple and len(rim) == 256
+            assert verify._rim_psi(p) is rim
+            lambda_combination_check(0.25, p, p, order=24)
+            assert verify._rim_psi(p) is rim
+            for j in (0, 1, 100, 255):
+                z = 0.99 * cmath.exp(2j * math.pi * j / 256)
+                assert repr(rim[j]) == repr(1 - cmath.log(1 + z**p))
+        assert verify._rim_psi(2) != verify._rim_psi(3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_combination_check(1.5, 1, 1)
