@@ -11,12 +11,12 @@ compose recurrences only ever divide by small integers or the constant term,
 so feeding exact rationals in gives exact rationals out; that is the "exact
 path" used for the fixed rational fixtures in the tests.  On that path ``exp``
 and ``compose`` run on integer numerators over a common denominator and build
-one ``Fraction`` per output coefficient, with the values and per-coefficient
-types (``int`` or ``Fraction``) that the term-by-term rational arithmetic
-gives; ``exp`` takes its weights j * a_j as integers and, for a series in z^s
-(the structural functions' exponents), sums only on that stride.  The Cauchy
-product and ``reciprocal`` run term by term on every input.  Every ``order``
-(and ``shifted``'s ``m``) is an int >= 0, numpy ints included.
+one ``Fraction`` per output coefficient: ``exp`` gives ``1``, then the
+term-by-term recurrence's ``Fraction``s, from integer weights j * a_j summed on
+the stride s of a series in z^s (as the structural exponents are); ``compose``
+gives a ``Fraction`` at every power, and its values are its contract.  The
+Cauchy product and ``reciprocal`` run term by term on every input.  Indices,
+orders and shifts are ints (numpy ints included), orders and shifts >= 0.
 Instances are immutable and every operation is a pure function, so values
 can be shared freely across threads.
 """
@@ -30,7 +30,7 @@ import warnings
 from fractions import Fraction
 from typing import Iterable
 
-from . import _as_int
+from . import _as_int, _index
 
 Number = complex | float | int | Fraction
 
@@ -112,7 +112,11 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def __getitem__(self, k: int) -> Number:
-        """Coefficient of z**k (0 for k beyond the truncation order)."""
+        """Coefficient of z**k (0 beyond the truncation order); k is an int, numpy ints too."""
+        if type(k) is not int:  # the one test on the hot path
+            if (index := _index(k)) is None:
+                raise ValueError(f"index must be an int, got {k!r}")
+            k = index
         if k < 0:
             raise IndexError("negative coefficient index")
         return self.coeffs[k] if k <= self.order else 0
@@ -282,15 +286,15 @@ class TruncatedSeries:
         ``Fraction``, ``inner`` is turned into integer numerators once and the
         running result is kept as integer numerators over one denominator,
         reduced by their gcd at each step; the step for c_k is kept only to
-        z^(order - k), since inner^k starts at z^k.  A coefficient is then a ``Fraction``
-        exactly where the steps through ``mul`` would make it one.
+        z^(order - k), since inner^k starts at z^k, and every coefficient comes
+        out a ``Fraction``.  Other input runs the steps through ``mul``.
         """
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         order = max(self.order, inner.order) if order is None else _as_int(order, "order", 0)
         inner = inner.padded(order)
         outer = self.coeffs
-        if self.order == 0 or not _all_exact(outer + inner.coeffs):
+        if not _all_exact(outer + inner.coeffs):
             result = TruncatedSeries([outer[-1]]).padded(order)
             for k in range(self.order - 1, -1, -1):
                 result = result.mul(inner, order) + outer[k]
@@ -309,19 +313,7 @@ class TruncatedSeries:
             num[0] += c.numerator * (new_den // c.denominator)
             common = math.gcd(new_den, *num)
             num, den = [x // common for x in num], new_den // common
-        # mul makes coefficient n a Fraction once a Fraction sits at or below n in
-        # either factor: all of them after a Fraction c_k with k >= 1, else those
-        # from the first Fraction of inner on; a Fraction c_0 adds z^0
-        if any(isinstance(c, Fraction) for c in outer[1:]):
-            fraction_from = 0
-        else:
-            fraction_from = next(
-                (n for n, c in enumerate(inner.coeffs) if isinstance(c, Fraction)), order + 1)
-        return TruncatedSeries(
-            Fraction(x, den) if n >= fraction_from or n == 0 and isinstance(outer[0], Fraction)
-            else x // den
-            for n, x in enumerate(num)
-        )
+        return TruncatedSeries(Fraction(x, den) for x in num)
 
     # -- evaluation ----------------------------------------------------------
 

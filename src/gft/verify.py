@@ -29,7 +29,7 @@ from .bounds import (
 )
 from .catalog import make_spec
 # conjecture_check and t_series are re-exported
-from .extremal import conjecture_check, growth_envelope_starlike, t_series
+from .extremal import conjecture_check, f_from_q, growth_envelope_starlike, t_series
 from .radius import bisect_root, re_im_envelope
 from .series import TruncatedSeries, _warn_outside_disk
 
@@ -1095,22 +1095,6 @@ def vector_space_counterexample(scan_density: int = 360) -> dict:
     }
 
 
-def _psi_blend(lam: float, m: int, n: int, order: int) -> TruncatedSeries:
-    """lam psi(z^n) + (1-lam) psi(z^m) to ``order``, psi = 1 - log(1+z).
-
-    psi(z^p) is psi's coefficients spread p apart: the values of the float
-    composition of psi with z^p, without its Horner loop of Cauchy products.
-    """
-    psi = make_spec("psi").series(order).coeffs
-
-    def at_power(p: int) -> TruncatedSeries:
-        out = [0.0] * (order + 1)
-        out[::p] = psi[: order // p + 1]
-        return TruncatedSeries(out)
-
-    return lam * at_power(n) + (1 - lam) * at_power(m)
-
-
 @functools.lru_cache(maxsize=64)
 def _rim_psi(p: int) -> tuple[complex, ...]:
     """psi(z^p) = 1 - log(1 + z^p) at the 256 points z of the circle |z| = 0.99 that
@@ -1122,33 +1106,27 @@ def _rim_psi(p: int) -> tuple[complex, ...]:
 def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dict:
     """Blended generator membership: the z exp(...) construction stays in class.
 
-    Builds g = z exp(alpha) with
-    alpha = (1-lam)/m * sum_k (-z^m)^k/k^2 + lam/n * sum_k (-z^n)^k/k^2,
-    verifies z g'/g = lam (1 - log(1+z^n)) + (1-lam)(1 - log(1+z^m)) as a
-    series identity, and reports ``worst_margin``, how deep inside the image
-    region the blend stays on 256 points of the circle of radius 0.99.
-    log(1+z) is convex univalent, so psi(D) is convex and ``all_inside`` is
-    True for every accepted input; it stays because the benchmark's
-    ``series-build`` digest reads it.
+    The blend q = lam psi(z^n) + (1-lam) psi(z^m) is psi's coefficients spread p
+    apart, and its member g = z exp(integral (q(t)-1)/t dt) comes from
+    :func:`gft.extremal.f_from_q`, as ``t_series`` does.  ``series_identity_error``
+    is the largest coefficient of z g' - g q (z g'/g = q, as g = z u with u(0) = 1);
+    ``worst_margin`` is how deep inside the image region the blend stays on 256
+    points of the circle of radius 0.99.  psi(D) is convex (log(1+z) is convex
+    univalent), so ``all_inside`` is True for every accepted input; it stays
+    because the benchmark's ``series-build`` digest reads it.
     """
     # 2.5 or True would index another power
     m, n, order = (_as_int(value, name, 1) for name, value in (("m", m), ("n", n), ("order", order)))
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
-    coeffs = [0.0] * (order + 1)
+    coeffs = [1.0] + [0.0] * order
     for p, weight in ((m, 1 - lam), (n, lam)):
         for k in range(1, order // p + 1):
-            coeffs[p * k] += weight / p * (-1) ** k / k**2
-    alpha_series = TruncatedSeries(coeffs)
-    u = alpha_series.exp(order)
-    g = u.padded(order - 1).shifted(1)
-
-    # series identity: z g'/g = (u + z u') / u for g = z u
-    ratio = (u + u.derivative().shifted(1).padded(order)).divide(u, order)
-    blend = _psi_blend(lam, m, n, order)
-    max_coeff_err = max(
-        abs(complex(ratio[k]) - complex(blend[k])) for k in range(order + 1)
-    )
+            coeffs[p * k] += weight * (-1) ** k / k
+    q = TruncatedSeries(coeffs)
+    g = f_from_q(q, order).series
+    gq = g.mul(q, order)
+    max_coeff_err = max(abs(k * g[k] - gq[k]) for k in range(order + 1))
 
     # w is in the image region iff |exp(1 - w) - 1| < 1, that is iff its
     # margin 1 - |exp(1 - w) - 1| is positive (exactly so in floats)

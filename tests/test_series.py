@@ -235,6 +235,12 @@ def same_bits(got, expected):
     assert [repr(c) for c in got] == [repr(c) for c in expected]
 
 
+def fractions_of_equal_value(got, expected):
+    """Exact compose's contract: the values of ``expected``, every coefficient a Fraction."""
+    assert [type(c) for c in got] == [Fraction] * len(expected)
+    assert list(got) == list(expected)
+
+
 exact_numbers = st.one_of(
     st.integers(min_value=-40, max_value=40),
     st.fractions(min_value=-5, max_value=5, max_denominator=24),
@@ -267,7 +273,7 @@ class TestProductAgainstSchoolbook:
     @settings(max_examples=150, deadline=None)
     def test_exact_compose(self, u, v, order):
         f, g = TruncatedSeries(u), TruncatedSeries([0] + v)
-        same_bits(f.compose(g, order).coeffs, schoolbook_compose(f, g, order))
+        fractions_of_equal_value(f.compose(g, order).coeffs, schoolbook_compose(f, g, order))
 
     @pytest.mark.parametrize("outer, inner, order", [
         (list(range(1, 13)), [0, 1, -2], 4),  # ints only, outer order 11 above 4
@@ -278,7 +284,7 @@ class TestProductAgainstSchoolbook:
     ])
     def test_exact_compose_types_above_and_below_order(self, outer, inner, order):
         f, g = TruncatedSeries(outer), TruncatedSeries(inner)
-        same_bits(f.compose(g, order).coeffs, schoolbook_compose(f, g, order))
+        fractions_of_equal_value(f.compose(g, order).coeffs, schoolbook_compose(f, g, order))
 
     @given(exact_lists, exact_lists, order_offsets)
     @settings(max_examples=80, deadline=None)
@@ -336,15 +342,19 @@ class TestProductAgainstSchoolbook:
         assert [type(c) for c in got] == [Fraction] * 4
         assert got == (1, Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
 
-    def test_compose_fraction_only_where_a_term_has_one(self):
-        # a Fraction constant of the outer series makes only z^0 a Fraction
+    def test_compose_every_coefficient_a_fraction(self):
+        # ints only but for a Fraction constant of the outer series
         got = TruncatedSeries([Fraction(1, 2), 1]).compose(TruncatedSeries([0, 2, 3]), 3).coeffs
-        assert [type(c) for c in got] == [Fraction, int, int, int]
+        assert [type(c) for c in got] == [Fraction] * 4
         assert got == (Fraction(1, 2), 2, 3, 0)
-        # a Fraction zero at z^0 of the inner series enters every product term
+        # a Fraction zero at z^0 of the inner series
         got = TruncatedSeries([1, 1, 1]).compose(TruncatedSeries([Fraction(0), 1]), 2).coeffs
-        assert [type(c) for c in got] == [Fraction, Fraction, Fraction]
+        assert [type(c) for c in got] == [Fraction] * 3
         assert got == (1, 1, 1)
+        # an outer series of order 0, all ints
+        got = TruncatedSeries([7]).compose(TruncatedSeries([0, 1]), 2).coeffs
+        assert [type(c) for c in got] == [Fraction] * 3
+        assert got == (7, 0, 0)
 
     # sha256 of the newline-joined str(Fraction(c)), captured from the term-by-term exp
     @pytest.mark.parametrize("build, phi, n, order, digest", [
@@ -498,6 +508,19 @@ class TestValidation:
     def test_shift_must_be_a_non_negative_int(self, bad, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PSI_HEAD.shifted(bad)
+
+    # True read as index 1; 2.0 raised a TypeError from the tuple
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 1.5, "1", None, slice(0, 2)])
+    def test_index_must_be_an_int(self, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'index must be an int, got {bad!r}')}$"):
+            TruncatedSeries([5, 6, 7])[bad]
+
+    def test_numpy_int_index_passes_and_a_negative_one_is_an_index_error(self):
+        s = TruncatedSeries([5, 6, 7])
+        assert s[np.int64(1)] == 6 and s[np.int32(2)] == 7 and s[np.uint8(9)] == 0
+        for bad in (-1, np.int64(-1)):
+            with pytest.raises(IndexError, match="negative coefficient index"):
+                s[bad]
 
     def test_numpy_int_orders_pass(self):
         s = TruncatedSeries([0, 1, Fraction(1, 2)])

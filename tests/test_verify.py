@@ -23,7 +23,7 @@ from gft.bounds import (
     second_hankel,
 )
 from gft.catalog import in_psi_image, make_spec
-from gft.extremal import f_from_q, t_series
+from gft.extremal import ExtremalFunction, f_from_q, t_series
 from gft.verify import (
     bloch_class_envelope,
     bloch_norm_estimate,
@@ -2117,7 +2117,7 @@ class TestLambdaCombination:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 1), (3, 2), (5, 30)])
     @pytest.mark.parametrize("order", [1, 12, 24])
-    def test_spread_blend_equals_composed_blend(self, lam, m, n, order):
+    def test_member_is_f_from_q_of_the_composed_blend(self, lam, m, n, order):
         psi = make_spec("psi").series(order)
 
         def composed(p):
@@ -2126,10 +2126,22 @@ class TestLambdaCombination:
                 monomial[p] = 1.0
             return psi.compose(TruncatedSeries(monomial), order)
 
-        ref = lam * composed(n) + (1 - lam) * composed(m)
-        got = verify._psi_blend(lam, m, n, order)
-        assert len(got.coeffs) == len(ref.coeffs)
-        assert all(complex(g) == complex(r) for g, r in zip(got.coeffs, ref.coeffs))
+        want = f_from_q(lam * composed(n) + (1 - lam) * composed(m), order).series
+        got = lambda_combination_check(lam, m, n, order=order)["g_series"]
+        assert len(got.coeffs) == len(want.coeffs) == order + 1
+        assert all(abs(complex(g) - complex(w)) <= 1e-15 for g, w in zip(got.coeffs, want.coeffs))
+
+    # the one-product identity z g' = g q still sees a member off by 1e-8 at one power
+    @pytest.mark.parametrize("power", [2, 3, 7, 24])
+    def test_identity_error_detects_a_wrong_member(self, monkeypatch, power):
+        def perturbed(q, order):
+            coeffs = list(f_from_q(q, order).series.coeffs)
+            coeffs[power] += 1e-8
+            return ExtremalFunction(TruncatedSeries(coeffs))
+
+        assert lambda_combination_check(0.5, 1, 3, order=24)["series_identity_error"] < 1e-12
+        monkeypatch.setattr(verify, "f_from_q", perturbed)
+        assert lambda_combination_check(0.5, 1, 3, order=24)["series_identity_error"] > 1e-9
 
     # the 45-entry lambda pool of the benchmark's series-build workload
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
