@@ -44,3 +44,13 @@ def _as_int(value, name: str, least: int) -> int:
     if n < least:
         raise ValueError(f"{name} must be at least {least}")
     return n
+
+
+def _unit_real(value, name: str):
+    """``value`` if it is a real number in [0, 1]: a Fraction, int or float, numpy's
+    too, passes; a bool, or a str, None or complex (no ``__round__``), does not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__round__"):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0 <= value <= 1:  # nan too
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value

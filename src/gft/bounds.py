@@ -27,6 +27,8 @@ from operator import add
 from types import SimpleNamespace
 from typing import Any
 
+from . import _unit_real
+
 __all__ = [
     "ClassParams",
     "PhiCoeffs",
@@ -92,8 +94,7 @@ class ClassParams(namedtuple("ClassParams", "g2 g3 g4 h2 h3 h4")):
 
 def alpha_class_params(alpha) -> ClassParams:
     """Weights n(1+(n-1)a) / (1+(n-1)a) of the derivative-ratio family."""
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = _unit_real(alpha, "alpha")
     return ClassParams(
         g2=2 * (1 + alpha),
         g3=3 * (1 + 2 * alpha),
@@ -498,11 +499,11 @@ def a2a3_a4_bound(params: ClassParams, coeffs, grid_density: int = 64) -> BoundR
 # -- closed-form table for the logarithmic family -------------------------------------
 
 
-def _check_alpha(alpha):
-    """alpha in [0, 1], an int or float lifted to the Fraction of its exact value."""
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return Fraction(alpha) if isinstance(alpha, (int, float)) else alpha
+def _check_alpha(alpha) -> Fraction:
+    """alpha, by :func:`gft._unit_real`, as a Fraction: an int or float, numpy's too,
+    as the Fraction of its exact value."""
+    alpha = _unit_real(alpha, "alpha")
+    return alpha if type(alpha) is Fraction else Fraction(float(alpha))
 
 
 def sl_threshold_sign(alpha):

@@ -40,22 +40,18 @@ CLASSIFY_COEFFS = 40  # coefficients c_1..c_40 are checked for realness
 
 @dataclass(frozen=True)
 class MaMindaSpec:
-    """A catalog generator: coefficient stream, evaluator, slope sign."""
+    """A catalog generator: its exact coefficient stream and its evaluator."""
 
     name: str
     coeff_exact: Callable[[int], Fraction]
     eval: Callable[[complex], complex]
-    first_coeff_sign: int  # sign of the z-coefficient: -1 or +1
 
     def coeff(self, k: int) -> complex:
         return complex(self.coeff_exact(k))
 
     def series(self, order: int, exact: bool = False) -> TruncatedSeries:
         gen = self.coeff_exact if exact else self.coeff
-        return TruncatedSeries(gen(k) for k in range(order + 1))
-
-    def __call__(self, z: complex) -> complex:
-        return self.eval(z)
+        return TruncatedSeries(gen(k) for k in range(_as_int(order, "order", 0) + 1))
 
 
 def _half_binomial(k: int) -> Fraction:
@@ -112,12 +108,7 @@ def make_spec(name: str) -> MaMindaSpec:
         raise ValueError(f"catalog entry {name!r} broken: coeff(0) = {c0} != 1")
     if c1 == 0:
         raise ValueError(f"catalog entry {name!r} broken: coeff(1) = 0")
-    spec = MaMindaSpec(
-        name=base,
-        coeff_exact=coeff_exact,
-        eval=evaluator,
-        first_coeff_sign=1 if c1 > 0 else -1,
-    )
+    spec = MaMindaSpec(name=base, coeff_exact=coeff_exact, eval=evaluator)
     return spec if base == name else counterpart(spec)
 
 
@@ -129,7 +120,6 @@ def counterpart(spec: MaMindaSpec) -> MaMindaSpec:
         name=_MIRROR.get(spec.name) or _BASE.get(spec.name, spec.name + "_counterpart"),
         coeff_exact=lambda k: -base_exact(k) if k % 2 else base_exact(k),
         eval=lambda z: base_eval(-z),
-        first_coeff_sign=-spec.first_coeff_sign,
     )
 
 

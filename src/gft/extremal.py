@@ -47,9 +47,6 @@ class ExtremalFunction:
         if self.series[0] != 0 or self.series[1] != 1:
             raise ValueError("extremal function must be normalized: f(0)=0, f'(0)=1")
 
-    def __call__(self, z: complex) -> complex:
-        return self.series(z)
-
 
 def _check_order(order: int) -> int:
     # order 0 would cut f = z + ... to its constant term, which is not normalized

@@ -6,19 +6,18 @@ near the origin.  Everything in this package (generator functions, extremal
 functions, subordination witnesses) is carried by this type.
 
 Coefficients may be ``int``, ``float``, ``complex`` or
-:class:`fractions.Fraction`.  The ring operations and the exp, reciprocal and
-compose recurrences only ever divide by small integers or the constant term,
-so feeding exact rationals in gives exact rationals out; that is the "exact
-path" used for the fixed rational fixtures in the tests.  On that path ``exp``
-and ``compose`` run on integer numerators over a common denominator and build
-one ``Fraction`` per output coefficient: ``exp`` gives ``1``, then the
-term-by-term recurrence's ``Fraction``s, from integer weights j * a_j summed on
-the stride s of a series in z^s (as the structural exponents are); ``compose``
-gives a ``Fraction`` at every power, and its values are its contract.  The
-Cauchy product and ``reciprocal`` run term by term on every input.  Indices,
-orders and shifts are ints (numpy ints included), orders and shifts >= 0.
-Instances are immutable and every operation is a pure function, so values
-can be shared freely across threads.
+:class:`fractions.Fraction`.  The ring operations and the exp and compose
+recurrences only ever divide by small integers, so feeding exact rationals in
+gives exact rationals out; that is the "exact path" used for the fixed
+rational fixtures in the tests.  On that path ``exp`` and ``compose`` run on
+integer numerators over a common denominator and build one ``Fraction`` per
+output coefficient: ``exp`` gives ``1``, then the term-by-term recurrence's
+``Fraction``s, from integer weights j * a_j summed on the stride s of a series
+in z^s (as the structural exponents are); ``compose`` gives a ``Fraction`` at
+every power, and its values are its contract.  The Cauchy product runs term
+by term on every input.  Indices, orders and shifts are ints (numpy ints
+included), orders and shifts >= 0.  Instances are immutable and every
+operation is a pure function, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from . import _as_int, _index
 
 Number = complex | float | int | Fraction
 
-__all__ = ["TruncatedSeries", "Z"]
+__all__ = ["TruncatedSeries"]
 
 _OUTSIDE_DISK = (
     "evaluating a truncated Maclaurin series outside the closed "
@@ -251,33 +250,6 @@ class TruncatedSeries:
             b.append(_div_int(acc, m))
         return TruncatedSeries(b)
 
-    def reciprocal(self, order: int | None = None) -> "TruncatedSeries":
-        """1 / a for a with nonzero constant term.
-
-        r_m = -(1/a_0) * sum_{j=1..m} a_j * r_{m-j}, summed left to right.  For an
-        ``int`` or ``Fraction`` a_0 every r_m of exact input is a ``Fraction``.
-        """
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("cannot invert a series with zero constant term")
-        order = self.order if order is None else _as_int(order, "order", 0)
-        a = self.padded(order)
-        c0 = a.coeffs[0]
-        if isinstance(c0, (int, Fraction)):
-            r: list[Number] = [Fraction(1) / c0]
-        else:
-            r = [1 / c0]
-        for m in range(1, order + 1):
-            acc = 0
-            for j in range(1, m + 1):
-                acc = acc + a.coeffs[j] * r[m - j]
-            r.append(-acc / c0)
-        return TruncatedSeries(r)
-
-    def divide(self, other: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
-        """self / other, other having a nonzero constant term."""
-        order = max(self.order, other.order) if order is None else _as_int(order, "order", 0)
-        return self.mul(other.reciprocal(order), order)
-
     def compose(self, inner: "TruncatedSeries", order: int | None = None) -> "TruncatedSeries":
         """self(inner(z)) truncated at ``order``; inner must vanish at 0.
 
@@ -324,6 +296,3 @@ class TruncatedSeries:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-
-Z = TruncatedSeries([0, 1])

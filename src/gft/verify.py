@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _as_int, bounds
+from . import _as_int, _unit_real, bounds
 from .bounds import (
     PSI_B,
     ClassParams,
@@ -131,10 +131,7 @@ def sample_schwarz(kind: str, params: dict | None = None, seed: int = 0) -> np.n
         row[m] = 1
         return row
     if kind == "mobius_eta":
-        eta = params.get("eta", 0.5)
-        if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not 0 <= eta <= 1:
-            raise ValueError(f"eta must be an int or float in [0, 1], got {eta!r}")
-        return _mobius_row(float(eta))
+        return _mobius_row(float(_unit_real(params.get("eta", 0.5), "eta")))
     return _blaschke_row(seed) if kind == "scaled_blaschke" else _random_poly_rows([seed])[0]
 
 
@@ -1117,8 +1114,7 @@ def lambda_combination_check(lam: float, m: int, n: int, order: int = 48) -> dic
     """
     # 2.5 or True would index another power
     m, n, order = (_as_int(value, name, 1) for name, value in (("m", m), ("n", n), ("order", order)))
-    if not 0 <= lam <= 1:
-        raise ValueError("lambda must lie in [0, 1]")
+    lam = float(_unit_real(lam, "lambda"))  # a numpy float32 would run the blend in float32
     coeffs = [1.0] + [0.0] * order
     for p, weight in ((m, 1 - lam), (n, lam)):
         for k in range(1, order // p + 1):

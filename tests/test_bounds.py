@@ -878,13 +878,34 @@ RATIO_ENTRIES = [
 
 @pytest.mark.parametrize("report, label, c, k, hint", RATIO_ENTRIES,
                          ids=[entry[1] for entry in RATIO_ENTRIES])
-@pytest.mark.parametrize("alpha", [0, Fraction(1, 4), Fraction(1, 2), 1, 0.3])
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 4), Fraction(1, 2), 1, 0.3,
+                                   np.int64(1), np.uint8(0), np.float32(0.3), np.float64(0.3)])
 def test_ratio_entry_report(report, label, c, k, hint, alpha):
-    exact = Fraction(alpha)  # a float alpha is read as its exact value
+    exact = Fraction(float(alpha))  # a float alpha, numpy's too, is read as its exact value
     rep = report(alpha)
     assert type(rep.value) is Fraction and rep.value == c / (1 + k * exact)
     assert rep.as_dict() == {"value": float(c / (1 + k * exact)), "caseLabel": label,
                              "inputsEcho": {"alpha": str(exact)}, "extremalHint": hint}
+
+
+# True read as alpha = 1 and echoed "1"; "0.5" raised a TypeError from the comparison
+@pytest.mark.parametrize("alpha, message", [
+    (True, "alpha must be a real number, got True"),
+    (np.bool_(False), f"alpha must be a real number, got {np.bool_(False)!r}"),
+    ("0.5", "alpha must be a real number, got '0.5'"),
+    (None, "alpha must be a real number, got None"),
+    (0.5j, "alpha must be a real number, got 0.5j"),
+    (-0.25, "alpha must lie in [0, 1], got -0.25"),
+    (Fraction(3, 2), "alpha must lie in [0, 1], got 3/2"),
+    (math.nan, "alpha must lie in [0, 1], got nan"),
+])
+@pytest.mark.parametrize("call", [alpha_class_params, a2_bound_sl, h2_bound_sl, sl_bound_table,
+                                  lambda alpha: fekete_szego_sl(alpha, 1)],
+                         ids=["alpha_class_params", "a2_bound_sl", "h2_bound_sl", "sl_bound_table",
+                              "fekete_szego_sl"])
+def test_alpha_must_be_a_real_number_in_the_unit_interval(call, alpha, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(alpha)
 
 
 def _h3_is_printed_form(alpha):

@@ -36,7 +36,7 @@ class TestMakeSpec:
         assert psi.coeff_exact(1) == Fraction(-1)
         assert psi.coeff_exact(2) == Fraction(1, 2)
         assert psi.coeff_exact(3) == Fraction(-1, 3)
-        assert psi.first_coeff_sign == -1
+        assert classify(psi).typically_real_shift is False
 
     def test_sqrt_one_plus_z(self):
         spec = make_spec("sqrt_1_plus_z")
@@ -90,7 +90,7 @@ class TestCounterpart:
         assert phi.name == "one_minus_log_one_minus_z"
         assert phi.coeff_exact(1) == Fraction(1)
         assert phi.coeff_exact(2) == Fraction(1, 2)
-        assert phi.first_coeff_sign == 1
+        assert classify(phi).typically_real_shift is True
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_involution(self, name):
@@ -98,7 +98,6 @@ class TestCounterpart:
         twice = counterpart(counterpart(spec))
         for k in range(8):
             assert twice.coeff_exact(k) == spec.coeff_exact(k)
-        assert twice.first_coeff_sign == spec.first_coeff_sign
 
     @pytest.mark.parametrize("base", ["psi", "sqrt_1_plus_z", "cos_sqrt_z"])
     def test_mirror_coefficient_is_signed_base(self, base):
@@ -140,7 +139,6 @@ class TestClassify:
             name="imaginary",
             coeff_exact=lambda k: 1 if k == 0 else (1j if k == 1 else 0),
             eval=lambda z: 1 + 1j * z,
-            first_coeff_sign=1,
         )
         record = classify(spec)
         assert record.real_coefficients is False

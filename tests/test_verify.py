@@ -195,11 +195,22 @@ class TestSampleSchwarz:
             sample_schwarz("monomial", {"m": m})
 
     # float() would read "0.5" as 1/2 and True as 1, which builds z
-    @pytest.mark.parametrize("eta", ["0.5", True, False, None, 0.5j, [0.5], -0.25, 1.5,
-                                     math.nan, math.inf])
-    def test_mobius_eta_must_be_a_real_number_in_the_unit_interval(self, eta):
-        with pytest.raises(ValueError, match=r"eta must be an int or float in \[0, 1\]"):
+    @pytest.mark.parametrize("eta, message", [
+        *((eta, "eta must be a real number") for eta in
+          ("0.5", True, False, None, 0.5j, [0.5], np.complex128(0.5), np.bool_(True))),
+        *((eta, r"eta must lie in \[0, 1\]") for eta in
+          (-0.25, 1.5, math.nan, math.inf, np.float32(1.5), np.int64(-1))),
+    ])
+    def test_mobius_eta_must_be_a_real_number_in_the_unit_interval(self, eta, message):
+        with pytest.raises(ValueError, match=message):
             sample_schwarz("mobius_eta", {"eta": eta})
+
+    # np.int64(0) and np.float32(0.5) raised, as no other int or float parameter does
+    @pytest.mark.parametrize("eta", [np.int64(0), np.int64(1), np.float32(0.5), np.float64(0.25),
+                                     Fraction(3, 4)])
+    def test_mobius_eta_takes_numpy_and_fraction_values(self, eta):
+        got = sample_schwarz("mobius_eta", {"eta": eta})
+        assert np.array_equal(got, sample_schwarz("mobius_eta", {"eta": float(eta)}))
 
 
 # -- the Cauchy-product sample construction that the closed forms replaced -----------
@@ -2171,6 +2182,30 @@ class TestLambdaCombination:
                     worst_margin = min(worst_margin, 1 - abs(cmath.exp(1 - w) - 1))
                 assert repr(rep["worst_margin"]) == repr(worst_margin)
                 assert rep["all_inside"] is (worst_margin > 0)
+
+    # True ran as lambda = 1 and "0.5" raised a TypeError from the comparison
+    @pytest.mark.parametrize("lam, message", [
+        (True, "lambda must be a real number, got True"),
+        ("0.5", "lambda must be a real number, got '0.5'"),
+        (None, "lambda must be a real number, got None"),
+        (0.5j, "lambda must be a real number, got 0.5j"),
+        (-0.1, "lambda must lie in [0, 1], got -0.1"),
+        (1.5, "lambda must lie in [0, 1], got 1.5"),
+        (math.nan, "lambda must lie in [0, 1], got nan"),
+    ])
+    def test_lambda_must_be_a_real_number_in_the_unit_interval(self, lam, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lambda_combination_check(lam, 1, 2)
+
+    # a numpy float32 blend would run in float32: the check reads every lambda as a float
+    @pytest.mark.parametrize("lam", [np.int64(1), np.float32(0.5), np.float64(0.25), Fraction(1, 2)])
+    def test_numpy_and_fraction_lambda_run_as_their_float(self, lam):
+        got = lambda_combination_check(lam, 1, 3, order=24)
+        want = lambda_combination_check(float(lam), 1, 3, order=24)
+        assert got["lambda"] == want["lambda"] and type(got["lambda"]) is float
+        assert got["g_series"].coeffs == want["g_series"].coeffs
+        assert got["worst_margin"] == want["worst_margin"]
+        assert got["series_identity_error"] < 1e-12
 
     def test_rim_table_is_one_shared_tuple_per_power(self):
         lambda_combination_check(0.5, 2, 3, order=8)
